@@ -10,10 +10,13 @@ Exit codes are a stable contract:
 
     0  success
     2  parse error: bad JSON, bad expression, unknown geometry key
-    3  precondition violation: surface relation, d^2 != 0, bad filtration
+    3  precondition violation: surface relation, d^2 != 0, bad filtration;
+       a numerical guard tripped (instability, too many skipped quadrature
+       nodes)
     4  method disagreement (lift arithmetic vs path winding)
     5  inadmissible (genus, degree) by the Milnor inequality
     6  escape during the exponential map
+    7  internal invariant violated (a bug)
 
 Settings precedence: config file (~/.config/chernlab/config.json), then
 flags, then CHERNLAB_* environment variables.
@@ -43,7 +46,9 @@ from .errors import (
     DomainError,
     EscapeError,
     InstabilityError,
+    InternalConsistencyError,
     PreconditionError,
+    QuadratureError,
 )
 
 EXIT_OK = 0
@@ -52,6 +57,7 @@ EXIT_PRECONDITION = 3
 EXIT_DISAGREEMENT = 4
 EXIT_INADMISSIBLE = 5
 EXIT_ESCAPE = 6
+EXIT_INTERNAL = 7
 
 CONFIG_PATH = Path.home() / ".config" / "chernlab" / "config.json"
 
@@ -545,7 +551,7 @@ def main(argv=None) -> int:
     except CliFailure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code
-    except (PreconditionError, InstabilityError) as exc:
+    except (PreconditionError, InstabilityError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except AdmissibilityError as exc:
@@ -557,6 +563,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except InternalConsistencyError as exc:
+        print(f"error: internal invariant violated (a bug): {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     report.timing = {"seconds": round(time.perf_counter() - start, 6)}
     report.emit(args.json)
     if any(not item["passed"] for item in report.verification):

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from functools import cached_property
+from typing import Callable, Literal
 
 from .errors import (
     ConventionError,
@@ -66,9 +67,14 @@ class FilteredComplex:
     every p in [p_min, p_max], with F^{p_min} the full space and F^{p_max}
     zero (exhaustive and bounded).
 
-    The instance is immutable apart from a memo of A_r subspaces whose
-    writes are idempotent, so concurrent per-entry page computations are
-    safe.
+    The spectral sequence is memoized once per complex: the A_r subspaces,
+    the page entries E_r, the page differentials d_r, and the cycles,
+    boundaries and filtered cohomology of each degree are each built on
+    first use and then shared by every page, the stable page and the
+    graded cohomology.  The memo is
+    keyed by indices alone, so dims, d and filtration must not be mutated
+    after construction.  Memo writes are idempotent, so concurrent
+    per-entry page computations are safe.
     """
 
     n_min: int
@@ -78,7 +84,7 @@ class FilteredComplex:
     p_min: int
     p_max: int
     filtration: dict
-    _a_cache: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_min > self.n_max or self.p_min >= self.p_max:
@@ -133,6 +139,10 @@ class FilteredComplex:
             return self.d[n]
         return zero_matrix(self.dim(n + 1), self.dim(n))
 
+    def level(self, p: int) -> int:
+        """p clamped to [p_min, p_max]; F^p depends on p only through it."""
+        return min(max(p, self.p_min), self.p_max)
+
     def filt(self, p: int, n: int) -> Subspace:
         """Filtration subspace with index clamping at both ends."""
         if p <= self.p_min:
@@ -153,7 +163,7 @@ class PageEntry:
     numerator: Subspace
     denominator: Subspace
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return quotient_dim(self.numerator, self.denominator)
 
@@ -179,31 +189,41 @@ class Page:
         }
 
 
+def _memo(c: FilteredComplex, key: tuple, build: Callable):
+    """The value memoized under key on c, built by build() on first use."""
+    try:
+        return c._memo[key]
+    except KeyError:
+        value = c._memo[key] = build()
+        return value
+
+
 def cycles_up_to_filtration(
     c: FilteredComplex, r: int, p: int, q: int
 ) -> Subspace:
     """A_r[p, q]: filtered elements whose differential drops r steps.
 
     Total for every integer r: for r <= 0 the subcomplex property makes the
-    condition automatic and the result is F^p itself.
+    condition automatic and the result is F^p itself.  The memo key clamps
+    p but not p + r, so A_r past the stable page stays a computation of its
+    own for the stability check in infinity_page to compare against.
     """
-    key = (r, p, q)
-    cached = c._a_cache.get(key)
-    if cached is not None:
-        return cached
     n = p + q
-    out = subspace_intersect(
+    key = ("A", c.level(p), p + r, n)
+    return _memo(c, key, lambda: subspace_intersect(
         c.filt(p, n),
         subspace_preimage(c.diff(n), c.filt(p + r, n + 1), c.dim(n)),
-    )
-    c._a_cache[key] = out
-    return out
+    ))
 
 
 def page_entry(c: FilteredComplex, r: int, p: int, q: int) -> PageEntry:
     """E_r[p, q] = A_r[p,q] / (d A_{r-1}[p-r+1, q+r-2] + A_{r-1}[p+1, q-1])."""
     if r < 0:
         raise DomainError("pages are indexed by r >= 0")
+    return _memo(c, ("E", r, p, q), lambda: _build_entry(c, r, p, q))
+
+
+def _build_entry(c: FilteredComplex, r: int, p: int, q: int) -> PageEntry:
     numerator = cycles_up_to_filtration(c, r, p, q)
     boundary = image(
         c.diff(p + q - 1),
@@ -220,6 +240,10 @@ def page_differential(c: FilteredComplex, r: int, p: int, q: int) -> Matrix:
     numerator's, so the matrix is reproducible.  Well-definedness is the
     containment d(denominator) <= target denominator, checked exactly.
     """
+    return _memo(c, ("d", r, p, q), lambda: _build_differential(c, r, p, q))
+
+
+def _build_differential(c: FilteredComplex, r: int, p: int, q: int) -> Matrix:
     src = page_entry(c, r, p, q)
     tgt = page_entry(c, r, p + r, q - r + 1)
     n = p + q
@@ -266,25 +290,36 @@ def infinity_page(c: FilteredComplex) -> Page:
     filtration length.  Stability is asserted, not assumed."""
     r_stable = c.filtration_length + 1
     page = compute_page(c, r_stable)
-    probe = compute_page(c, r_stable + 1)
-    for key in page.entries:
-        if (
-            page.entries[key].numerator != probe.entries[key].numerator
-            or page.entries[key].denominator != probe.entries[key].denominator
-        ):
+    for (p, q), entry in page.entries.items():
+        if entry != page_entry(c, r_stable + 1, p, q):
             raise InternalConsistencyError(
-                f"page failed to stabilize at r = {r_stable} for {key}"
+                f"page failed to stabilize at r = {r_stable} for {(p, q)}"
             )
     return Page(
         r_stable, page.entries, page.differentials, stabilized_at=r_stable
     )
 
 
+def _cycles(c: FilteredComplex, n: int) -> Subspace:
+    return _memo(c, ("Z", n), lambda: kernel(c.diff(n), c.dim(n)))
+
+
+def _boundaries(c: FilteredComplex, n: int) -> Subspace:
+    return _memo(c, ("B", n), lambda: image(
+        c.diff(n - 1), Subspace.full(c.dim(n - 1))
+    ))
+
+
+def _filtered_cohomology(c: FilteredComplex, p: int, n: int) -> Subspace:
+    """F^p H^n lifted to C^n: (F^p C^n cap Z^n) + B^n."""
+    return _memo(c, ("H", c.level(p), n), lambda: subspace_sum(
+        subspace_intersect(c.filt(p, n), _cycles(c, n)), _boundaries(c, n)
+    ))
+
+
 def cohomology_dim(c: FilteredComplex, n: int) -> int:
     """dim H^n(C) = dim ker d^n - dim im d^{n-1}."""
-    cycles = kernel(c.diff(n), c.dim(n))
-    boundaries = image(c.diff(n - 1), Subspace.full(c.dim(n - 1)))
-    return cycles.dim - boundaries.dim
+    return _cycles(c, n).dim - _boundaries(c, n).dim
 
 
 def graded_cohomology(c: FilteredComplex, p: int, q: int) -> int:
@@ -294,15 +329,10 @@ def graded_cohomology(c: FilteredComplex, p: int, q: int) -> int:
     machinery; the convergence theorem says it equals dim E_inf[p, q].
     """
     n = p + q
-    cycles = kernel(c.diff(n), c.dim(n))
-    boundaries = image(c.diff(n - 1), Subspace.full(c.dim(n - 1)))
-    upper = subspace_sum(
-        subspace_intersect(c.filt(p, n), cycles), boundaries
+    return (
+        _filtered_cohomology(c, p, n).dim
+        - _filtered_cohomology(c, p + 1, n).dim
     )
-    lower = subspace_sum(
-        subspace_intersect(c.filt(p + 1, n), cycles), boundaries
-    )
-    return upper.dim - lower.dim
 
 
 # -- double complexes ----------------------------------------------------------

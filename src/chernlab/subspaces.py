@@ -7,6 +7,11 @@ operation here ever compares against a tolerance.
 
 Matrices are tuples of row tuples.  A matrix T: Q^n -> Q^m is an m-tuple of
 n-tuples acting by matvec.
+
+The matrices met in practice are sparse (unit-vector filtration bases,
+small integer differentials), so every loop here skips zero entries instead
+of multiplying by them.  Skipping a zero term leaves an exact sum unchanged,
+so results are identical to the dense computation.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ ONE = Fraction(1)
 
 
 def fractionize(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 def mat_from_rows(rows: Sequence[Sequence]) -> Matrix:
@@ -45,17 +50,26 @@ def identity_matrix(n: int) -> Matrix:
 def matvec(t: Matrix, v: Vector) -> Vector:
     if t and len(t[0]) != len(v):
         raise DomainError("matrix/vector dimension mismatch")
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in t)
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(
+        sum((row[j] * x for j, x in support if row[j]), ZERO) for row in t
+    )
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise DomainError("matrix dimension mismatch")
     ncols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(ncols))
-        for row in a
-    )
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
@@ -67,16 +81,23 @@ def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        # left of c the pivot row is zero, so only columns c.. can be nonzero
+        if prow[c] != 1:
+            inv = ONE / prow[c]
+            for j in range(c, ncols):
+                if prow[j]:
+                    prow[j] *= inv
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(m):
+            factor = row[c]
+            if factor and i != r:
+                for j, b in support:
+                    row[j] -= factor * b
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -127,16 +148,22 @@ class Subspace:
     def dim(self) -> int:
         return len(self.vectors)
 
+    @property
+    def is_full(self) -> bool:
+        return len(self.vectors) == self.ambient_dim
+
     def contains_vector(self, v: Sequence) -> bool:
         v = list(fractionize(v))
         if len(v) != self.ambient_dim:
             raise DomainError("vector length differs from ambient dim")
         for row in self.vectors:
-            lead = next((j for j in range(len(row)) if row[j] != 0), None)
-            if lead is not None and v[lead] != 0:
-                factor = v[lead]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+            lead = next((j for j, b in enumerate(row) if b), None)
+            factor = v[lead] if lead is not None else 0
+            if factor:
+                for j in range(lead, len(row)):
+                    if row[j]:
+                        v[j] -= factor * row[j]
+        return not any(v)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -165,19 +192,17 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     du, dv = u.dim, v.dim
     if du == 0 or dv == 0:
         return Subspace.zero(u.ambient_dim)
+    if u.is_full:
+        return v
+    if v.is_full:
+        return u
     rows = tuple(
         tuple(u.vectors[j][i] for j in range(du))
         + tuple(-v.vectors[j][i] for j in range(dv))
         for i in range(u.ambient_dim)
     )
-    points = []
-    for coeff in kernel_basis(rows, du + dv):
-        points.append(
-            tuple(
-                sum(coeff[j] * u.vectors[j][i] for j in range(du))
-                for i in range(u.ambient_dim)
-            )
-        )
+    basis = u.basis_columns()
+    points = [matvec(basis, coeff[:du]) for coeff in kernel_basis(rows, du + dv)]
     return Subspace.span(u.ambient_dim, points)
 
 
@@ -199,6 +224,8 @@ def subspace_preimage(
         raise DomainError("empty matrix needs an explicit domain_dim")
     else:
         ncols = domain_dim
+    if w.is_full:
+        return Subspace.full(ncols)
     dw = w.dim
     rows = tuple(
         tuple(t[i]) + tuple(-w.vectors[j][i] for j in range(dw))
@@ -232,14 +259,12 @@ def quotient_representatives(u: Subspace, v: Subspace) -> tuple:
     """Vectors extending V's canonical basis to U's, in deterministic order."""
     if not u.contains(v):
         raise DomainError("quotient denominator is not contained in numerator")
-    chosen = list(v.vectors)
     reps = []
-    current = Subspace.span(u.ambient_dim, chosen)
+    current = v
     for vec in u.vectors:
         if not current.contains_vector(vec):
             reps.append(vec)
-            chosen.append(vec)
-            current = Subspace.span(u.ambient_dim, chosen)
+            current = Subspace.span(u.ambient_dim, current.vectors + (vec,))
     return tuple(reps)
 
 

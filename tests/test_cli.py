@@ -209,6 +209,58 @@ def test_spectral_bete_file_stabilizes_by_page_two(tmp_path, capsys):
     assert total_h == total_inf
 
 
+def _assert_one_line_error(code, err, expected_code):
+    assert code == expected_code
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_spectral_differential_invariant_exits_7(complex_file, capsys, monkeypatch):
+    import chernlab.spectral as spectral_mod
+    from chernlab.errors import InternalConsistencyError
+
+    def broken(c, r, p, q):
+        raise InternalConsistencyError("page differential leaves the target")
+
+    monkeypatch.setattr(spectral_mod, "page_differential", broken)
+    code, _, err = run(capsys, "spectral", str(complex_file))
+    _assert_one_line_error(code, err, 7)
+    assert "internal invariant violated" in err
+
+
+def test_spectral_unstable_infinity_page_exits_7(complex_file, capsys, monkeypatch):
+    import chernlab.spectral as spectral_mod
+
+    real_entry = spectral_mod.page_entry
+
+    def drifting(c, r, p, q):
+        entry = real_entry(c, r, p, q)
+        if r == c.filtration_length + 2:  # the stability probe
+            return spectral_mod.PageEntry(entry.numerator, entry.numerator)
+        return entry
+
+    monkeypatch.setattr(spectral_mod, "page_entry", drifting)
+    code, _, err = run(capsys, "spectral", str(complex_file))
+    _assert_one_line_error(code, err, 7)
+    assert "failed to stabilize" in err
+
+
+def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
+    import chernlab.geometry as geo_mod
+    from chernlab.errors import DomainError
+
+    def singular(*args, **kwargs):
+        raise DomainError("degenerate metric")
+
+    monkeypatch.setattr(geo_mod, "gaussian_curvature", singular)
+    code, _, err = run(
+        capsys, "geometry", "gauss-bonnet", "flat-torus:2", "--mesh", "8"
+    )
+    _assert_one_line_error(code, err, 3)
+    assert "quadrature nodes were singular" in err
+
+
 # -- geometry -----------------------------------------------------------------------
 
 def test_geodesic_torus_runs_to_time(capsys):

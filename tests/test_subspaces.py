@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import independent_linalg as oracle
 from chernlab.errors import DomainError
@@ -11,6 +13,7 @@ from chernlab.subspaces import (
     Subspace,
     image,
     kernel,
+    kernel_basis,
     mat_from_rows,
     matmul,
     matvec,
@@ -167,4 +170,84 @@ def test_image_and_matmul():
     assert img == Subspace.span(3, [[1, 1, 0]])
     assert matmul(t, mat_from_rows([[1], [1]])) == mat_from_rows(
         [[1], [1], [0]]
+    )
+
+
+# -- property tests of the zero-skipping kernel ---------------------------------
+
+NONZERO = st.integers(-9, 9).filter(bool) | st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7)
+)
+
+
+@st.composite
+def sparse_matrices(draw, nrows=None, ncols=None, max_size=8):
+    """Integer/Fraction matrices up to max_size square, density 0.1-0.6."""
+    nrows = nrows or draw(st.integers(1, max_size))
+    ncols = ncols or draw(st.integers(1, max_size))
+    density = draw(st.floats(0.1, 0.6))
+    return tuple(
+        tuple(
+            draw(NONZERO) if draw(st.floats(0, 1)) < density else 0
+            for _ in range(ncols)
+        )
+        for _ in range(nrows)
+    )
+
+
+def _dense_matvec(t, v):
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in t)
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_rref_is_canonical_with_oracle_rank(t):
+    reduced, pivots = rref(t)
+    assert len(reduced) == len(pivots) == oracle.rank(t)
+    assert list(pivots) == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(reduced, pivots)):
+        assert all(v == 0 for v in row[:p])
+        assert row[p] == 1
+        assert all(other[p] == 0 for k, other in enumerate(reduced) if k != i)
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_span_ignores_row_order_and_scaling(t, data):
+    ncols = len(t[0])
+    rows = data.draw(st.permutations(t))
+    scales = data.draw(st.lists(NONZERO, min_size=len(rows), max_size=len(rows)))
+    scaled = [[s * v for v in row] for s, row in zip(scales, rows)]
+    assert Subspace.span(ncols, scaled) == Subspace.span(ncols, t)
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_kernel_basis_is_annihilated_exactly(t):
+    ncols = len(t[0])
+    basis = kernel_basis(t, ncols)
+    assert len(basis) == ncols - oracle.rank(t)
+    for v in basis:
+        assert all(x == 0 for x in _dense_matvec(t, v))
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_matvec_and_matmul_match_dense_sums(t, data):
+    nrows, ncols = len(t), len(t[0])
+    zero = matvec(t, (F(0),) * ncols)
+    assert zero == (0,) * nrows
+    assert all(isinstance(x, Fraction) for x in zero)
+    (x,) = data.draw(sparse_matrices(nrows=1, ncols=ncols))
+    assert matvec(t, x) == _dense_matvec(t, x)
+    b = data.draw(sparse_matrices(nrows=ncols))
+    assert matmul(t, b) == tuple(
+        tuple(
+            sum(row[k] * b[k][j] for k in range(ncols))
+            for j in range(len(b[0]))
+        )
+        for row in t
     )
