@@ -9,7 +9,8 @@ time lives only under "timing".
 Exit codes are a stable contract:
 
     0  success
-    2  parse error: bad JSON, bad expression, unknown geometry key
+    2  parse error: bad JSON, bad expression, unknown geometry key, a
+       geometry input beyond its cap (MAX_MESH, MAX_SAMPLES, MAX_STEPS)
     3  precondition violation: surface relation, d^2 != 0, bad filtration;
        a numerical guard tripped (instability, too many skipped quadrature
        nodes)
@@ -60,6 +61,11 @@ EXIT_ESCAPE = 6
 EXIT_INTERNAL = 7
 
 CONFIG_PATH = Path.home() / ".config" / "chernlab" / "config.json"
+
+# Resource caps on geometry inputs; a value beyond one exits 2.
+MAX_MESH = 1024        # Gauss-Bonnet mesh (the refined pass uses twice this)
+MAX_SAMPLES = 10**6    # latitude samples of a transport path
+MAX_STEPS = 10**6      # RK4 steps of a geodesic, given or from --time
 
 
 class CliFailure(Exception):
@@ -170,6 +176,14 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise CliFailure(EXIT_PARSE, f"bad {what}: {text!r}") from exc
+
+
+def _bounded(what: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise CliFailure(
+            EXIT_PARSE, f"{what} must be between {low} and {high}, got {value}"
+        )
+    return value
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -308,7 +322,15 @@ def cmd_geometry(args) -> RunReport:
             raise CliFailure(EXIT_PARSE, "point/velocity dimension mismatch")
 
     if args.geo_command == "geodesic":
-        steps = args.steps or max(1, round(geo_mod.STEPS_PER_UNIT * abs(args.time)))
+        if not (math.isfinite(args.time) and args.time > 0.0):
+            raise CliFailure(
+                EXIT_PARSE, f"--time must be positive and finite, got {args.time}"
+            )
+        steps = _bounded(
+            f"geodesic steps (--steps, or {geo_mod.STEPS_PER_UNIT} per unit of --time)",
+            args.steps or max(1, round(geo_mod.STEPS_PER_UNIT * args.time)),
+            1, MAX_STEPS,
+        )
         traj = geo_mod.geodesic(
             geo.connection, point, velocity, args.time, steps
         )
@@ -356,6 +378,8 @@ def cmd_geometry(args) -> RunReport:
         return report
 
     if args.geo_command == "exp":
+        if args.steps:
+            _bounded("--steps", args.steps, 1, MAX_STEPS)
         try:
             end = geo_mod.exponential_map(
                 geo.connection, point, velocity, args.steps
@@ -387,10 +411,9 @@ def cmd_geometry(args) -> RunReport:
                 raise CliFailure(
                     EXIT_PARSE, "--latitude paths exist on spheres only"
                 )
-            path = [
-                np.array([args.latitude, 2.0 * math.pi * k / args.samples])
-                for k in range(args.samples + 1)
-            ]
+            samples = _bounded("--samples", args.samples, 1, MAX_SAMPLES)
+            phi = 2.0 * math.pi * np.arange(samples + 1) / samples
+            path = np.stack([np.full_like(phi, args.latitude), phi], axis=-1)
         else:
             raise CliFailure(
                 EXIT_PARSE, "transport needs --path-file or --latitude"
@@ -409,7 +432,7 @@ def cmd_geometry(args) -> RunReport:
         return report
 
     if args.geo_command == "gauss-bonnet":
-        mesh = _setting("mesh", args.mesh, int, 64)
+        mesh = _bounded("--mesh", _setting("mesh", args.mesh, int, 64), 8, MAX_MESH)
         if not geo.patches:
             raise CliFailure(
                 EXIT_PARSE,

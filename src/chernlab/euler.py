@@ -16,6 +16,7 @@ The expression mini-language used by the CLI:
     atom    := Sigma(g) | Sphere(n) | Torus(n) | Hopf(m) | P | '(' expr ')'
 
 so "(Sigma(3)*Sigma(3)) # P^6" is the four-manifold with chi = 4.
+Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
 """
 
 from __future__ import annotations
@@ -223,12 +224,14 @@ def milnor_admissible(genus: int, degree: int) -> bool:
 # -- expression parser -----------------------------------------------------------
 
 _ATOMS = {"Sigma": Surface, "Sphere": Sphere, "Torus": Torus, "Hopf": Hopf}
+MAX_NESTING = 100  # parentheses deeper than this are a parse error
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -265,9 +268,13 @@ class _Parser:
     def atom(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nest deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos += 1
             inner = self.sum()
             self.expect(")")
+            self.depth -= 1
             return inner
         start = self.pos
         word = self.name()

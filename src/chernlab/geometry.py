@@ -2,8 +2,17 @@
 
 A manifold is a single coordinate chart: an open box, optionally with
 periodic axes (tori) or a deleted point (punctured spaces).  Connections
-are Christoffel-symbol fields Gamma[k][i][j] = Gamma^k_ij evaluated per
-point; vector and metric fields are plain callables point -> array.
+are Christoffel-symbol fields Gamma[k][i][j] = Gamma^k_ij; vector fields
+are plain callables point -> array.
+
+Metric and Christoffel fields are batched: they take points of shape
+(..., dim) and return (..., dim, dim) and (..., dim, dim, dim).  A single
+point is a batch of one, so every operation has one code path.  A field
+may return one constant array for every point (lambda p: np.eye(n));
+callers broadcast it.  Gauss-Bonnet evaluates its node grid in blocks of
+BLOCK_NODES nodes, and parallel transport evaluates Gamma at the RK4 nodes
+of one block of segments at a time, which bounds the size of the
+temporaries.
 
 Derivatives are central differences with step H_DEFAULT; identity checks
 built on them are expected to hold to about FD_TOL.  Geodesics and
@@ -35,6 +44,7 @@ FD_TOL = 1e-4          # expected accuracy of derivative-based identities
 NORM_BOUND = 1e8       # blow-up threshold for geodesic states
 STEPS_PER_UNIT = 1000  # default RK4 resolution
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
+BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
 
 
 @dataclass(frozen=True)
@@ -55,19 +65,18 @@ class Chart:
         p = np.asarray(self.periods)
         return x - p * np.floor(x / p)
 
-    def contains(self, x: np.ndarray) -> bool:
-        if not np.all(np.isfinite(x)):
-            return False
-        if np.linalg.norm(x) > self.norm_bound:
-            return False
-        if self.box_lo is not None and np.any(x < np.asarray(self.box_lo)):
-            return False
-        if self.box_hi is not None and np.any(x > np.asarray(self.box_hi)):
-            return False
+    def contains(self, x: np.ndarray):
+        """Domain membership of x, shape (..., dim): a bool per point."""
+        x = np.asarray(x, dtype=float)
+        # NaN or infinite coordinates fail the (finite) norm bound
+        inside = _norm(x) <= self.norm_bound
+        if self.box_lo is not None:
+            inside &= (x >= self.box_lo).all(axis=-1)
+        if self.box_hi is not None:
+            inside &= (x <= self.box_hi).all(axis=-1)
         if self.hole_center is not None:
-            if np.linalg.norm(x - np.asarray(self.hole_center)) < self.hole_radius:
-                return False
-        return True
+            inside &= _norm(x - self.hole_center) >= self.hole_radius
+        return inside
 
     def segment_escapes(self, a: np.ndarray, b: np.ndarray) -> bool:
         """True when the step a -> b leaves the domain, including passing
@@ -82,6 +91,21 @@ class Chart:
             if np.linalg.norm(a + t * d - c) < self.hole_radius:
                 return True
         return False
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, without overflow warnings."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _field(f: Callable, p: np.ndarray, shape: tuple) -> np.ndarray:
+    """The field f at the points p, shape p.shape[:-1] + shape; a constant
+    return is broadcast to the batch."""
+    out = np.asarray(f(p), dtype=float)
+    if out.shape[-len(shape):] != shape:
+        raise DomainError(f"field values must end in shape {shape}")
+    full = p.shape[:-1] + shape
+    return out if out.shape == full else np.broadcast_to(out, full)
 
 
 def free_chart(dim: int) -> Chart:
@@ -129,8 +153,10 @@ def constant_field(v: Sequence[float]) -> VectorField:
 
 def _require_inside(conn: ChartConnection, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if not conn.chart.contains(p):
-        raise DomainError(f"point {p.tolist()} is outside the chart domain")
+    outside = ~conn.chart.contains(p)
+    if outside.any():
+        bad = p[outside][0]
+        raise DomainError(f"point {bad.tolist()} is outside the chart domain")
     return p
 
 
@@ -217,33 +243,38 @@ def levi_civita(
 
     Christoffel symbols from the standard inversion of the Koszul formula
     on coordinate fields, with central differences of g.  The chart (or a
-    bare dimension) fixes the domain.
+    bare dimension) fixes the domain.  One metric call per evaluation, on
+    the stencil of each point and its 2 dim neighbours at +-h.
     """
     if isinstance(chart, int):
         chart = free_chart(chart)
+    dim = chart.dim
+    step = h * np.eye(dim)
+    offsets = np.concatenate([np.zeros((1, dim)), step, -step])
 
     def gamma(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        gp = np.asarray(g(p), dtype=float)
-        dim = len(p)
-        if gp.shape != (dim, dim) or not np.allclose(gp, gp.T, atol=1e-12):
+        if p.shape[-1:] != (dim,):
+            raise DomainError(f"points must have {dim} coordinates")
+        gs = _field(g, p[..., None, :] + offsets, (dim, dim))
+        gp = gs[..., 0, :, :]
+        gt = gp.swapaxes(-1, -2)
+        if not ((gp == gt).all() or np.allclose(gp, gt, atol=1e-12)):
             raise DomainError("metric must be a symmetric matrix field")
         try:
             ginv = np.linalg.inv(gp)
         except np.linalg.LinAlgError as exc:
-            raise DomainError(f"metric is singular at {p.tolist()}") from exc
-        dg = np.empty((dim, dim, dim))
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            dg[i] = (np.asarray(g(p + e)) - np.asarray(g(p - e))) / (2.0 * h)
-        # c[k][i][j] = d_i g_jk + d_j g_ik - d_k g_ij
-        c = (
-            np.einsum("ijk->kij", dg)
-            + np.einsum("jik->kij", dg)
-            - dg
-        )
-        return 0.5 * np.einsum("lk,kij->lij", ginv, c)
+            flat = gp.reshape(-1, dim, dim)
+            bad = np.flatnonzero(np.linalg.det(flat) == 0.0)
+            first = p.reshape(-1, dim)[bad[0] if bad.size else 0]
+            raise DomainError(f"metric is singular at {first.tolist()}") from exc
+        # dg[..., i, j, k] = d_i g_jk
+        dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
+        # c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
+        t = np.moveaxis(dg, -1, -3)
+        c = t + t.swapaxes(-1, -2) - dg
+        flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
+        return 0.5 * (ginv @ flat_c).reshape(c.shape)
 
     return ChartConnection(
         dim=chart.dim, gamma=gamma, chart=chart, symmetric=True
@@ -354,32 +385,39 @@ def parallel_transport(
     """Transport v0 along a sampled path by RK4 on v' = -Gamma(x) x' v.
 
     The path is taken piecewise linear between samples; the result is
-    linear in v0.
+    linear in v0.  Gamma depends on the path alone, so for each block of
+    segments it is evaluated up front at the 2 substeps + 1 RK4 nodes of
+    every segment; only the update of v runs step by step.
     """
-    pts = [np.asarray(q, dtype=float) for q in path]
+    try:
+        pts = np.asarray(path, dtype=float)
+    except ValueError as exc:
+        raise DomainError("transport path samples must be points") from exc
+    v = np.asarray(v0, dtype=float)
+    dim = conn.dim
     if len(pts) < 2:
         raise DomainError("a transport path needs at least two samples")
-    for q in pts:
-        _require_inside(conn, q)
-    v = np.asarray(v0, dtype=float).copy()
-    for a, b in zip(pts, pts[1:]):
-        xdot = b - a
-        hh = 1.0 / substeps
-        for s in range(substeps):
-            t0 = s * hh
-            # transport matrix -Gamma(x) xdot at the three RK4 nodes
-            m_a = -np.einsum("kij,i->kj", conn.gamma(a + xdot * t0), xdot)
-            m_m = -np.einsum(
-                "kij,i->kj", conn.gamma(a + xdot * (t0 + hh / 2)), xdot
-            )
-            m_b = -np.einsum(
-                "kij,i->kj", conn.gamma(a + xdot * (t0 + hh)), xdot
-            )
-            k1 = m_a @ v
-            k2 = m_m @ (v + hh / 2 * k1)
-            k3 = m_m @ (v + hh / 2 * k2)
-            k4 = m_b @ (v + hh * k3)
-            v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if pts.ndim != 2 or pts.shape[1] != dim or v.shape != (dim,):
+        raise DomainError(f"transport needs points and a vector in dimension {dim}")
+    _require_inside(conn, pts)
+    hh = 1.0 / substeps
+    t = np.arange(2 * substeps + 1) * (hh / 2)
+    per_block = max(1, BLOCK_NODES // len(t))
+    for lo in range(0, len(pts) - 1, per_block):
+        a = pts[lo:lo + per_block + 1]
+        xdot = np.diff(a, axis=0)
+        nodes = a[:-1, None, :] + xdot[:, None, :] * t[:, None]
+        gam = _field(conn.gamma, nodes, (dim, dim, dim))
+        # transport matrices -Gamma(x) xdot at every node of every segment
+        mats = -np.einsum("snkij,si->snkj", gam, xdot)
+        for seg in mats:
+            for s in range(substeps):
+                m_a, m_m, m_b = seg[2 * s], seg[2 * s + 1], seg[2 * s + 2]
+                k1 = m_a @ v
+                k2 = m_m @ (v + hh / 2 * k1)
+                k3 = m_m @ (v + hh / 2 * k2)
+                k4 = m_b @ (v + hh * k3)
+                v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return v
 
 
@@ -434,17 +472,21 @@ def coordinate_curvature_12(
 
     Same tensor as curvature() with coordinate fields (their bracket
     vanishes), but without re-deriving the constant fields; used by the
-    quadrature, which evaluates it at every node.
+    quadrature, which evaluates it at every node.  Points have shape
+    (..., 2); one Gamma call covers the stencils of the whole batch.
     """
     p = np.asarray(p, dtype=float)
-    e0 = np.array([h, 0.0])
-    e1 = np.array([0.0, h])
-    gp = conn.gamma(p)
-    w22 = gp[:, 1, 1]
-    w12 = gp[:, 0, 1]
-    d0_w22 = (conn.gamma(p + e0)[:, 1, 1] - conn.gamma(p - e0)[:, 1, 1]) / (2 * h)
-    d1_w12 = (conn.gamma(p + e1)[:, 0, 1] - conn.gamma(p - e1)[:, 0, 1]) / (2 * h)
-    return d0_w22 + gp[:, 0, :] @ w22 - d1_w12 - gp[:, 1, :] @ w12
+    offsets = h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+    gs = _field(conn.gamma, p[..., None, :] + offsets, (2, 2, 2))
+    gp = gs[..., 0, :, :, :]
+    w22 = gp[..., :, 1, 1, None]
+    w12 = gp[..., :, 0, 1, None]
+    d0_w22 = (gs[..., 1, :, 1, 1] - gs[..., 2, :, 1, 1]) / (2 * h)
+    d1_w12 = (gs[..., 3, :, 0, 1] - gs[..., 4, :, 0, 1]) / (2 * h)
+    return (
+        d0_w22 + (gp[..., :, 0, :] @ w22)[..., 0]
+        - d1_w12 - (gp[..., :, 1, :] @ w12)[..., 0]
+    )
 
 
 def gaussian_curvature(
@@ -452,14 +494,16 @@ def gaussian_curvature(
     g: MetricField,
     p: np.ndarray,
     h: float = H_DEFAULT,
-) -> float:
-    """K = g(R(e1, e2) e2, e1) / (g11 g22 - g12^2) in the coordinate frame."""
-    gp = np.asarray(g(p), dtype=float)
-    denom = gp[0, 0] * gp[1, 1] - gp[0, 1] ** 2
-    if denom <= 0.0:
+) -> np.ndarray:
+    """K = g(R(e1, e2) e2, e1) / (g11 g22 - g12^2) in the coordinate frame,
+    at points of shape (..., 2)."""
+    p = np.asarray(p, dtype=float)
+    gp = _field(g, p, (2, 2))
+    denom = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] ** 2
+    if np.any(denom <= 0.0):
         raise DomainError("metric is degenerate at the quadrature point")
     r = coordinate_curvature_12(conn, p, h)
-    return float(gp[0] @ r) / denom
+    return (gp[..., 0, :] * r).sum(axis=-1) / denom
 
 
 @dataclass(frozen=True)
@@ -473,6 +517,18 @@ class SurfacePatch:
     metric: MetricField
 
 
+def _node_weights(
+    conn: ChartConnection, metric: MetricField, nodes: np.ndarray, h: float
+) -> tuple[np.ndarray, int]:
+    """K sqrt(det g) at the nodes where the metric is nondegenerate and
+    finite, and the number of the other nodes, which are skipped."""
+    gp = _field(metric, nodes, (2, 2))
+    det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] ** 2
+    good = (det > 0.0) & np.isfinite(det)
+    k = gaussian_curvature(conn, metric, nodes[good], h)
+    return k * np.sqrt(det[good]), len(nodes) - int(np.count_nonzero(good))
+
+
 def gauss_bonnet(
     patches: Sequence[SurfacePatch],
     mesh_n: int,
@@ -482,7 +538,9 @@ def gauss_bonnet(
     """Midpoint-rule quadrature of K dA / (2 pi) over the patches.
 
     Nodes where the metric degenerates are skipped with a warning budget of
-    1 percent; exceeding the budget is an error.
+    1 percent; exceeding the budget is an error.  The node grid is
+    evaluated in blocks of BLOCK_NODES nodes; a block that raises
+    DomainError is evaluated again node by node.
     """
     if mesh_n < 8:
         raise DomainError("mesh_n must be at least 8")
@@ -493,21 +551,26 @@ def gauss_bonnet(
         conn = levi_civita(patch.metric, free_chart(2), h)
         du = (patch.u_hi - patch.u_lo) / mesh_n
         dv = (patch.v_hi - patch.v_lo) / mesh_n
-        for i in range(mesh_n):
-            u = patch.u_lo + (i + 0.5) * du
-            for j in range(mesh_n):
-                v = patch.v_lo + (j + 0.5) * dv
-                p = np.array([u, v])
-                nodes += 1
-                try:
-                    gp = np.asarray(patch.metric(p), dtype=float)
-                    det = gp[0, 0] * gp[1, 1] - gp[0, 1] ** 2
-                    if det <= 0.0 or not np.isfinite(det):
-                        raise DomainError("degenerate metric")
-                    k = gaussian_curvature(conn, patch.metric, p, h)
-                    total += k * math.sqrt(det) * du * dv
-                except DomainError:
-                    skipped += 1
+        mid = np.arange(mesh_n) + 0.5
+        u, v = np.meshgrid(patch.u_lo + mid * du, patch.v_lo + mid * dv,
+                           indexing="ij")
+        grid = np.stack([u.ravel(), v.ravel()], axis=-1)
+        nodes += len(grid)
+        for lo in range(0, len(grid), BLOCK_NODES):
+            block = grid[lo:lo + BLOCK_NODES]
+            try:
+                parts = [_node_weights(conn, patch.metric, block, h)]
+            except DomainError:
+                # retry node by node, so that only the bad nodes are skipped
+                parts = []
+                for node in block[:, None]:
+                    try:
+                        parts.append(_node_weights(conn, patch.metric, node, h))
+                    except DomainError:
+                        parts.append((np.zeros(0), 1))
+            for weights, bad in parts:
+                total += float(np.sum(weights * du * dv))
+                skipped += bad
     if nodes and skipped > skip_budget * nodes:
         raise QuadratureError(
             f"{skipped} of {nodes} quadrature nodes were singular"
@@ -613,8 +676,11 @@ def sphere_metric(radius: float) -> MetricField:
     r2 = radius * radius
 
     def g(p: np.ndarray) -> np.ndarray:
-        theta = p[0]
-        return np.array([[r2, 0.0], [0.0, r2 * math.sin(theta) ** 2]])
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (2, 2))
+        out[..., 0, 0] = r2
+        out[..., 1, 1] = r2 * np.sin(p[..., 0]) ** 2
+        return out
 
     return g
 

@@ -263,6 +263,33 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
 
 # -- geometry -----------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transport", "sphere:1", "--latitude", "1", "--vector", "1,0",
+          "--samples", "0"], "--samples must be between 1 and"),
+        (["transport", "sphere:1", "--latitude", "1", "--vector", "1,0",
+          "--samples", "1000001"], "between 1 and 1000000"),
+        (["geodesic", "sphere:1", "--point", "1,0", "--time", "nan"],
+         "--time must be positive and finite"),
+        (["geodesic", "sphere:1", "--point", "1,0", "--time", "inf"],
+         "--time must be positive and finite"),
+        (["geodesic", "sphere:1", "--point", "1,0", "--time", "0"],
+         "--time must be positive and finite"),
+        (["geodesic", "euclidean:2", "--time", "1e9"], "between 1 and 1000000"),
+        (["geodesic", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
+        (["exp", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
+        (["gauss-bonnet", "sphere:1", "--mesh", "1025"], "between 8 and 1024"),
+    ],
+    ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
+         "time-steps-cap", "steps-cap", "exp-steps-cap", "mesh-cap"],
+)
+def test_geometry_input_bounds_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, "geometry", *argv)
+    _assert_one_line_error(code, err, 2)
+    assert message in err
+
+
 def test_geodesic_torus_runs_to_time(capsys):
     code, data, _ = run_json(
         capsys, "geometry", "geodesic", "flat-torus:2",
@@ -363,6 +390,21 @@ def test_transport_path_file(tmp_path, capsys):
     assert data["results"]["transported"] == pytest.approx([0.2, -0.4])
 
 
+@pytest.mark.parametrize(
+    "rows, vector",
+    [([[0.0, 0.0], [1.0]], "1,0"), ([[0.0, 0.0], [1.0, 0.5]], "1,0,0")],
+    ids=["ragged-path", "vector-dimension"],
+)
+def test_transport_malformed_input_exits_2(tmp_path, capsys, rows, vector):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(rows))
+    code, _, err = run(
+        capsys, "geometry", "transport", "euclidean:2",
+        "--path-file", str(path), "--vector", vector,
+    )
+    _assert_one_line_error(code, err, 2)
+
+
 def test_levi_civita_report(capsys):
     code, data, _ = run_json(
         capsys, "geometry", "levi-civita", "sphere:1", "--point", "1.1,0.2"
@@ -390,6 +432,17 @@ def test_euler_smillie_form(capsys):
     code, data, _ = run_json(capsys, "euler", "smillie", "10")
     assert code == 0
     assert data["results"]["euler_characteristic"] == 32
+
+
+def test_euler_deep_nesting_exits_2_with_caret(capsys):
+    from chernlab.euler import MAX_NESTING
+
+    code, _, err = run(capsys, "euler", "(" * 3000 + "P" + ")" * 3000)
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[0].startswith("error: parentheses nest deeper")
+    assert lines[-1].index("^") - lines[-2].index("(") == MAX_NESTING
 
 
 def test_euler_grammar_error_has_caret(capsys):

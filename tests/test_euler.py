@@ -181,6 +181,16 @@ def test_parse_errors_carry_position():
         eu.parse_expression("Sigma(3) Sigma(2)")
 
 
+def test_parse_nesting_is_bounded_with_position():
+    depth = eu.MAX_NESTING
+    nested = "(" * depth + "Sigma(2)" + ")" * depth
+    assert eu.euler_char(eu.parse_expression(nested)) == -2
+    with pytest.raises(eu.ParseError) as err:
+        eu.parse_expression("(" * 3000 + "P" + ")" * 3000)
+    assert err.value.position == depth
+    assert "nest deeper" in str(err.value)
+
+
 def test_parse_rejects_dimension_mismatch_with_position():
     with pytest.raises(DomainError):
         eu.parse_expression("Sigma(2) # P")

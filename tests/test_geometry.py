@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chernlab.geometry as ge
-from chernlab.errors import DomainError, EscapeError
+from chernlab.errors import DomainError, EscapeError, QuadratureError
+
+PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def wrap_pi(a):
@@ -140,11 +144,18 @@ def test_levi_civita_sphere_symbols():
         assert np.allclose(gam, gam.transpose(0, 2, 1), atol=1e-7)
 
 
+def conformal_metric(a, b):
+    """g = exp(2 f) * I with f = a x + b y^2, on points of shape (..., 2)."""
+    return lambda p: (
+        np.exp(2 * (a * p[..., 0] + b * p[..., 1] ** 2))[..., None, None] * np.eye(2)
+    )
+
+
 def test_levi_civita_conformal_metric():
-    # g = exp(2 f) * I with f = a x + b y^2: symbols are combinations of df
+    # symbols are combinations of df
     a, b = 0.3, 0.2
     f_grad = lambda p: np.array([a, 2.0 * b * p[1]])
-    metric = lambda p: math.exp(2 * (a * p[0] + b * p[1] ** 2)) * np.eye(2)
+    metric = conformal_metric(a, b)
     conn = ge.levi_civita(metric, 2)
     p = np.array([0.5, -0.8])
     df = f_grad(p)
@@ -182,6 +193,39 @@ def test_levi_civita_metric_compatibility():
             + y(p) @ gp @ ge.covariant_derivative(conn, x, z, p)
         )
         assert lhs == pytest.approx(rhs, abs=ge.FD_TOL)
+
+
+def assert_batch_matches_points(conn, pts):
+    batch = conn.gamma(pts)
+    assert batch.shape == (len(pts), 2, 2, 2)
+    for i, p in enumerate(pts):
+        single = conn.gamma(p)
+        scale = float(np.max(np.abs(single)))
+        np.testing.assert_allclose(batch[i], single, rtol=1e-14, atol=1e-14 * scale)
+
+
+def batches(lo, hi):
+    coord = st.floats(lo, hi)
+    return st.lists(st.tuples(coord, st.floats(-3.0, 3.0)), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(st.floats(0.5, 3.0), batches(0.2, 2.9))
+def test_batched_sphere_gamma_matches_single_points(radius, pts):
+    conn = ge.levi_civita(ge.sphere_metric(radius), 2)
+    assert_batch_matches_points(conn, np.array(pts))
+
+
+@PROPERTY
+@given(batches(-2.0, 2.0))
+def test_batched_conformal_gamma_matches_single_points(pts):
+    conn = ge.levi_civita(conformal_metric(0.3, 0.2), 2)
+    assert_batch_matches_points(conn, np.array(pts))
+
+
+def test_levi_civita_constant_metric_broadcasts():
+    conn = ge.levi_civita(lambda p: np.eye(3), 3)
+    assert conn.gamma(np.zeros((4, 5, 3))).shape == (4, 5, 3, 3, 3)
 
 
 def test_levi_civita_singular_metric_raises():
@@ -277,10 +321,10 @@ def analytic_sphere_connection():
     output is pinned by test_levi_civita_sphere_symbols."""
 
     def gamma(p):
-        theta = p[0]
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = -math.sin(theta) * math.cos(theta)
-        out[1, 0, 1] = out[1, 1, 0] = math.cos(theta) / math.sin(theta)
+        theta = np.asarray(p)[..., 0]
+        out = np.zeros(theta.shape + (2, 2, 2))
+        out[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)
+        out[..., 1, 0, 1] = out[..., 1, 1, 0] = np.cos(theta) / np.sin(theta)
         return out
 
     return ge.ChartConnection(2, gamma, ge.free_chart(2), symmetric=True)
@@ -325,6 +369,39 @@ def holonomy_angle(conn, samples):
     a = sq @ v
     b = sq @ out
     return math.atan2(a[0] * b[1] - a[1] * b[0], float(a @ b))
+
+
+def reference_transport(conn, path, v0, substeps):
+    """Segment-by-segment RK4 with one Gamma call per node."""
+    v = np.asarray(v0, dtype=float)
+    hh = 1.0 / substeps
+    for a, b in zip(path, path[1:]):
+        xdot = b - a
+        for s in range(substeps):
+            t0 = s * hh
+            m_a, m_m, m_b = (
+                -np.einsum("kij,i->kj", conn.gamma(a + xdot * t), xdot)
+                for t in (t0, t0 + hh / 2, t0 + hh)
+            )
+            k1 = m_a @ v
+            k2 = m_m @ (v + hh / 2 * k1)
+            k3 = m_m @ (v + hh / 2 * k2)
+            k4 = m_b @ (v + hh * k3)
+            v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return v
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_transport_matches_segment_by_segment_rk4(substeps):
+    wiggle = [np.array([1.0 + 0.3 * math.sin(3 * s), s]) for s in np.linspace(0, 6, 400)]
+    for conn, path in [
+        (ge.parse_geometry("sphere:1.7").connection, latitude_path(0.9, 150)),
+        (analytic_sphere_connection(), wiggle),
+    ]:
+        v = np.array([0.4, -0.3])
+        got = ge.parallel_transport(conn, path, v, substeps)
+        want = reference_transport(conn, path, v, substeps)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_latitude_holonomy_is_a_rotation_with_stable_angle():
@@ -403,6 +480,58 @@ def test_gauss_bonnet_flat_torus_is_exactly_zero():
 def test_gauss_bonnet_radius_two_sphere():
     geo = ge.parse_geometry("sphere:2")
     assert ge.gauss_bonnet(geo.patches, 32) == pytest.approx(2.0, abs=1e-3)
+
+
+def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):
+    """Node-by-node midpoint rule with the single-point gaussian_curvature."""
+    total = 0.0
+    for patch in patches:
+        conn = ge.levi_civita(patch.metric, 2, h)
+        du = (patch.u_hi - patch.u_lo) / mesh_n
+        dv = (patch.v_hi - patch.v_lo) / mesh_n
+        for i in range(mesh_n):
+            for j in range(mesh_n):
+                p = np.array([patch.u_lo + (i + 0.5) * du, patch.v_lo + (j + 0.5) * dv])
+                gp = patch.metric(p)
+                det = gp[0, 0] * gp[1, 1] - gp[0, 1] ** 2
+                k = ge.gaussian_curvature(conn, patch.metric, p, h)
+                total += k * math.sqrt(det) * du * dv
+    return total / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("key", ["sphere:1", "sphere:2"])
+@pytest.mark.parametrize("mesh", [16, 32])
+def test_blocked_gauss_bonnet_matches_node_by_node(key, mesh):
+    patches = ge.parse_geometry(key).patches
+    got = ge.gauss_bonnet(patches, mesh)
+    assert abs(got - reference_gauss_bonnet(patches, mesh)) <= 1e-12
+
+
+def test_gauss_bonnet_skips_only_the_bad_nodes_of_a_block():
+    metric = ge.sphere_metric(1.0)
+    calls = []
+
+    def fragile(p):
+        calls.append(p.shape)
+        if np.any(np.isclose(p[..., 0], math.pi / 2, atol=1e-3)):
+            raise DomainError("metric undefined on the equator")
+        return metric(p)
+
+    patch = ge.SurfacePatch(0.0, math.pi, 0.0, 2.0 * math.pi, fragile)
+    # mesh 16 puts no node within 1e-3 of the equator: nothing is skipped
+    full = ge.gauss_bonnet([patch], 16)
+    assert full == ge.gauss_bonnet(ge.parse_geometry("sphere:1").patches, 16)
+    # mesh 15 puts one of its 15 rows of nodes on the equator: those 15 of
+    # 225 nodes fail, beyond the 1 % budget, after a node-by-node retry
+    calls.clear()
+    with pytest.raises(QuadratureError, match="15 of 225"):
+        ge.gauss_bonnet([patch], 15)
+    assert (1, 2) in calls
+    # the skipped row would have added K dA / (2 pi) = du = pi / 15
+    whole = ge.gauss_bonnet(ge.parse_geometry("sphere:1").patches, 15)
+    assert ge.gauss_bonnet([patch], 15, skip_budget=0.1) == pytest.approx(
+        whole - math.pi / 15, abs=1e-5
+    )
 
 
 def test_gauss_bonnet_rejects_small_mesh():
