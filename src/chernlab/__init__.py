@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .liftgroup import (
     CoveredElement,
-    RotationLift,
     SampledLoop,
     deck_shift,
     lift_commutator,
@@ -55,7 +54,6 @@ from .milnor import (
     chain_build,
     check_milnor_inequality,
     commutator_decompose,
-    find_conjugator,
     flip_orientation,
     milnor_number,
     productmil_decompose,

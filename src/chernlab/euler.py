@@ -16,7 +16,11 @@ The expression mini-language used by the CLI:
     atom    := Sigma(g) | Sphere(n) | Torus(n) | Hopf(m) | P | '(' expr ')'
 
 so "(Sigma(3)*Sigma(3)) # P^6" is the four-manifold with chi = 4.
-Parentheses nest at most MAX_NESTING deep; deeper input is a ParseError.
+INT is ASCII digits, at most MAX_DIGITS of them.  Parentheses nest at most
+MAX_NESTING deep, a '^' count is at most MAX_POWER, and the expression
+expands to at most MAX_TERMS atoms; input beyond a bound is a ParseError.
+A chi beyond MAX_CHI_BITS bits, and a smillie dimension beyond
+MAX_SMILLIE_DIM, are DomainErrors.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+
+MAX_CHI_BITS = 10_000     # bit length of an Euler characteristic
+MAX_SMILLIE_DIM = 10_000  # dimension of a smillie example
 
 
 class ParseError(DomainError):
@@ -161,8 +168,17 @@ def _wrap(e) -> str:
     return f"({text})" if isinstance(e, (Product, ConnectedSum)) else text
 
 
+def _bounded_chi(chi: int) -> int:
+    if chi.bit_length() > MAX_CHI_BITS:
+        raise DomainError(f"Euler characteristic exceeds {MAX_CHI_BITS} bits")
+    return chi
+
+
 def euler_char(e) -> int:
-    """Recursive chi evaluation over the expression tree."""
+    """Recursive chi evaluation over the expression tree.
+
+    Raises DomainError as soon as a partial product or a sum exceeds
+    MAX_CHI_BITS bits, so a long product of large genera stops early."""
     if isinstance(e, Surface):
         return 2 - 2 * e.genus
     if isinstance(e, Sphere):
@@ -172,11 +188,11 @@ def euler_char(e) -> int:
     if isinstance(e, Product):
         out = 1
         for f in e.factors:
-            out *= euler_char(f)
+            out = _bounded_chi(out * euler_char(f))
         return out
     if isinstance(e, ConnectedSum):
         k = len(e.summands)
-        return sum(euler_char(s) for s in e.summands) - 2 * (k - 1)
+        return _bounded_chi(sum(euler_char(s) for s in e.summands) - 2 * (k - 1))
     raise DomainError(f"not a space expression: {e!r}")
 
 
@@ -196,11 +212,13 @@ def flat_six_manifold() -> Product:
 def smillie(dim: int):
     """A closed flat manifold of the requested even dimension >= 4 with
     nonzero chi: a product of copies of the four- and six-dimensional
-    pieces (4a + 6b = dim)."""
+    pieces (4a + 6b = dim), up to MAX_SMILLIE_DIM."""
     if dim % 2 != 0 or dim < 4:
         raise DomainError(
             "flat nonzero-chi examples exist for even dimensions >= 4 only"
         )
+    if dim > MAX_SMILLIE_DIM:
+        raise DomainError(f"smillie dimension exceeds {MAX_SMILLIE_DIM}")
     if dim % 4 == 0:
         a, b = dim // 4, 0
     else:
@@ -224,7 +242,10 @@ def milnor_admissible(genus: int, degree: int) -> bool:
 # -- expression parser -----------------------------------------------------------
 
 _ATOMS = {"Sigma": Surface, "Sphere": Sphere, "Torus": Torus, "Hopf": Hopf}
-MAX_NESTING = 100  # parentheses deeper than this are a parse error
+MAX_NESTING = 100    # parentheses deeper than this are a parse error
+MAX_DIGITS = 1000    # digits of an integer literal
+MAX_POWER = 10_000   # count of a '^' connected-sum power
+MAX_TERMS = 100_000  # atoms of the expression with every power expanded
 
 
 class _Parser:
@@ -232,9 +253,15 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.atoms = 0  # atoms parsed so far, powers expanded
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
+
+    def count_atoms(self, n: int) -> None:
+        self.atoms += n
+        if self.atoms > MAX_TERMS:
+            raise self.error(f"expression expands to more than {MAX_TERMS} atoms")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -252,10 +279,12 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
     def name(self) -> str:
@@ -277,6 +306,7 @@ class _Parser:
             self.depth -= 1
             return inner
         start = self.pos
+        self.count_atoms(1)
         word = self.name()
         if word == "P":
             return PSpace()
@@ -295,12 +325,16 @@ class _Parser:
         )
 
     def power(self):
+        before = self.atoms
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
             count = self.integer()
-            if count < 1:
-                raise self.error("connected-sum power must be >= 1")
+            if not 1 <= count <= MAX_POWER:
+                raise self.error(
+                    f"connected-sum power must be between 1 and {MAX_POWER}"
+                )
+            self.count_atoms((self.atoms - before) * (count - 1))
             if count == 1:
                 return base
             return ConnectedSum((base,) * count)

@@ -366,12 +366,16 @@ def exponential_map(
     v: Sequence[float],
     steps: int | None = None,
 ) -> np.ndarray:
-    """Exp_p(v): endpoint of the unit-time geodesic with initial speed v."""
+    """Exp_p(v): endpoint of the unit-time geodesic with initial speed v.
+
+    A geodesic that leaves the chart raises EscapeError; its message names
+    the last state inside the chart."""
     traj = geodesic(conn, p, v, 1.0, steps or STEPS_PER_UNIT)
     if traj.escape_flag or traj.end_time < 1.0:
         raise EscapeError(
-            f"geodesic left the chart at t = {traj.end_time:.6f}; "
-            "v is outside the domain of the exponential map"
+            "geodesic left the chart; v is outside the domain of the "
+            f"exponential map; last state: t={traj.end_time:.6f} "
+            f"point={traj.end_point.tolist()}"
         )
     return traj.end_point
 

@@ -99,22 +99,6 @@ def polar_parts(m: Mat2) -> tuple[float, Mat2]:
     return angle, (p + p.T) / 2.0
 
 
-def so2_project(m: Mat2) -> Mat2:
-    """Rotation part of m, computed scale-free from a+d and b-c.
-
-    Safe on products whose determinant has lost float precision: the angle
-    numerators are large and well conditioned there even when the computed
-    determinant is noise.
-    """
-    x = float(m[0, 0] + m[1, 1])
-    y = float(m[0, 1] - m[1, 0])
-    n = math.hypot(x, y)
-    if n == 0.0 or not math.isfinite(n):
-        raise InstabilityError("rotation part of a degenerate product")
-    c, s = x / n, y / n
-    return np.array([[c, s], [-s, c]])
-
-
 def spd_power(p: Mat2, t: float) -> Mat2:
     """Fractional power of a symmetric positive definite matrix."""
     w, q = np.linalg.eigh(p)
@@ -185,20 +169,6 @@ class CoveredElement:
         )
 
 
-@dataclass(frozen=True)
-class RotationLift:
-    """The lift of the rotation R(angle) sitting over angle itself."""
-
-    angle: float
-
-    @property
-    def matrix(self) -> Mat2:
-        return rotation(self.angle)
-
-    def as_element(self) -> CoveredElement:
-        return CoveredElement(self.matrix, self.angle)
-
-
 COVER_IDENTITY = CoveredElement(IDENTITY, 0.0)
 
 
@@ -231,7 +201,7 @@ def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
 
 def _split_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
     _, p = polar_parts(y.matrix)
-    acc = lift_mul_rotation(x, RotationLift(y.lift))
+    acc = lift_mul_rotation(x, y.lift)
     return _mul_spd(acc, p, depth=0)
 
 
@@ -269,9 +239,10 @@ def deck_shift(x: CoveredElement, n: int) -> CoveredElement:
     return CoveredElement(m, x.lift + n * math.pi)
 
 
-def lift_mul_rotation(x: CoveredElement, r: RotationLift) -> CoveredElement:
-    """Right-multiply by a rotation lift; lifts add with zero defect."""
-    return CoveredElement(x.matrix @ rotation(r.angle), x.lift + r.angle)
+def lift_mul_rotation(x: CoveredElement, angle: float) -> CoveredElement:
+    """Right-multiply by the lift of R(angle) over angle itself; lifts add
+    with zero defect."""
+    return CoveredElement(x.matrix @ rotation(angle), x.lift + angle)
 
 
 def product_lift(elements: Sequence[CoveredElement]) -> CoveredElement:

@@ -16,6 +16,12 @@ Every element of pi K~ factors as a product of two K~ elements (conjugate
 the seed factorisation A2 = A0 A1) and hence also as a single commutator;
 stacking those commutators realises any admissible degree.
 
+The factorisations run in exact Fraction arithmetic.  productmil_decompose
+and commutator_decompose read a float target entry by entry as a binary
+rational: it is decomposed when that matrix lies exactly in pi K (trace
+-5/2, det 1) and its lift in (pi/2, 3pi/2).  Anything else, a near miss
+within rounding included, is a DomainError.
+
 All functions are pure; representations are immutable.
 """
 
@@ -47,7 +53,6 @@ from .liftgroup import (
     det2,
     inv2,
     lift_commutator,
-    lift_inv,
     lift_loop,
     lift_mul,
     principal_lift,
@@ -178,59 +183,7 @@ def winding_number(rep: SurfaceGroupRep, initial_samples: int = 64) -> int:
     return lift_loop(loop)
 
 
-# -- conjugation machinery ----------------------------------------------------
-
-def _eigenvector(m: Mat2, lam: float) -> np.ndarray:
-    """Unit kernel vector of m - lam*I, picked from the larger row."""
-    a, b = m[0, 0] - lam, m[0, 1]
-    c, d = m[1, 0], m[1, 1] - lam
-    v1 = np.array([b, -a])
-    v2 = np.array([d, -c])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DomainError("eigenvector computation degenerated")
-    return v / norm
-
-
-def find_conjugator(m: Mat2, n: Mat2) -> Mat2:
-    """S with det(S) > 0 and S m S^-1 = n, for similar split 2x2 matrices.
-
-    Requires equal trace and determinant and two distinct real eigenvalues;
-    eigenvectors are matched by eigenvalue, and one of them is sign-flipped
-    if needed to force a positive determinant.
-    """
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    if abs(tr - (n[0, 0] + n[1, 1])) > TAU_CLASS or abs(
-        det2(m) - det2(n)
-    ) > TAU_CLASS:
-        raise DomainError("matrices are not similar (trace/det mismatch)")
-    disc = tr * tr - 4.0 * det2(m)
-    if disc <= TAU_CLASS:
-        raise DomainError("need two distinct real eigenvalues")
-    root = math.sqrt(disc)
-    lams = ((tr + root) / 2.0, (tr - root) / 2.0)
-    vm = np.column_stack([_eigenvector(m, lam) for lam in lams])
-    vn = np.column_stack([_eigenvector(n, lam) for lam in lams])
-    s = vn @ inv2(vm)
-    if det2(s) < 0.0:
-        vn[:, 0] *= -1.0
-        s = vn @ inv2(vm)
-    if det2(s) <= 0.0:
-        raise InternalConsistencyError("conjugator determinant not positive")
-    residual = np.max(np.abs(s @ m @ inv2(s) - n))
-    if residual > 1e-6 * max(1.0, float(np.max(np.abs(n)))):
-        raise InstabilityError(f"conjugation residual {residual:.3e}")
-    return s
-
-
-def conjugate_element(s: Mat2, x: CoveredElement) -> CoveredElement:
-    """Covered conjugation s x s^-1; the deck shift of s's lift cancels."""
-    se = principal_lift(s)
-    return lift_mul(lift_mul(se, x), lift_inv(se))
-
+# -- class windows ------------------------------------------------------------
 
 def deck_normalize(x: CoveredElement) -> CoveredElement:
     """Shift by an even deck element to centre the lift at pi.
@@ -241,72 +194,8 @@ def deck_normalize(x: CoveredElement) -> CoveredElement:
     return deck_shift(x, 2 * k)
 
 
-def _require_shifted_class(x: CoveredElement) -> None:
-    if not PIK_TAG.matches(x.matrix):
-        raise DomainError(
-            "matrix is not in pi K (expected trace -5/2 and det 1)"
-        )
-    if not (math.pi / 2 < x.lift < 3 * math.pi / 2):
-        raise DomainError(
-            f"lift {x.lift:.6f} outside (pi/2, 3pi/2); deck-normalize first"
-        )
-
-
 def _in_plain_class(x: CoveredElement) -> bool:
     return K_TAG.matches(x.matrix) and abs(x.lift) < math.pi / 2
-
-
-def _seed_factorisation() -> tuple[CoveredElement, CoveredElement, CoveredElement]:
-    """The seed pi K~ element with its two K~ factors.
-
-    The product of the principal lifts of A0 and A1 lands in n pi K~ with
-    n = +1 or -1; arithmetic shows it is +1, but the -1 branch (swap to the
-    inverted pair) is kept for robustness.
-    """
-    a0 = principal_lift(A0)
-    a1 = principal_lift(A1)
-    seed = lift_mul(a0, a1)
-    if math.pi / 2 < seed.lift < 3 * math.pi / 2:
-        return seed, a0, a1
-    if -3 * math.pi / 2 < seed.lift < -math.pi / 2:
-        return lift_inv(seed), lift_inv(a1), lift_inv(a0)
-    raise InternalConsistencyError("seed product missed both half-turn classes")
-
-
-def productmil_decompose(
-    target: CoveredElement,
-) -> tuple[CoveredElement, CoveredElement]:
-    """Write a pi K~ element as a product of two K~ elements."""
-    _require_shifted_class(target)
-    seed, k1, k2 = _seed_factorisation()
-    s = find_conjugator(seed.matrix, target.matrix)
-    out1 = conjugate_element(s, k1)
-    out2 = conjugate_element(s, k2)
-    for out in (out1, out2):
-        if not _in_plain_class(out):
-            raise InternalConsistencyError("conjugated factor left K~")
-    _check_same_element(lift_mul(out1, out2), target, "productmil_decompose")
-    return out1, out2
-
-
-def commutator_decompose(
-    target: CoveredElement,
-) -> tuple[CoveredElement, CoveredElement]:
-    """Write a pi K~ element as a single commutator [beta1, beta2].
-
-    beta1 and the second product factor beta3 come from
-    productmil_decompose; beta2 is a covered conjugator taking beta1^-1 to
-    beta3, so that beta1 (beta2 beta1^-1 beta2^-1) = beta1 beta3 = target.
-    """
-    _require_shifted_class(target)
-    b1, b3 = productmil_decompose(target)
-    s = find_conjugator(lift_inv(b1).matrix, b3.matrix)
-    b2 = principal_lift(s)
-    _check_same_element(
-        conjugate_element(s, lift_inv(b1)), b3, "conjugacy step"
-    )
-    _check_same_element(lift_commutator(b1, b2), target, "commutator_decompose")
-    return b1, b2
 
 
 def _check_same_element(
@@ -358,6 +247,11 @@ def _fconj(s: tuple, m: tuple) -> tuple:
 
 def _ffloat(a: tuple) -> Mat2:
     return np.array([[float(v) for v in row] for row in a])
+
+
+def _fexact(m: Mat2) -> tuple:
+    """The binary-rational value of a float matrix, entry by entry."""
+    return tuple(tuple(Fraction(float(v)) for v in row) for row in m)
 
 
 def _primitive(vec: tuple) -> tuple:
@@ -443,6 +337,49 @@ def _cover_from_plain_class(m: tuple) -> CoveredElement:
     return elem
 
 
+def _exact_shifted_class(x: CoveredElement) -> tuple:
+    """The exact matrix of a pi K~ element, or DomainError.
+
+    The float matrix must lie in pi K as a binary rational: trace exactly
+    -5/2 and det exactly 1.  No rational conjugator reaches a near miss."""
+    m = _fexact(x.matrix)
+    if m[0][0] + m[1][1] != PIK_TAG.trace or _fdet(m) != PIK_TAG.det:
+        raise DomainError(
+            "matrix is not exactly in pi K (expected trace -5/2 and det 1)"
+        )
+    if not (math.pi / 2 < x.lift < 3 * math.pi / 2):
+        raise DomainError(
+            f"lift {x.lift:.6f} outside (pi/2, 3pi/2); deck-normalize first"
+        )
+    return m
+
+
+def productmil_decompose(
+    target: CoveredElement,
+) -> tuple[CoveredElement, CoveredElement]:
+    """Write a pi K~ element as a product of two K~ elements."""
+    m1, m2 = _productmil_exact(_exact_shifted_class(target))
+    out = _cover_from_plain_class(m1), _cover_from_plain_class(m2)
+    _check_same_element(lift_mul(*out), target, "productmil_decompose")
+    return out
+
+
+def commutator_decompose(
+    target: CoveredElement,
+) -> tuple[CoveredElement, CoveredElement]:
+    """Write a pi K~ element as a single commutator [beta1, beta2].
+
+    beta1 and the second product factor beta3 come from the exact product
+    decomposition; beta2 is the principal lift of an integer conjugator
+    taking beta1^-1 to beta3, so that beta1 (beta2 beta1^-1 beta2^-1) =
+    beta1 beta3 = target.
+    """
+    b1, b2 = _commutator_exact(_exact_shifted_class(target))
+    out = _cover_from_plain_class(b1), principal_lift(_ffloat(b2))
+    _check_same_element(lift_commutator(*out), target, "commutator_decompose")
+    return out
+
+
 def chain_build(n: int) -> list[CoveredElement]:
     """n+1 elements of K~ whose product is the n-fold deck shift of alpha0.
 
@@ -517,13 +454,10 @@ def conjugate_representation(rep: SurfaceGroupRep, s: Mat2) -> SurfaceGroupRep:
     """
     s = np.asarray(s, dtype=float)
     check_positive_det(s)
-    s_exact = tuple(
-        tuple(Fraction(float(v)) for v in row) for row in s
-    )
+    s_exact = _fexact(s)
 
     def conj(m: Mat2) -> Mat2:
-        m_exact = tuple(tuple(Fraction(float(v)) for v in row) for row in m)
-        return _ffloat(_fconj(s_exact, m_exact))
+        return _ffloat(_fconj(s_exact, _fexact(m)))
 
     return SurfaceGroupRep(
         rep.genus,

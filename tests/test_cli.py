@@ -327,6 +327,25 @@ def test_exponential_escape_exits_6(capsys):
     assert "last state" in err
 
 
+def test_exponential_escape_integrates_once(capsys, monkeypatch):
+    import chernlab.geometry as geo_mod
+
+    calls = []
+    geodesic = geo_mod.geodesic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geodesic(*args, **kwargs)
+
+    monkeypatch.setattr(geo_mod, "geodesic", counted)
+    code, _, _ = run(
+        capsys, "geometry", "exp", "hopf:2",
+        "--point", "0.7,0", "--velocity=-p",
+    )
+    assert code == 6
+    assert len(calls) == 1
+
+
 def test_exponential_flat(capsys):
     code, data, _ = run_json(
         capsys, "geometry", "exp", "euclidean:2",
@@ -443,6 +462,28 @@ def test_euler_deep_nesting_exits_2_with_caret(capsys):
     lines = err.splitlines()
     assert lines[0].startswith("error: parentheses nest deeper")
     assert lines[-1].index("^") - lines[-2].index("(") == MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("Sigma(\u00b2)", "expected an integer"),
+        ("P^\u00b2", "expected an integer"),
+        ("Sigma(" + "7" * 5000 + ")", "exceeds 1000 digits"),
+        ("smillie 30000", "smillie dimension exceeds 10000"),
+        ("P^1000000", "between 1 and 10000"),
+        ("smillie 100000000", "smillie dimension exceeds 10000"),
+        (" * ".join(["Sigma(" + "9" * 999 + ")"] * 6), "exceeds 10000 bits"),
+    ],
+    ids=["superscript-genus", "superscript-power", "long-literal",
+         "smillie-30000", "power-cap", "smillie-cap", "chi-bits"],
+)
+def test_euler_input_bounds_exit_2(capsys, expression, message):
+    code, _, err = run(capsys, "euler", expression)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("error: ")
+    assert message in err.splitlines()[0]
 
 
 def test_euler_grammar_error_has_caret(capsys):

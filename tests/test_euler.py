@@ -112,7 +112,7 @@ def test_smillie_every_even_dimension_has_nonzero_chi():
 
 
 def test_smillie_rejects_bad_dimensions():
-    for bad in (2, 3, 5, 0, -4):
+    for bad in (2, 3, 5, 0, -4, eu.MAX_SMILLIE_DIM + 2):
         with pytest.raises(DomainError):
             eu.smillie(bad)
 
@@ -189,6 +189,37 @@ def test_parse_nesting_is_bounded_with_position():
         eu.parse_expression("(" * 3000 + "P" + ")" * 3000)
     assert err.value.position == depth
     assert "nest deeper" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("Sigma(\u00b2)", 6, "expected an integer"),
+        ("P^\u00b2", 2, "expected an integer"),
+        ("Sigma(" + "7" * 5000 + ")", 6, f"exceeds {eu.MAX_DIGITS} digits"),
+        (f"P^{eu.MAX_POWER + 1}", 7, f"between 1 and {eu.MAX_POWER}"),
+        ("(P^100)^1001", 12, f"more than {eu.MAX_TERMS} atoms"),
+    ],
+    ids=["superscript-genus", "superscript-power", "long-literal", "power-cap",
+         "nested-power-cap"],
+)
+def test_parse_bounds_carry_position(text, position, message):
+    with pytest.raises(eu.ParseError) as err:
+        eu.parse_expression(text)
+    assert err.value.position == position
+    assert message in str(err.value)
+
+
+def test_parse_bounds_admit_their_limits():
+    assert eu.evaluate_query(f"P^{eu.MAX_POWER}")[1] == 2 - 2 * eu.MAX_POWER
+    assert eu.evaluate_query("(P^100)^1000")[1] == 2 - 2 * eu.MAX_TERMS
+    assert eu.evaluate_query("Sigma(" + "1" * eu.MAX_DIGITS + ")")[1] < 0
+
+
+def test_chi_bit_length_is_bounded():
+    big = "Sigma(" + "9" * 999 + ")"
+    with pytest.raises(DomainError, match=f"exceeds {eu.MAX_CHI_BITS} bits"):
+        eu.evaluate_query(" * ".join([big] * 6))
 
 
 def test_parse_rejects_dimension_mismatch_with_position():

@@ -279,22 +279,22 @@ def test_deck_shift_is_central():
 
 def test_mul_rotation_by_zero_is_identity_map():
     x = lg.principal_lift(A1)
-    out = lg.lift_mul_rotation(x, lg.RotationLift(0.0))
+    out = lg.lift_mul_rotation(x, 0.0)
     assert out.lift == x.lift
     assert np.allclose(out.matrix, x.matrix, atol=1e-15)
 
 
 def test_mul_rotation_half_turn_of_identity():
-    out = lg.lift_mul_rotation(lg.COVER_IDENTITY, lg.RotationLift(math.pi))
+    out = lg.lift_mul_rotation(lg.COVER_IDENTITY, math.pi)
     assert out.lift == math.pi
     assert np.allclose(out.matrix, lg.rotation(math.pi), atol=1e-15)
 
 
 def test_mul_rotation_agrees_with_lift_mul():
     x = lg.CoveredElement(A0, 0.0)
-    r = lg.RotationLift(math.pi / 2)
-    a = lg.lift_mul_rotation(x, r)
-    b = lg.lift_mul(x, r.as_element())
+    angle = math.pi / 2
+    a = lg.lift_mul_rotation(x, angle)
+    b = lg.lift_mul(x, lg.CoveredElement(lg.rotation(angle), angle))
     assert a.lift == pytest.approx(b.lift, abs=1e-12)
     assert np.allclose(a.matrix, A0 @ lg.rotation(math.pi / 2), atol=1e-15)
 
