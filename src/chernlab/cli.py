@@ -6,16 +6,20 @@ verification block (every cross-check with its pass/fail), and timing.
 Results blocks are deterministic for fixed inputs and flags; wall-clock
 time lives only under "timing".
 
-Exit codes are a stable contract:
+Exit codes are a stable contract.  Each error class in errors.py carries
+its code, and main returns it:
 
     0  success
-    2  parse error: bad JSON, bad expression, unknown geometry key, a
-       geometry input beyond its cap (MAX_MESH, MAX_SAMPLES, MAX_STEPS),
-       an euler input beyond its cap (the MAX_* bounds in euler.py)
+    2  bad input: bad JSON, bad expression, unknown geometry key, an
+       unreadable or unwritable file, a malformed config file, an input
+       beyond its cap (MAX_GENUS, MAX_PAGES, MAX_MESH, MAX_SAMPLES and
+       MAX_STEPS here; the MAX_* bounds in euler.py, geometry.py and
+       spectral.py)
     3  precondition violation: surface relation, d^2 != 0, bad filtration;
        a numerical guard tripped (instability, too many skipped quadrature
        nodes)
-    4  method disagreement (lift arithmetic vs path winding)
+    4  a verification check failed (method disagreement, e.g. lift
+       arithmetic vs path winding)
     5  inadmissible (genus, degree) by the Milnor inequality
     6  escape during the exponential map
     7  internal invariant violated (a bug)
@@ -42,39 +46,18 @@ from . import euler as euler_mod
 from . import geometry as geo_mod
 from . import milnor as milnor_mod
 from . import spectral as spectral_mod
-from .errors import (
-    AdmissibilityError,
-    ConventionError,
-    DomainError,
-    EscapeError,
-    InstabilityError,
-    InternalConsistencyError,
-    PreconditionError,
-    QuadratureError,
-)
+from .errors import ChernLabError, DomainError, ParseError
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_DISAGREEMENT = 4
-EXIT_INADMISSIBLE = 5
-EXIT_ESCAPE = 6
-EXIT_INTERNAL = 7
+EXIT_CHECK_FAILED = 4
 
 CONFIG_PATH = Path.home() / ".config" / "chernlab" / "config.json"
 
-# Resource caps on geometry inputs; a value beyond one exits 2.
+# Resource caps on command-line inputs; a value beyond one exits 2.
+MAX_GENUS = 1000       # genus of a built representation
+MAX_PAGES = 100        # highest spectral page printed
 MAX_MESH = 1024        # Gauss-Bonnet mesh (the refined pass uses twice this)
 MAX_SAMPLES = 10**6    # latitude samples of a transport path
 MAX_STEPS = 10**6      # RK4 steps of a geodesic, given or from --time
-
-
-class CliFailure(Exception):
-    """Internal: carries an exit code and a message to stderr."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 @dataclass
@@ -130,35 +113,35 @@ def _print_block(data, indent: str = "", key: str | None = None) -> None:
 
 
 def _load_config() -> dict:
-    try:
-        with open(CONFIG_PATH) as fh:
-            data = json.load(fh)
-        return data if isinstance(data, dict) else {}
-    except (OSError, json.JSONDecodeError):
+    """The config file's settings; a missing file holds none."""
+    if not CONFIG_PATH.exists():
         return {}
+    data, _ = _read_json(str(CONFIG_PATH))
+    if not isinstance(data, dict):
+        raise DomainError(f"config file {CONFIG_PATH} must hold a JSON object")
+    return data
 
 
 def _setting(name: str, flag_value, cast, default):
     """config < flag < CHERNLAB_<NAME> environment variable."""
-    value = _load_config().get(name.lower(), default)
+    value = _load_config().get(name, default)
+    source = f"{name} in {CONFIG_PATH}"
     if flag_value is not None:
-        value = flag_value
-    env = os.environ.get(f"CHERNLAB_{name.upper()}")
-    if env is not None:
-        try:
-            value = cast(env)
-        except ValueError as exc:
-            raise CliFailure(
-                EXIT_PARSE, f"bad CHERNLAB_{name.upper()}: {env!r}"
-            ) from exc
-    return cast(value) if value is not None else None
+        value, source = flag_value, f"--{name}"
+    env = f"CHERNLAB_{name.upper()}"
+    if env in os.environ:
+        value, source = os.environ[env], env
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad {source}: {value!r}") from exc
 
 
 def _read_json(path: str) -> tuple[dict, dict]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()[:16]
     try:
         data = json.loads(raw.decode("utf-8"))
@@ -166,24 +149,23 @@ def _read_json(path: str) -> tuple[dict, dict]:
         position = ""
         if isinstance(exc, json.JSONDecodeError):
             position = f" at line {exc.lineno} column {exc.colno}"
-        raise CliFailure(
-            EXIT_PARSE, f"JSON parse error in {path}{position}: {exc}"
-        ) from exc
+        raise DomainError(f"JSON parse error in {path}{position}: {exc}") from exc
     return data, {"file": path, "sha256": digest}
 
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
-        raise CliFailure(EXIT_PARSE, f"bad {what}: {text!r}") from exc
+        raise DomainError(f"bad {what}: {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _bounded(what: str, value: int, low: int, high: int) -> int:
     if not low <= value <= high:
-        raise CliFailure(
-            EXIT_PARSE, f"{what} must be between {low} and {high}, got {value}"
-        )
+        raise DomainError(f"{what} must be between {low} and {high}, got {value}")
     return value
 
 
@@ -193,13 +175,7 @@ def cmd_milnor(args) -> RunReport:
     data, digest = _read_json(args.file)
     tolerance = _setting("tolerance", args.tolerance, float, milnor_mod.TAU_REL)
     report = RunReport("milnor", digest)
-    try:
-        rep = milnor_mod.rep_from_dict(data, tolerance=tolerance)
-    except PreconditionError as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from exc
-    except DomainError as exc:
-        raise CliFailure(EXIT_PARSE, f"bad representation file: {exc}") from exc
-
+    rep = milnor_mod.rep_from_dict(data, tolerance=tolerance)
     defect = milnor_mod.relation_defect(rep)
     delta = milnor_mod.milnor_number(rep)
     report.results = {
@@ -217,16 +193,11 @@ def cmd_milnor(args) -> RunReport:
     if args.oracle:
         winding = milnor_mod.winding_number(rep)
         report.results["path_winding"] = winding
-        agreed = report.check(
+        report.check(
             "dual-method agreement",
             winding == delta,
             f"lift {delta} vs winding {winding}",
         )
-        if not agreed:
-            raise CliFailure(
-                EXIT_DISAGREEMENT,
-                f"lift arithmetic gives {delta}, path winding gives {winding}",
-            )
     return report
 
 
@@ -234,16 +205,15 @@ def cmd_build(args) -> RunReport:
     report = RunReport(
         "build", {"genus": args.genus, "degree": args.degree, "out": args.out}
     )
-    try:
-        rep = milnor_mod.build_representation(args.genus, args.degree)
-    except AdmissibilityError as exc:
-        raise CliFailure(
-            EXIT_INADMISSIBLE,
-            f"{exc}: need |degree| < genus (the Milnor inequality)",
-        ) from exc
+    if args.genus > MAX_GENUS:
+        raise DomainError(f"genus must be at most {MAX_GENUS}, got {args.genus}")
+    rep = milnor_mod.build_representation(args.genus, args.degree)
     delta = milnor_mod.milnor_number(rep)
     payload = milnor_mod.rep_to_dict(rep)
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    try:
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from exc
     report.results = {
         "written": args.out,
         "milnor_number": delta,
@@ -257,19 +227,14 @@ def cmd_build(args) -> RunReport:
 def cmd_spectral(args) -> RunReport:
     data, digest = _read_json(args.file)
     report = RunReport("spectral", digest)
-    try:
-        if args.double:
-            dc = spectral_mod.double_complex_from_dict(data)
-            complex_ = spectral_mod.from_double_complex(dc, args.double)
-            report.inputs["double"] = args.double
-        else:
-            complex_ = spectral_mod.filtered_complex_from_dict(data)
-    except (PreconditionError, ConventionError) as exc:
-        raise CliFailure(EXIT_PRECONDITION, str(exc)) from exc
-    except DomainError as exc:
-        # payload/shape problems; structural violations arrive as
-        # PreconditionError above
-        raise CliFailure(EXIT_PARSE, str(exc)) from exc
+    if args.pages is not None:
+        _bounded("--pages", args.pages, 0, MAX_PAGES)
+    if args.double:
+        dc = spectral_mod.double_complex_from_dict(data)
+        complex_ = spectral_mod.from_double_complex(dc, args.double)
+        report.inputs["double"] = args.double
+    else:
+        complex_ = spectral_mod.filtered_complex_from_dict(data)
 
     stable = spectral_mod.infinity_page(complex_)
     r_max = args.pages if args.pages is not None else stable.stabilized_at
@@ -302,15 +267,8 @@ def cmd_spectral(args) -> RunReport:
     return report
 
 
-def _geometry(key: str):
-    try:
-        return geo_mod.parse_geometry(key)
-    except DomainError as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from exc
-
-
 def cmd_geometry(args) -> RunReport:
-    geo = _geometry(args.key)
+    geo = geo_mod.parse_geometry(args.key)
     report = RunReport(f"geometry {args.geo_command}", {"key": args.key})
 
     if args.geo_command in ("geodesic", "exp"):
@@ -320,13 +278,11 @@ def cmd_geometry(args) -> RunReport:
         else:
             velocity = _parse_floats(args.velocity, "--velocity")
         if len(point) != geo.chart.dim or len(velocity) != geo.chart.dim:
-            raise CliFailure(EXIT_PARSE, "point/velocity dimension mismatch")
+            raise DomainError("point/velocity dimension mismatch")
 
     if args.geo_command == "geodesic":
         if not (math.isfinite(args.time) and args.time > 0.0):
-            raise CliFailure(
-                EXIT_PARSE, f"--time must be positive and finite, got {args.time}"
-            )
+            raise DomainError(f"--time must be positive and finite, got {args.time}")
         steps = _bounded(
             f"geodesic steps (--steps, or {geo_mod.STEPS_PER_UNIT} per unit of --time)",
             args.steps or max(1, round(geo_mod.STEPS_PER_UNIT * args.time)),
@@ -394,19 +350,15 @@ def cmd_geometry(args) -> RunReport:
             try:
                 path = [np.array([float(v) for v in row]) for row in data]
             except (TypeError, ValueError) as exc:
-                raise CliFailure(EXIT_PARSE, f"bad path file: {exc}") from exc
+                raise DomainError(f"bad path file: {exc}") from exc
         elif args.latitude is not None:
             if not args.key.startswith("sphere"):
-                raise CliFailure(
-                    EXIT_PARSE, "--latitude paths exist on spheres only"
-                )
+                raise DomainError("--latitude paths exist on spheres only")
             samples = _bounded("--samples", args.samples, 1, MAX_SAMPLES)
             phi = 2.0 * math.pi * np.arange(samples + 1) / samples
             path = np.stack([np.full_like(phi, args.latitude), phi], axis=-1)
         else:
-            raise CliFailure(
-                EXIT_PARSE, "transport needs --path-file or --latitude"
-            )
+            raise DomainError("transport needs --path-file or --latitude")
         out = geo_mod.parallel_transport(geo.connection, path, vector)
         report.results = {
             "transported": [float(v) for v in out],
@@ -423,10 +375,7 @@ def cmd_geometry(args) -> RunReport:
     if args.geo_command == "gauss-bonnet":
         mesh = _bounded("--mesh", _setting("mesh", args.mesh, int, 64), 8, MAX_MESH)
         if not geo.patches:
-            raise CliFailure(
-                EXIT_PARSE,
-                f"geometry '{args.key}' has no closed-surface patches",
-            )
+            raise DomainError(f"geometry '{args.key}' has no closed-surface patches")
         chi_coarse = geo_mod.gauss_bonnet(geo.patches, mesh)
         chi_fine = geo_mod.gauss_bonnet(geo.patches, 2 * mesh)
         report.results = {
@@ -447,9 +396,7 @@ def cmd_geometry(args) -> RunReport:
 
     if args.geo_command == "levi-civita":
         if geo.metric is None:
-            raise CliFailure(
-                EXIT_PARSE, f"geometry '{args.key}' carries no metric"
-            )
+            raise DomainError(f"geometry '{args.key}' carries no metric")
         point = _parse_floats(args.point, "--point")
         conn = geo_mod.levi_civita(geo.metric, geo.chart)
         gamma = conn.gamma(point)
@@ -462,7 +409,7 @@ def cmd_geometry(args) -> RunReport:
         report.check("symmetry in lower indices", sym < 1e-7, f"max {sym:.2e}")
         return report
 
-    raise CliFailure(EXIT_PARSE, f"unknown geometry action {args.geo_command}")
+    raise DomainError(f"unknown geometry action {args.geo_command}")
 
 
 def cmd_euler(args) -> RunReport:
@@ -470,13 +417,9 @@ def cmd_euler(args) -> RunReport:
     report = RunReport("euler", {"expression": text})
     try:
         expr, chi = euler_mod.evaluate_query(text)
-    except euler_mod.ParseError as exc:
+    except ParseError as exc:
         caret = " " * exc.position + "^"
-        raise CliFailure(
-            EXIT_PARSE, f"{exc}\n    {text}\n    {caret}"
-        ) from exc
-    except DomainError as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from exc
+        raise DomainError(f"{exc}\n    {text}\n    {caret}") from exc
     report.results = {
         "euler_characteristic": chi,
         "dimension": expr.dimension,
@@ -560,30 +503,20 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.func(args)
-    except CliFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.code
-    except (PreconditionError, InstabilityError, QuadratureError) as exc:
+    except ChernLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except AdmissibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except EscapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESCAPE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InternalConsistencyError as exc:
-        print(f"error: internal invariant violated (a bug): {exc}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        return exc.exit_code
     report.timing = {"seconds": round(time.perf_counter() - start, 6)}
     report.emit(args.json)
-    if any(not item["passed"] for item in report.verification):
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    failed = [
+        f"{item['check']} ({item['detail']})" if item["detail"] else item["check"]
+        for item in report.verification
+        if not item["passed"]
+    ]
+    if failed:
+        print(f"error: failed checks: {'; '.join(failed)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return 0
 
 
 if __name__ == "__main__":

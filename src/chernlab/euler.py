@@ -27,18 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 
 MAX_CHI_BITS = 10_000     # bit length of an Euler characteristic
 MAX_SMILLIE_DIM = 10_000  # dimension of a smillie example
-
-
-class ParseError(DomainError):
-    """Grammar violation; carries the offending position."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 @dataclass(frozen=True)

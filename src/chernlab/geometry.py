@@ -45,6 +45,7 @@ NORM_BOUND = 1e8       # blow-up threshold for geodesic states
 STEPS_PER_UNIT = 1000  # default RK4 resolution
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
 BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
+MAX_CHART_DIM = 64     # dimension m of euclidean:m, hopf:m and flat-torus:m
 
 
 @dataclass(frozen=True)
@@ -717,8 +718,8 @@ def parse_geometry(key: str) -> Geometry:
             radius = float(arg)
         except ValueError as exc:
             raise DomainError(f"bad sphere radius '{arg}'") from exc
-        if radius <= 0.0:
-            raise DomainError("sphere radius must be positive")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise DomainError(f"sphere radius must be positive and finite, got {arg}")
         chart = Chart(
             2, box_lo=(1e-8, -math.inf), box_hi=(math.pi - 1e-8, math.inf)
         )
@@ -734,6 +735,6 @@ def _dim_arg(arg: str) -> int:
         dim = int(arg)
     except ValueError as exc:
         raise DomainError(f"bad dimension '{arg}'") from exc
-    if dim < 1:
-        raise DomainError("dimension must be a positive integer")
+    if not 1 <= dim <= MAX_CHART_DIM:
+        raise DomainError(f"dimension must be between 1 and {MAX_CHART_DIM}, got {dim}")
     return dim

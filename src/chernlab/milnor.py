@@ -405,7 +405,8 @@ def build_representation(genus: int, degree: int) -> SurfaceGroupRep:
     """
     if abs(degree) >= genus:
         raise AdmissibilityError(
-            f"|{degree}| >= {genus}: inadmissible by the Milnor inequality"
+            f"|{degree}| >= {genus}: inadmissible, need |degree| < genus "
+            "(the Milnor inequality)"
         )
     if degree == 0:
         return trivial_representation(genus)
@@ -482,6 +483,6 @@ def rep_from_dict(data: dict, tolerance: float = TAU_REL) -> SurfaceGroupRep:
         genus = int(data["genus"])
         a = [np.array(row, dtype=float).reshape(2, 2) for row in data["A"]]
         b = [np.array(row, dtype=float).reshape(2, 2) for row in data["B"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed representation payload: {exc}") from exc
     return SurfaceGroupRep(genus, tuple(a), tuple(b), tolerance=tolerance)

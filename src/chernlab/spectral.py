@@ -53,6 +53,15 @@ from .subspaces import (
     zero_matrix,
 )
 
+# Size caps on complexes; a complex beyond one is a DomainError.  The page
+# recursion grows with the cube of the dimensions and with the product of
+# the degree and filtration ranges, so a short JSON line can otherwise
+# start minutes of work.
+MAX_TOTAL_DIM = 128          # sum of the dimensions of all degrees (or spots)
+MAX_FILTRATION_LENGTH = 64   # p_max - p_min
+MAX_BIDEGREE = 16            # i_max and j_max of a double complex
+MAX_EXPONENT = 1000          # decimal exponent of a JSON entry, as in "1e-5"
+
 
 def _is_zero(m: Matrix) -> bool:
     return all(v == 0 for row in m for v in row)
@@ -92,6 +101,10 @@ class FilteredComplex:
         for n in self.degrees():
             if self.dims.get(n) is None or self.dims[n] < 0:
                 raise DomainError(f"missing or negative dimension at {n}")
+        if sum(map(self.dim, self.degrees())) > MAX_TOTAL_DIM:
+            raise DomainError(f"total dimension exceeds {MAX_TOTAL_DIM}")
+        if self.filtration_length > MAX_FILTRATION_LENGTH:
+            raise DomainError(f"filtration length exceeds {MAX_FILTRATION_LENGTH}")
         for n in range(self.n_min, self.n_max):
             m = self.d.get(n)
             if m is None:
@@ -354,9 +367,16 @@ class DoubleComplex:
     d_v: dict
 
     def __post_init__(self) -> None:
+        if not (0 <= self.i_max <= MAX_BIDEGREE and 0 <= self.j_max <= MAX_BIDEGREE):
+            raise DomainError(
+                f"i_max and j_max must be between 0 and {MAX_BIDEGREE}, "
+                f"got {self.i_max} and {self.j_max}"
+            )
         for spot in self.spots():
             if self.dims.get(spot) is None or self.dims[spot] < 0:
                 raise DomainError(f"missing or negative dimension at {spot}")
+        if sum(self.dims[spot] for spot in self.spots()) > MAX_TOTAL_DIM:
+            raise DomainError(f"total dimension exceeds {MAX_TOTAL_DIM}")
         for (i, j) in self.spots():
             h = self.dh(i, j)
             v = self.dv(i, j)
@@ -535,8 +555,24 @@ def _matrix_to_lists(m: Matrix) -> list:
     return [[_frac_str(v) for v in row] for row in m]
 
 
+# What reading a payload of the wrong shape raises: a missing key, a list
+# where a dict belongs (AttributeError), a "1/0" entry, ...
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+
+def _entry(v) -> Fraction:
+    """A JSON entry as a Fraction.  Fraction would expand "1e999999999" to
+    a billion-digit integer, so a larger exponent than MAX_EXPONENT (which
+    every float's repr stays within) is refused first."""
+    text = str(v)
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"entry {text!r} has an exponent beyond {MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _matrix_from_lists(rows) -> Matrix:
-    return mat_from_rows([[Fraction(str(v)) for v in row] for row in rows])
+    return mat_from_rows([[_entry(v) for v in row] for row in rows])
 
 
 def filtered_complex_to_dict(c: FilteredComplex) -> dict:
@@ -576,9 +612,9 @@ def filtered_complex_from_dict(data: dict) -> FilteredComplex:
             for n_str, vecs in data["filtration"][str(p)].items():
                 n = int(n_str)
                 filt[(p, n)] = Subspace.span(
-                    degrees[n], [[Fraction(str(v)) for v in vec] for vec in vecs]
+                    degrees[n], [[_entry(v) for v in vec] for vec in vecs]
                 )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DomainError(f"malformed filtered-complex payload: {exc}") from exc
     return FilteredComplex(
         n_min=n_min,
@@ -623,6 +659,6 @@ def double_complex_from_dict(data: dict) -> DoubleComplex:
         for key, rows in data.get("dV", {}).items():
             i, j = (int(t) for t in key.split(","))
             d_v[(i, j)] = _matrix_from_lists(rows)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise DomainError(f"malformed double-complex payload: {exc}") from exc
     return DoubleComplex(i_max=i_max, j_max=j_max, dims=dims, d_h=d_h, d_v=d_v)

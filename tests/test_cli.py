@@ -95,6 +95,16 @@ def test_build_inadmissible_exits_5(tmp_path, capsys):
     assert "inadmissible" in err
 
 
+def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
+    import chernlab.milnor as milnor_mod
+
+    monkeypatch.setattr(milnor_mod, "winding_number", lambda rep: 7)
+    code, out, err = run(capsys, "milnor", str(rep_file), "--oracle")
+    _assert_one_line_error(code, err, 4)
+    assert "dual-method agreement (lift 1 vs winding 7)" in err
+    assert "[FAIL] dual-method agreement" in out
+
+
 def test_build_writes_schema(tmp_path, capsys):
     path = tmp_path / "rep32.json"
     code, _, _ = run(capsys, "build", "3", "2", "--out", str(path))
@@ -280,12 +290,66 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["geodesic", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
         (["exp", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
         (["gauss-bonnet", "sphere:1", "--mesh", "1025"], "between 8 and 1024"),
+        (["geodesic", "euclidean:65"], "between 1 and 64, got 65"),
+        (["geodesic", "hopf:65"], "between 1 and 64, got 65"),
+        (["geodesic", "flat-torus:100000"], "between 1 and 64, got 100000"),
+        (["levi-civita", "sphere:inf", "--point", "1,0.2"],
+         "sphere radius must be positive and finite"),
+        (["gauss-bonnet", "sphere:nan"], "sphere radius must be positive and finite"),
+        (["geodesic", "euclidean:2", "--velocity", "inf,0"], "--velocity must be finite"),
+        (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
-         "time-steps-cap", "steps-cap", "exp-steps-cap", "mesh-cap"],
+         "time-steps-cap", "steps-cap", "exp-steps-cap", "mesh-cap",
+         "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
+         "sphere-nan", "velocity-inf", "point-nan"],
 )
 def test_geometry_input_bounds_exit_2(capsys, argv, message):
     code, _, err = run(capsys, "geometry", *argv)
+    _assert_one_line_error(code, err, 2)
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (["build", "1001", "1", "--out", "x.json"], None,
+         "genus must be at most 1000, got 1001"),
+        (["build", "3", "2", "--out", "/nonexistent/dir/x.json"], None,
+         "cannot write /nonexistent/dir/x.json"),
+        (["spectral", "FILE", "--pages", "-1"], None, "between 0 and 100, got -1"),
+        (["spectral", "FILE", "--pages", "3000"], None, "between 0 and 100, got 3000"),
+        (["spectral", "FILE", "--double", "vertical"],
+         {"dims": {"0,0": 1, "1000,1000": 1}}, "between 0 and 16, got 1000 and 1000"),
+        (["spectral", "FILE", "--double", "vertical"],
+         {"dims": {"0,0": 100, "1,0": 29}}, "total dimension exceeds 128"),
+        (["spectral", "FILE"],
+         {"degrees": {"0": 10**9}, "differentials": {},
+          "filtration": {"0": {}, "1": {}}},
+         "total dimension exceeds 128"),
+        (["spectral", "FILE"],
+         {"degrees": {"0": 1}, "differentials": {},
+          "filtration": {"0": {"0": [["1"]]}, "1000": {"0": []}}},
+         "filtration length exceeds 64"),
+        (["spectral", "FILE"],
+         {"degrees": {"0": 1}, "differentials": {},
+          "filtration": {"0": {"0": [["1e999999999"]]}, "1": {"0": []}}},
+         "exponent beyond 1000"),
+    ],
+    ids=["genus-cap", "unwritable-out", "pages-negative", "pages-cap", "bidegree-cap",
+         "double-dim-cap", "degree-dim-cap", "filtration-length-cap",
+         "entry-exponent-cap"],
+)
+def test_build_and_spectral_input_bounds_exit_2(
+    tmp_path, complex_file, capsys, monkeypatch, argv, payload, message
+):
+    monkeypatch.chdir(tmp_path)
+    path = complex_file  # FILE, unless the case brings its own payload
+    if payload is not None:
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, _, err = run(capsys, *argv)
     _assert_one_line_error(code, err, 2)
     assert message in err
 
@@ -387,6 +451,31 @@ def test_config_file_is_overridden_by_flag(tmp_path, capsys, monkeypatch):
         capsys, "geometry", "gauss-bonnet", "flat-torus:2", "--mesh", "16"
     )
     assert code == 0 and data["results"]["mesh"] == 16
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"mesh": ', "JSON parse error in"), ('{"mesh": "abc"}', "bad mesh in"),
+     ('{"mesh": null}', "bad mesh in"), ("[8]", "must hold a JSON object")],
+    ids=["truncated", "not-a-number", "null", "not-an-object"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, monkeypatch, text, message):
+    import chernlab.cli as cli_mod
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    monkeypatch.setattr(cli_mod, "CONFIG_PATH", cfg)
+    code, _, err = run(capsys, "geometry", "gauss-bonnet", "flat-torus:2")
+    _assert_one_line_error(code, err, 2)
+    assert message in err and str(cfg) in err
+
+
+def test_missing_config_file_is_allowed(tmp_path, capsys, monkeypatch):
+    import chernlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "CONFIG_PATH", tmp_path / "absent.json")
+    code, data, _ = run_json(capsys, "geometry", "gauss-bonnet", "flat-torus:2")
+    assert code == 0 and data["results"]["mesh"] == 64
 
 
 def test_transport_latitude(capsys):
