@@ -16,10 +16,14 @@ its code, and main returns it:
        MAX_STEPS here; the MAX_* bounds in euler.py, geometry.py and
        spectral.py)
     3  precondition violation: surface relation, d^2 != 0, bad filtration;
-       a numerical guard tripped (instability, too many skipped quadrature
-       nodes)
+       a numerical guard tripped (instability, loop refinement past its
+       depth or sample cap, a transport round trip that does not close
+       within MAX_STEPS, too many skipped quadrature nodes)
     4  a verification check failed (method disagreement, e.g. lift
-       arithmetic vs path winding)
+       arithmetic vs path winding).  geometry transport's "reverse
+       transport returns" check is the exception: the substep refinement
+       either closes the round trip or exits 3, so the check only confirms
+       the refinement and never gives 4
     5  inadmissible (genus, degree) by the Milnor inequality
     6  escape during the exponential map
     7  internal invariant violated (a bug)
@@ -46,7 +50,7 @@ from . import euler as euler_mod
 from . import geometry as geo_mod
 from . import milnor as milnor_mod
 from . import spectral as spectral_mod
-from .errors import ChernLabError, DomainError, ParseError
+from .errors import ChernLabError, DomainError, InstabilityError, ParseError
 
 EXIT_CHECK_FAILED = 4
 
@@ -359,16 +363,42 @@ def cmd_geometry(args) -> RunReport:
             path = np.stack([np.full_like(phi, args.latitude), phi], axis=-1)
         else:
             raise DomainError("transport needs --path-file or --latitude")
-        out = geo_mod.parallel_transport(geo.connection, path, vector)
+        # double the RK4 substeps per segment until the round trip closes.
+        # Every rung reruns both transports; the first rung always runs,
+        # and a further rung only while the RK4 steps of all rungs stay
+        # within MAX_STEPS.  A too-coarse step may overflow, which the
+        # residual then shows.
+        rung_steps = 2 * (len(path) - 1)  # both directions, 1 substep
+        substeps, spent = 1, 0
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = geo_mod.parallel_transport(
+                    geo.connection, path, vector, substeps
+                )
+                back = geo_mod.parallel_transport(
+                    geo.connection, path[::-1], out, substeps
+                )
+                residual = float(np.max(np.abs(back - vector)))
+            spent += rung_steps * substeps
+            closed = bool(np.allclose(back, vector, atol=1e-5))
+            if closed or spent + rung_steps * 2 * substeps > MAX_STEPS:
+                break
+            substeps *= 2
+        if not closed:
+            raise InstabilityError(
+                f"transport round trip residual {residual:.2e} after {spent} "
+                f"RK4 steps, at {substeps} substeps per segment; another "
+                f"doubling would exceed MAX_STEPS = {MAX_STEPS} RK4 steps"
+            )
         report.results = {
             "transported": [float(v) for v in out],
             "samples": len(path),
+            "substeps": substeps,
         }
-        back = geo_mod.parallel_transport(geo.connection, path[::-1], out)
+        # the refinement stops only once the round trip closes, so this
+        # check confirms the refinement; it cannot fail on its own
         report.check(
-            "reverse transport returns",
-            bool(np.allclose(back, vector, atol=1e-5)),
-            f"round trip residual {float(np.max(np.abs(back - vector))):.2e}",
+            "reverse transport returns", closed, f"round trip residual {residual:.2e}"
         )
         return report
 
@@ -418,8 +448,11 @@ def cmd_euler(args) -> RunReport:
     try:
         expr, chi = euler_mod.evaluate_query(text)
     except ParseError as exc:
+        # the echo keeps one character per position, so the caret lines up,
+        # and no line break of the input can start a line of its own
+        shown = "".join(c if c.isprintable() else " " for c in text)
         caret = " " * exc.position + "^"
-        raise DomainError(f"{exc}\n    {text}\n    {caret}") from exc
+        raise DomainError(f"{exc}\n    {shown}\n    {caret}") from exc
     report.results = {
         "euler_characteristic": chi,
         "dimension": expr.dimension,

@@ -16,6 +16,14 @@ wide enough because the lift defect of a product is strictly below pi/2.
 
 Deck transformations are central and act by (M, u) -> (R(n*pi) M, u + n*pi).
 
+Paths are batched: canonical_path and word_path (and milnor's
+commutator_loop_path) map t of any shape (...) to matrices of shape
+(..., 2, 2), elementwise equal to evaluation at each scalar t; a scalar t
+gives one 2x2 matrix.  SampledLoop.from_path refines the winding oracle's
+loop one level at a time, evaluating the midpoints of all pending
+intervals in blocks of at most 256 values of t, and gives up past
+MAX_LOOP_SAMPLES samples or max_depth levels.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -35,10 +43,14 @@ TAU_ANGLE = 1e-9       # rotation-consistency tolerance for stored lifts
 TAU_WINDING = 1e-3     # max residue when rounding a winding to an integer
 EPS_GUARD = 1e-6       # defect guard distance from pi/2 in lift_mul
 CLOSURE_TOL = 1e-6     # endpoint tolerance for sampled loops
+MAX_LOOP_SAMPLES = 2**14  # samples of one loop before refinement gives up
+
+_PATH_BLOCK = 256      # values of t per batched path call in from_path
 
 _TWO_PI = 2.0 * math.pi
 
 IDENTITY: Mat2 = np.eye(2)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def rotation(angle: float) -> Mat2:
@@ -56,15 +68,19 @@ def wrap_angle(a: float) -> float:
 
 
 def det2(m: Mat2) -> float:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Determinant of a 2x2 matrix, or of each in a stack (..., 2, 2)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def inv2(m: Mat2) -> Mat2:
-    """Inverse of a 2x2 matrix by the adjugate formula."""
-    d = det2(m)
-    if d == 0.0:
+    """Inverse of a 2x2 matrix, or of each in a stack, by the adjugate
+    formula."""
+    m = np.asarray(m, dtype=float)
+    d = np.asarray(det2(m))
+    if np.count_nonzero(d) < d.size:
         raise DomainError("matrix is singular")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / d
+    adj = np.swapaxes(m[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+    return adj / d[..., None, None]
 
 
 def check_positive_det(m: Mat2) -> None:
@@ -107,12 +123,13 @@ def spd_power(p: Mat2, t: float) -> Mat2:
     return (q * w**t) @ q.T
 
 
-def canonical_path(m: Mat2, lift: float | None = None) -> Callable[[float], Mat2]:
+def canonical_path(m: Mat2, lift: float | None = None) -> Callable[[np.ndarray], Mat2]:
     """Path t -> R(t * lift) P^t from the identity to m.
 
     Stays inside GL+(2, R); its retract angle lifts continuously to
     t * lift, so the path represents the cover element (m, lift).  With the
-    default lift = retract(m) it represents the principal lift.
+    default lift = retract(m) it represents the principal lift.  The path
+    is batched: t of shape (...) gives matrices of shape (..., 2, 2).
     """
     m = np.array(m, dtype=float)
     angle, p = polar_parts(m)
@@ -125,14 +142,16 @@ def canonical_path(m: Mat2, lift: float | None = None) -> Callable[[float], Mat2
         raise DomainError("polar factor is not positive definite")
     logw = np.log(w)
 
-    def path(t: float) -> Mat2:
+    def path(t) -> Mat2:
+        t = np.asarray(t, dtype=float)
+        theta = t * lift
+        rot = _rotation_stack(np.cos(theta), np.sin(theta))
+        out = rot @ ((q * np.exp(t[..., None] * logw)[..., None, :]) @ q.T)
         # endpoints are returned exactly: loops built from words of these
         # paths then close bit-exactly instead of up to eigh roundoff
-        if t == 0.0:
-            return IDENTITY
-        if t == 1.0:
-            return m
-        return rotation(t * lift) @ ((q * np.exp(t * logw)) @ q.T)
+        out[t == 0.0] = IDENTITY
+        out[t == 1.0] = m
+        return out
 
     return path
 
@@ -253,29 +272,92 @@ def product_lift(elements: Sequence[CoveredElement]) -> CoveredElement:
     return acc
 
 
-@dataclass(frozen=True)
+def _rotation_stack(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The matrices [[c, s], [-s, c]], stacked over the shape of c and s."""
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1] = c, s
+    out[..., 1, 0], out[..., 1, 1] = -s, c
+    return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.hypot(v[:, 0], v[:, 1])
+
+
+def _wrapped_gaps(samples: np.ndarray) -> np.ndarray:
+    """Retract-angle steps between consecutive samples, in (-pi, pi]."""
+    angles = np.arctan2(
+        samples[:, 0, 1] - samples[:, 1, 0], samples[:, 0, 0] + samples[:, 1, 1]
+    )
+    gaps = np.diff(angles)  # in (-2pi, 2pi), so one turn corrects it
+    return np.where(gaps > math.pi, gaps - _TWO_PI,
+                    np.where(gaps <= -math.pi, gaps + _TWO_PI, gaps))
+
+
+def _plane_points(path: Callable, t: np.ndarray) -> np.ndarray:
+    """The plane points P = (a + d, b - c) of path(t), shape (len(t), 2),
+    from batched calls of at most _PATH_BLOCK values of t each."""
+    out = np.empty((len(t), 2))
+    for lo in range(0, len(t), _PATH_BLOCK):
+        block = t[lo:lo + _PATH_BLOCK]
+        m = np.asarray(path(block), dtype=float)
+        if m.shape != block.shape + (2, 2):
+            raise DomainError(
+                f"a batched path maps t of shape {block.shape} to matrices "
+                f"of shape {block.shape + (2, 2)}, got {m.shape}"
+            )
+        p = out[lo:lo + len(block)]
+        p[:, 0] = m[:, 0, 0] + m[:, 1, 1]
+        p[:, 1] = m[:, 0, 1] - m[:, 1, 0]
+        if not np.all(np.isfinite(p)):
+            raise SubdivisionError("non-finite path value on the loop")
+    return out
+
+
+def _within_sample_cap(count: int) -> int:
+    if count > MAX_LOOP_SAMPLES:
+        raise SubdivisionError(
+            f"loop refinement exceeded MAX_LOOP_SAMPLES = {MAX_LOOP_SAMPLES} samples"
+        )
+    return count
+
+
+@dataclass(frozen=True, eq=False)
 class SampledLoop:
     """Closed loop of matrices starting and ending at the identity.
 
-    Consecutive samples must be closer than pi/2 in retract angle; the
-    ``from_path`` constructor refines the parameter grid until they are.
+    The samples are one read-only array of shape (N, 2, 2); any sequence of
+    2x2 matrices is accepted.  Consecutive samples must be closer than pi/2
+    in retract angle; the ``from_path`` constructor refines the parameter
+    grid until they are.
     """
 
-    samples: tuple = field(repr=False)
+    samples: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 2:
+        try:
+            s = np.array(self.samples, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"loop samples must be 2x2 matrices: {exc}") from exc
+        if s.ndim == 0 or len(s) < 2:
             raise DomainError("a loop needs at least two samples")
-        for endpoint in (self.samples[0], self.samples[-1]):
-            if np.max(np.abs(endpoint - IDENTITY)) > CLOSURE_TOL:
-                raise DomainError("loop endpoints must be the identity")
-        angles = [retract(m) for m in self.samples]
-        for a, b in zip(angles, angles[1:]):
-            if abs(wrap_angle(b - a)) >= math.pi / 2.0:
-                raise DomainError(
-                    "consecutive samples are more than pi/2 apart; "
-                    "use SampledLoop.from_path for adaptive refinement"
-                )
+        if s.shape[1:] != (2, 2):
+            raise DomainError(f"loop samples must be 2x2 matrices, got {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise DomainError("loop samples have non-finite entries")
+        det = det2(s)
+        if np.any(det <= 0.0):
+            i = int(np.argmax(det <= 0.0))
+            raise DomainError(f"determinant {det[i]} of sample {i} is not positive")
+        if np.max(np.abs(s[[0, -1]] - IDENTITY)) > CLOSURE_TOL:
+            raise DomainError("loop endpoints must be the identity")
+        if np.any(np.abs(_wrapped_gaps(s)) >= math.pi / 2.0):
+            raise DomainError(
+                "consecutive samples are more than pi/2 apart; "
+                "use SampledLoop.from_path for adaptive refinement"
+            )
+        s.flags.writeable = False
+        object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -283,66 +365,66 @@ class SampledLoop:
     @classmethod
     def from_path(
         cls,
-        path: Callable[[float], Mat2],
+        path: Callable[[np.ndarray], Mat2],
         initial_samples: int = 64,
         max_depth: int = 60,
     ) -> "SampledLoop":
-        """Sample path on [0, 1] with margin-aware bisection.
+        """Sample a batched path on [0, 1], refining one level at a time.
 
-        The rotation angle of a sample is the argument of the plane point
-        P = (a+d, b-c); it can swing arbitrarily fast where the path comes
-        close to P = 0.  An interval is accepted only when the sampled
-        polyline through its midpoint is short against the smallest |P|
-        seen, which bounds the possible angle motion inside it; otherwise
-        both halves are refined.  Stored samples are retracted to SO(2).
+        path maps t of shape (n,) to matrices of shape (n, 2, 2), as
+        canonical_path does.  The rotation angle of a sample is the argument
+        of the plane point P = (a+d, b-c); it can swing arbitrarily fast
+        where the path comes close to P = 0.  An interval is accepted only
+        when the sampled polyline through its midpoint is short against the
+        smallest |P| seen (polyline <= 0.4 * margin), which bounds the
+        possible angle motion inside it.
+
+        Each level evaluates the midpoints of all pending intervals, in
+        calls of at most 256 values of t, tests every interval with that
+        rule and bisects all failing ones together.  The same rule on the
+        same dyadic intervals gives the sample set of a depth-first
+        bisection; samples are stored sorted by t and retracted to SO(2).
+        SubdivisionError: at the first non-finite path value, when an
+        interval still fails at level max_depth, or when the loop would
+        exceed MAX_LOOP_SAMPLES samples.
         """
         if initial_samples < 2:
             raise DomainError("need at least two initial samples")
-
-        def point(t):
-            m = np.asarray(path(t), dtype=float)
-            x = float(m[0, 0] + m[1, 1])
-            y = float(m[0, 1] - m[1, 0])
-            return np.array([x, y])
-
-        def refine(t0, p0, t1, p1, depth):
+        # the grid and its midpoints, then two new samples per bisection
+        count = _within_sample_cap(2 * initial_samples + 1)
+        ts = np.arange(initial_samples + 1) / initial_samples
+        ps = _plane_points(path, ts)
+        t_parts, p_parts = [ts], [ps]
+        t0, t1, p0, p1 = ts[:-1], ts[1:], ps[:-1], ps[1:]
+        depth = 0
+        while True:
             tm = (t0 + t1) / 2.0
-            pm = point(tm)
-            polyline = np.hypot(*(pm - p0)) + np.hypot(*(p1 - pm))
-            margin = min(np.hypot(*p0), np.hypot(*pm), np.hypot(*p1))
-            if polyline <= 0.4 * margin:
-                return [pm]
+            pm = _plane_points(path, tm)
+            t_parts.append(tm)
+            p_parts.append(pm)
+            polyline = _norm(pm - p0) + _norm(p1 - pm)
+            margin = np.minimum(np.minimum(_norm(p0), _norm(pm)), _norm(p1))
+            bad = ~(polyline <= 0.4 * margin)
+            if not bad.any():
+                break
             if depth >= max_depth:
                 raise SubdivisionError("loop refinement exceeded max depth")
-            return (
-                refine(t0, p0, tm, pm, depth + 1)
-                + [pm]
-                + refine(tm, pm, t1, p1, depth + 1)
-            )
-
-        ts = [i / initial_samples for i in range(initial_samples + 1)]
-        points = [point(t) for t in ts]
-        chain = [points[0]]
-        for i in range(initial_samples):
-            chain.extend(refine(ts[i], points[i], ts[i + 1], points[i + 1], 0))
-            chain.append(points[i + 1])
-        samples = []
-        for x, y in chain:
-            n = math.hypot(x, y)
-            if n == 0.0 or not math.isfinite(n):
-                raise SubdivisionError("degenerate rotation part on the loop")
-            c, s = x / n, y / n
-            samples.append(np.array([[c, s], [-s, c]]))
-        return cls(tuple(samples))
+            count = _within_sample_cap(count + 2 * np.count_nonzero(bad))
+            depth += 1
+            tm, pm = tm[bad], pm[bad]
+            t0, t1 = np.concatenate([t0[bad], tm]), np.concatenate([tm, t1[bad]])
+            p0, p1 = np.concatenate([p0[bad], pm]), np.concatenate([pm, p1[bad]])
+        order = np.argsort(np.concatenate(t_parts))
+        x, y = np.concatenate(p_parts)[order].T
+        n = np.hypot(x, y)
+        if np.any(n == 0.0) or not np.all(np.isfinite(n)):
+            raise SubdivisionError("degenerate rotation part on the loop")
+        return cls(_rotation_stack(x / n, y / n))
 
 
 def lift_loop(loop: SampledLoop) -> int:
     """Winding number of the retract angle along a closed loop."""
-    angles = [retract(m) for m in loop.samples]
-    total = 0.0
-    for a, b in zip(angles, angles[1:]):
-        total += wrap_angle(b - a)
-    winding = total / _TWO_PI
+    winding = float(np.sum(_wrapped_gaps(loop.samples))) / _TWO_PI
     n = round(winding)
     if abs(winding - n) >= TAU_WINDING:
         raise SubdivisionError(
@@ -353,18 +435,20 @@ def lift_loop(loop: SampledLoop) -> int:
 
 def word_path(
     elements: Sequence[CoveredElement],
-) -> Callable[[float], Mat2]:
+) -> Callable[[np.ndarray], Mat2]:
     """Pointwise product of the canonical paths of a word's letters.
 
     At t = 1 the path reaches the product matrix; if the word projects to
     the identity the result is a loop whose winding equals the central lift
     of the product divided by 2*pi.  Each letter's path realises that
-    letter's stored lift, deck shifts included.
+    letter's stored lift, deck shifts included.  Batched like
+    canonical_path.
     """
     paths = [canonical_path(e.matrix, e.lift) for e in elements]
 
-    def f(t: float) -> Mat2:
-        acc = IDENTITY
+    def f(t) -> Mat2:
+        t = np.asarray(t, dtype=float)
+        acc = np.broadcast_to(IDENTITY, t.shape + (2, 2))
         for p in paths:
             acc = acc @ p(t)
         return acc

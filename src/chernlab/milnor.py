@@ -155,14 +155,16 @@ def check_milnor_inequality(rep: SurfaceGroupRep) -> bool:
     return abs(milnor_number(rep)) < rep.genus
 
 
-def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[float], Mat2]:
-    """The closed path t -> prod [alpha_i(t), beta_i(t)] of canonical paths."""
+def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
+    """The closed path t -> prod [alpha_i(t), beta_i(t)] of canonical paths,
+    batched like canonical_path: t of shape (...) gives (..., 2, 2)."""
     paths = [
         (canonical_path(a), canonical_path(b)) for a, b in zip(rep.A, rep.B)
     ]
 
-    def f(t: float) -> Mat2:
-        acc = IDENTITY
+    def f(t) -> Mat2:
+        t = np.asarray(t, dtype=float)
+        acc = np.broadcast_to(IDENTITY, t.shape + (2, 2))
         for pa, pb in paths:
             at, bt = pa(t), pb(t)
             acc = acc @ at @ bt @ inv2(at) @ inv2(bt)

@@ -105,6 +105,15 @@ def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
     assert "[FAIL] dual-method agreement" in out
 
 
+def test_milnor_oracle_past_the_sample_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "rep65.json"
+    code, _, _ = run(capsys, "build", "6", "5", "--out", str(path))
+    assert code == 0
+    code, _, err = run(capsys, "milnor", str(path), "--oracle")
+    _assert_one_line_error(code, err, 3)
+    assert "MAX_LOOP_SAMPLES = 16384" in err
+
+
 def test_build_writes_schema(tmp_path, capsys):
     path = tmp_path / "rep32.json"
     code, _, _ = run(capsys, "build", "3", "2", "--out", str(path))
@@ -496,6 +505,56 @@ def test_transport_path_file(tmp_path, capsys):
     )
     assert code == 0
     assert data["results"]["transported"] == pytest.approx([0.2, -0.4])
+
+
+def test_transport_refines_substeps_until_the_round_trip_closes(tmp_path, capsys):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps([[1.0, 1.0], [1.0, 0.25]]))
+    argv = ["geometry", "transport", "sphere:1", "--path-file", str(path)]
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert data["results"]["substeps"] == 2
+    assert data["verification"][0]["passed"]
+    code, data, _ = run_json(capsys, "geometry", "transport", "sphere:1",
+                             "--latitude", "1.0", "--samples", "400")
+    assert code == 0 and data["results"]["substeps"] == 1
+
+
+def test_transport_past_the_step_cap_exits_3(tmp_path, capsys, monkeypatch):
+    import chernlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_STEPS", 1)
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps([[1.0, 1.0], [1.0, 0.25]]))
+    code, _, err = run(capsys, "geometry", "transport", "sphere:1",
+                       "--path-file", str(path))
+    _assert_one_line_error(code, err, 3)
+    assert "MAX_STEPS = 1 " in err
+
+
+def test_transport_ladder_stays_within_the_step_cap(tmp_path, capsys, monkeypatch):
+    import chernlab.cli as cli_mod
+    import chernlab.geometry as geo_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_STEPS", 100)
+    transport = geo_mod.parallel_transport
+    rungs = []
+
+    def counted(conn, path, v0, substeps=1):
+        rungs.append((len(path) - 1) * substeps)
+        return transport(conn, path, v0, substeps)
+
+    monkeypatch.setattr(geo_mod, "parallel_transport", counted)
+    path = tmp_path / "never_closes.json"
+    path.write_text(json.dumps([[0.001, 0.0], [0.001, 1e6]]))
+    code, _, err = run(capsys, "geometry", "transport", "sphere:1",
+                       "--path-file", str(path), "--vector", "1,1")
+    _assert_one_line_error(code, err, 3)
+    # 1 + 2 + ... + 16 substeps, both directions: 62 steps; the next rung
+    # (32 substeps, 64 steps) would take the total past 100
+    assert rungs == [1, 1, 2, 2, 4, 4, 8, 8, 16, 16]
+    assert sum(rungs) == 62 <= cli_mod.MAX_STEPS < sum(rungs) + 2 * 32
+    assert "after 62 RK4 steps" in err
 
 
 @pytest.mark.parametrize(

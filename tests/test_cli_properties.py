@@ -1,9 +1,10 @@
-"""Property tests of the CLI contract on arbitrary JSON input files.
+"""Property tests of the CLI contract on arbitrary input.
 
 Whatever small JSON value a file holds, the three JSON loaders (milnor,
 spectral, spectral --double) and `geometry transport --path-file` end in a
 documented exit code with no traceback, print exactly one `error:` line on
 failure and none on success, and stay within a time budget per example.
+So does `euler` on strings over its grammar's alphabet.
 """
 
 import contextlib
@@ -11,7 +12,7 @@ import io
 import json
 from datetime import timedelta
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chernlab.cli import main
@@ -108,3 +109,31 @@ def test_point_path_file_ends_in_a_documented_code(tmp_path, rows, key):
         path, rows,
         ["geometry", "transport", key, "--path-file", str(path), "--vector", "1,0"],
     )
+
+
+# Tokens of the euler grammar, digits and spaces, and free text.
+EULER_TOKENS = (
+    st.sampled_from(
+        ["Sigma", "Torus", "Sphere", "Hopf", "P", "smillie",
+         "(", ")", "*", "#", "^", " ", "  "]
+    )
+    | st.integers(0, 10**5).map(str)
+    | st.sampled_from(list("0123456789"))
+    | st.text(max_size=3)
+)
+
+
+@PROPERTY_SETTINGS
+@given(tokens=st.lists(EULER_TOKENS, max_size=16))
+@example(tokens=["Sigma(1)", "\nerror: boom"])
+def test_euler_expression_ends_in_a_documented_code(tokens):
+    text = "".join(tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["euler", "--", text])  # "--": text is never an option
+    errors = [
+        line for line in err.getvalue().splitlines() if line.startswith("error:")
+    ]
+    assert code in DOCUMENTED_CODES
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (0 if code == 0 else 1)

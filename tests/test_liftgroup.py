@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chernlab.liftgroup as lg
-from chernlab.errors import DomainError, SubdivisionError
+import chernlab.milnor as mi
+from chernlab.errors import ChernLabError, DomainError, SubdivisionError
 
 A0 = np.array([[2.0, 0.0], [0.0, 0.5]])
 A1 = np.array([[-2.5, 4.5], [-3.0, 5.0]])
@@ -38,6 +41,12 @@ def path_lift(path, samples=4096):
         total += _wrap(cur - prev)
         prev = cur
     return total
+
+
+def rotations(angles):
+    """Batched rotation matrices R(angle), shape angles.shape + (2, 2)."""
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
 
 
 def random_element(rng):
@@ -324,19 +333,138 @@ def test_loop_rejects_coarse_adjacency():
         lg.SampledLoop(samples)
 
 
+def test_loop_samples_are_one_read_only_array():
+    loop = lg.SampledLoop([lg.rotation(2 * math.pi * i / 8) for i in range(9)])
+    assert loop.samples.shape == (9, 2, 2) and len(loop) == 9
+    with pytest.raises(ValueError):
+        loop.samples[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.zeros((3, 3, 3)),
+        [np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.eye(2)],
+        [np.eye(2), np.diag([1.0, -1.0]), np.eye(2)],
+        [np.eye(2)],
+    ],
+    ids=["shape", "non-finite", "det", "too-short"],
+)
+def test_loop_constructor_checks(samples):
+    with pytest.raises(DomainError):
+        lg.SampledLoop(samples)
+
+
 def test_from_path_refines_fast_loop():
     loop = lg.SampledLoop.from_path(
-        lambda t: lg.rotation(6 * math.pi * t), initial_samples=4
+        lambda t: rotations(6 * math.pi * t), initial_samples=4
     )
     assert lg.lift_loop(loop) == 3
 
 
 def test_from_path_gives_up_on_discontinuity():
     def jump(t):
-        return np.eye(2) if t < 0.5 else -np.eye(2)
+        return np.where(t < 0.5, 1.0, -1.0)[..., None, None] * np.eye(2)
 
     with pytest.raises(SubdivisionError):
         lg.SampledLoop.from_path(jump)
+
+
+def test_from_path_stops_at_a_nan_without_refining():
+    calls = []
+
+    def nan_path(t):
+        calls.append(len(t))
+        out = rotations(2 * math.pi * t)
+        out[t == 0.5] = np.nan
+        return out
+
+    with pytest.raises(SubdivisionError, match="non-finite"):
+        lg.SampledLoop.from_path(nan_path)
+    assert calls == [65]  # the initial grid, in one call
+
+
+def test_from_path_caps_the_sample_count(monkeypatch):
+    path = mi.commutator_loop_path(mi.build_representation(3, 2))
+    assert len(lg.SampledLoop.from_path(path)) == 483
+    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 482)
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 482"):
+        lg.SampledLoop.from_path(path)
+
+
+def test_from_path_evaluates_in_blocks():
+    sizes = []
+
+    def path(t):
+        sizes.append(len(t))
+        return rotations(2 * math.pi * t)
+
+    loop = lg.SampledLoop.from_path(path, initial_samples=3000)
+    # the grid alone is 3001; 256 rather than 1024 keeps the peak RSS down
+    assert len(sizes) > 2 and max(sizes) == lg._PATH_BLOCK == 256
+    assert sum(sizes) == len(loop)  # every sample evaluated once
+
+
+# -- the recursive refinement, kept as a reference --------------------------
+# Depth-first bisection with the acceptance rule of from_path, one scalar
+# path value at a time.  The level-by-level refinement must find the same
+# dyadic sample set.
+
+def recursive_samples(path, initial_samples=64, max_depth=60):
+    """(t, plane point) of every sample, in path order."""
+    def point(t):
+        m = np.asarray(path(t), dtype=float)
+        return np.array([m[0, 0] + m[1, 1], m[0, 1] - m[1, 0]])
+
+    def refine(t0, p0, t1, p1, depth):
+        tm = (t0 + t1) / 2.0
+        pm = point(tm)
+        polyline = np.hypot(*(pm - p0)) + np.hypot(*(p1 - pm))
+        margin = min(np.hypot(*p0), np.hypot(*pm), np.hypot(*p1))
+        if polyline <= 0.4 * margin:
+            return [(tm, pm)]
+        if depth >= max_depth:
+            raise SubdivisionError("loop refinement exceeded max depth")
+        return (
+            refine(t0, p0, tm, pm, depth + 1)
+            + [(tm, pm)]
+            + refine(tm, pm, t1, p1, depth + 1)
+        )
+
+    ts = [i / initial_samples for i in range(initial_samples + 1)]
+    points = [point(t) for t in ts]
+    chain = [(ts[0], points[0])]
+    for i in range(initial_samples):
+        chain.extend(refine(ts[i], points[i], ts[i + 1], points[i + 1], 0))
+        chain.append((ts[i + 1], points[i + 1]))
+    return chain
+
+
+def assert_matches_recursive_reference(path):
+    """from_path on path equals the recursive reference: same t set, same
+    samples, same winding."""
+    evaluated = []
+
+    def recorded(t):
+        evaluated.append(np.array(t, dtype=float).ravel())
+        return path(t)
+
+    chain = recursive_samples(path)
+    ts = np.array([t for t, _ in chain])
+    x, y = np.array([p for _, p in chain]).T
+    n = np.hypot(x, y)
+    c, s = x / n, y / n
+    reference = lg.SampledLoop(
+        np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+    )
+    loop = lg.SampledLoop.from_path(recorded)
+    assert np.all(np.diff(ts) > 0)
+    assert np.array_equal(np.sort(np.concatenate(evaluated)), ts)
+    assert np.array_equal(loop.samples, reference.samples)
+    # the angle sum of lift_loop, one step at a time
+    angles = [_angle(m) for m in reference.samples]
+    total = sum(_wrap(b - a) for a, b in zip(angles, angles[1:]))
+    assert lg.lift_loop(loop) == round(total / (2 * math.pi))
 
 
 def test_word_winding_matches_deck_shift():
@@ -351,6 +479,105 @@ def test_word_winding_matches_deck_shift():
         loop = lg.SampledLoop.from_path(lg.word_path(word))
         assert lg.lift_loop(loop) == k
         assert total.lift == pytest.approx(2 * math.pi * k, abs=1e-9)
+
+
+def test_level_refinement_matches_recursion_on_deck_shift_words():
+    rng = np.random.default_rng(23)  # the words of the test above
+    for _ in range(25):
+        x, y = random_element(rng), random_element(rng)
+        k = int(rng.integers(-2, 3))
+        closer = lg.deck_shift(lg.lift_inv(lg.lift_mul(x, y)), 2 * k)
+        assert_matches_recursive_reference(lg.word_path([x, y, closer]))
+
+
+def test_level_refinement_matches_recursion_on_milnor_table():
+    """Every (g, d) with |d| < g <= 7 whose build and oracle succeed.
+
+    Identity padding pairs multiply the loop by exact identities, so the
+    recursion runs once per degree, on its smallest genus, and every
+    larger genus must give the same samples bit for bit."""
+    reference = {}
+    checked = 0
+    for g in range(2, 8):
+        for d in range(1 - g, g):
+            try:
+                rep = mi.build_representation(g, d)
+                loop = lg.SampledLoop.from_path(mi.commutator_loop_path(rep))
+            except ChernLabError:
+                continue
+            if d not in reference:
+                path = mi.commutator_loop_path(rep)
+                assert_matches_recursive_reference(path)
+                reference[d] = loop
+            assert np.array_equal(loop.samples, reference[d].samples)
+            assert lg.lift_loop(loop) == d
+            checked += 1
+    assert checked == 42 and sorted(reference) == list(range(-4, 5))
+
+
+# -- batched paths ------------------------------------------------------------
+
+ENTRIES = st.floats(-3.0, 3.0, allow_nan=False)
+MATRICES = st.lists(ENTRIES, min_size=4, max_size=4).map(
+    lambda v: np.array(v).reshape(2, 2)
+).filter(lambda m: lg.det2(m) > 0.05)
+T_VALUES = st.lists(
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5]), min_size=1, max_size=12
+).map(np.array)
+
+
+def assert_batched_equals_scalar(path, ts):
+    batched = path(ts)
+    assert batched.shape == ts.shape + (2, 2)
+    assert np.array_equal(batched, np.array([path(float(t)) for t in ts]))
+    grid = ts[: len(ts) // 2 * 2].reshape(2, -1)
+    assert np.array_equal(path(grid), batched[: grid.size].reshape(grid.shape + (2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=MATRICES, shift=st.integers(-2, 2), ts=T_VALUES)
+def test_batched_canonical_path_equals_scalar(m, shift, ts):
+    x = lg.deck_shift(lg.principal_lift(m), 2 * shift)
+    path = lg.canonical_path(x.matrix, x.lift)
+    assert_batched_equals_scalar(path, ts)
+    ends = path(np.array([0.0, 1.0]))
+    assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], x.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=st.lists(MATRICES, max_size=4), ts=T_VALUES)
+def test_batched_word_path_equals_scalar(word, ts):
+    elements = [lg.principal_lift(m) for m in word]
+    path = lg.word_path(elements)
+    assert_batched_equals_scalar(path, ts)
+    product = np.eye(2)
+    for m in word:
+        product = product @ m
+    ends = path(np.array([0.0, 1.0]))
+    assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], product)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    entry=st.sampled_from([(2, 1), (3, -2), (4, 3), (5, -4), (6, 5)]),
+    ts=T_VALUES,
+)
+def test_batched_commutator_loop_path_equals_scalar(entry, ts):
+    rep = mi.build_representation(*entry)
+    path = mi.commutator_loop_path(rep)
+    assert_batched_equals_scalar(path, ts)
+    closing = np.eye(2)
+    for a, b in zip(rep.A, rep.B):
+        closing = closing @ a @ b @ lg.inv2(a) @ lg.inv2(b)
+    ends = path(np.array([0.0, 1.0]))
+    assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], closing)
+
+
+def test_batched_inverse_keeps_the_singular_check():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    with pytest.raises(DomainError, match="singular"):
+        lg.inv2(stack)
+    assert np.array_equal(lg.inv2(stack[:1] * 2.0), stack[:1] / 2.0)
 
 
 # -- type invariants ----------------------------------------------------------

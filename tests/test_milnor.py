@@ -1,13 +1,19 @@
 """Milnor numbers: seed matrices, decompositions, realization, invariants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import chernlab.liftgroup as lg
 import chernlab.milnor as mi
-from chernlab.errors import AdmissibilityError, DomainError, PreconditionError
+from chernlab.errors import (
+    AdmissibilityError,
+    DomainError,
+    PreconditionError,
+    SubdivisionError,
+)
 
 
 def dyadic_conjugators(rng, count):
@@ -57,6 +63,14 @@ def test_build_2_1_degree_one_by_both_methods():
     rep = mi.build_representation(2, 1)
     assert mi.milnor_number(rep) == 1
     assert mi.winding_number(rep) == 1
+
+
+def test_oracle_past_the_sample_cap_raises_quickly():
+    rep = mi.build_representation(6, 5)
+    start = time.perf_counter()
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES"):
+        mi.winding_number(rep)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_relation_violation_raises():
