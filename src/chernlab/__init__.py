@@ -70,6 +70,7 @@ from .spectral import (
     graded_cohomology,
     infinity_page,
     page_differential,
+    persistence_pairing,
 )
 from .subspaces import (
     Subspace,

@@ -228,6 +228,10 @@ def cmd_build(args) -> RunReport:
     return report
 
 
+def _keyed(dims: dict) -> dict:
+    return {f"{p},{q}": d for (p, q), d in dims.items()}
+
+
 def cmd_spectral(args) -> RunReport:
     data, digest = _read_json(args.file)
     report = RunReport("spectral", digest)
@@ -240,16 +244,13 @@ def cmd_spectral(args) -> RunReport:
     else:
         complex_ = spectral_mod.filtered_complex_from_dict(data)
 
-    stable = spectral_mod.infinity_page(complex_)
-    r_max = args.pages if args.pages is not None else stable.stabilized_at
-    pages = {}
-    for r in range(0, r_max + 1):
-        page = spectral_mod.compute_page(complex_, r)
-        pages[str(r)] = {f"{p},{q}": d for (p, q), d in page.dims().items()}
+    pairing = spectral_mod.persistence_pairing(complex_)
+    r_max = args.pages if args.pages is not None else pairing.stabilized_at
+    infinity = pairing.dims()
     report.results = {
-        "pages": pages,
-        "infinity": {f"{p},{q}": d for (p, q), d in stable.dims().items()},
-        "stabilized_at": stable.stabilized_at,
+        "pages": {str(r): _keyed(pairing.dims(r)) for r in range(r_max + 1)},
+        "infinity": _keyed(infinity),
+        "stabilized_at": pairing.stabilized_at,
         "cohomology": {
             str(n): spectral_mod.cohomology_dim(complex_, n)
             for n in complex_.degrees()
@@ -259,7 +260,7 @@ def cmd_spectral(args) -> RunReport:
     for p in range(complex_.p_min, complex_.p_max):
         for n in complex_.degrees():
             q = n - p
-            e_dim = stable.dim(p, q)
+            e_dim = infinity.get((p, q), 0)
             g_dim = spectral_mod.graded_cohomology(complex_, p, q)
             if e_dim != g_dim:
                 mismatches.append(f"({p},{q}): {e_dim} vs {g_dim}")

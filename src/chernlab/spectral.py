@@ -1,7 +1,8 @@
-"""Spectral sequences of bounded filtered complexes, by the explicit
-cycles-up-to-filtration formulas.
+"""Spectral sequences of bounded filtered complexes, by two exact methods.
 
-For a decreasing filtration F of subcomplexes, the engine works with
+The subspace recursion builds each page from the explicit
+cycles-up-to-filtration formulas.  For a decreasing filtration F of
+subcomplexes it works with
 
     A_r[p, q] = {x in F^p C^{p+q} : d x in F^{p+r} C^{p+q+1}}
     E_r[p, q] = A_r[p, q] / (d A_{r-1}[p-r+1, q+r-2] + A_{r-1}[p+1, q-1])
@@ -10,6 +11,19 @@ with differentials of bidegree (r, -r+1) induced by d, and
 
     E_inf[p, q] = the stable value of E_r, reached once r exceeds the
                   filtration length.
+
+It is the library's source of explicit E_r subspaces and d_r matrices
+(page_entry, page_differential, compute_page, infinity_page).
+
+The persistence pairing (Edelsbrunner-Letscher-Zomorodian; Basu-Parida
+read it as the spectral sequence of a filtration) gives the dimensions of
+every page at once.  In a basis adapted to the filtration, one column
+reduction of each d^n pairs a vector at filtration degree p with one at
+p + g; the pair lives on E_0..E_g and dies at E_{g+1}, and unpaired vectors
+make up E_inf.  `chernlab spectral` prints only dimensions, so it takes
+every page, E_inf and the stabilisation index from persistence_pairing,
+and its convergence check compares that E_inf with graded_cohomology, the
+graded pieces of F^p H computed directly from cycles and boundaries.
 
 Everything is exact rational arithmetic; a dimension equality asserted by
 this module is an equality of integers, never a tolerance check.
@@ -25,6 +39,7 @@ for p >= p_max, which totalises every formula at the boundary.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -47,15 +62,17 @@ from .subspaces import (
     quotient_coordinates,
     quotient_dim,
     quotient_representatives,
+    rref,
     subspace_intersect,
     subspace_preimage,
     subspace_sum,
     zero_matrix,
 )
 
-# Size caps on complexes; a complex beyond one is a DomainError.  The page
-# recursion grows with the cube of the dimensions and with the product of
-# the degree and filtration ranges, so a short JSON line can otherwise
+# Size caps on complexes; a complex beyond one is a DomainError.  The
+# validators and the persistence pairing on the CLI path grow with the cube
+# of the dimensions, and the library's page recursion also with the product
+# of the degree and filtration ranges, so a short JSON line could otherwise
 # start minutes of work.
 MAX_TOTAL_DIM = 128          # sum of the dimensions of all degrees (or spots)
 MAX_FILTRATION_LENGTH = 64   # p_max - p_min
@@ -346,6 +363,121 @@ def graded_cohomology(c: FilteredComplex, p: int, q: int) -> int:
         _filtered_cohomology(c, p, n).dim
         - _filtered_cohomology(c, p + 1, n).dim
     )
+
+
+# -- persistence pairing -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Pairing:
+    """Every page's dimensions, read off one filtration-adapted reduction.
+
+    bars holds (p, n, gap) for each adapted basis vector: its filtration
+    degree p, its degree n, and the gap of its pair, None if unpaired.  A
+    pair of gap g lives on E_0..E_g and dies at E_{g+1}.
+    """
+
+    bars: tuple
+    stabilized_at: int
+
+    def dims(self, r: int | None = None) -> dict:
+        """Nonzero dim E_r[p, q] keyed by (p, q) in order; E_inf for None."""
+        counts = Counter(
+            (p, n - p)
+            for p, n, gap in self.bars
+            if gap is None or (r is not None and gap >= r)
+        )
+        return dict(sorted(counts.items()))
+
+
+def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
+    """A basis of C^n, deepest first, extending a basis of F^{p+1} C^n to
+    one of F^p C^n for p = p_max - 1 down to p_min; and each vector's p."""
+    vectors, levels = [], []
+    for p in range(c.p_max - 1, c.p_min - 1, -1):
+        reps = quotient_representatives(c.filt(p, n), c.filt(p + 1, n))
+        vectors += reps
+        levels += [p] * len(reps)
+    return vectors, levels
+
+
+def _coordinates(c: FilteredComplex, n: int, basis: list, vectors: list) -> list:
+    """Coordinates of vectors of C^n in basis, from one rref of
+    [basis | vectors]; its pivots must be exactly the basis columns."""
+    m = c.dim(n)
+    rows = [
+        tuple(b[i] for b in basis) + tuple(v[i] for v in vectors)
+        for i in range(m)
+    ]
+    reduced, pivots = rref(rows)
+    if len(basis) != m or pivots != tuple(range(m)):
+        raise InternalConsistencyError(f"adapted vectors are no basis of C^{n}")
+    return [tuple(row[m + j] for row in reduced) for j in range(len(vectors))]
+
+
+def _lowest(column: list) -> int | None:
+    return next((i for i in reversed(range(len(column))) if column[i]), None)
+
+
+def _reduce(columns: list) -> dict:
+    """Column reduction, left to right: pivot row of each column that stays
+    nonzero, keyed by column; a pivot is the lowest nonzero row."""
+    by_pivot = {}
+    pairs = {}
+    for j, column in enumerate(columns):
+        column = list(column)
+        low = _lowest(column)
+        while low is not None and low in by_pivot:
+            other = by_pivot[low]
+            factor = column[low]  # other[low] == 1
+            for i, x in enumerate(other):
+                if x:
+                    column[i] -= factor * x
+            low = _lowest(column)
+        if low is not None:
+            inv = 1 / column[low]
+            by_pivot[low] = [x * inv for x in column]
+            pairs[j] = low
+    return pairs
+
+
+def persistence_pairing(c: FilteredComplex) -> Pairing:
+    """Dimensions of every page and of E_inf from one persistence pairing.
+
+    Each d^n is written in adapted bases of C^n and C^{n+1}, deepest
+    first, and its columns are reduced; a pivot pairs a source at level p
+    with a target at level p + gap.  A
+    negative gap means d lowers the filtration, and a gap reaching
+    stabilized_at a pair that outlives the stable page; both are bugs.
+    """
+    return _memo(c, ("pairing",), lambda: _build_pairing(c))
+
+
+def _build_pairing(c: FilteredComplex) -> Pairing:
+    stable = c.filtration_length + 1
+    bases = {n: _adapted_basis(c, n) for n in c.degrees()}
+    gaps = {n: [None] * len(bases[n][0]) for n in c.degrees()}
+    for n in c.degrees():
+        source, source_levels = bases.get(n - 1, ([], []))
+        target, target_levels = bases[n]
+        images = [matvec(c.diff(n - 1), v) for v in source]
+        for j, i in _reduce(_coordinates(c, n, target, images)).items():
+            gap = target_levels[i] - source_levels[j]
+            if gap < 0:
+                raise InternalConsistencyError(
+                    f"d^{n - 1} lowers the filtration degree by {-gap}"
+                )
+            if gap >= stable:
+                raise InternalConsistencyError(
+                    f"page failed to stabilize at r = {stable}: a pair in "
+                    f"degrees {n - 1}, {n} lives to page {gap}"
+                )
+            gaps[n - 1][j] = gaps[n][i] = gap
+    bars = tuple(
+        (p, n, gap)
+        for n in c.degrees()
+        for p, gap in zip(bases[n][1], gaps[n])
+    )
+    return Pairing(bars, stable)
 
 
 # -- double complexes ----------------------------------------------------------

@@ -235,34 +235,64 @@ def _assert_one_line_error(code, err, expected_code):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_spectral_differential_invariant_exits_7(complex_file, capsys, monkeypatch):
+def _patch_adapted_basis(monkeypatch, patch):
+    """Route the pairing's adapted bases of C^n through patch(n, vectors, levels)."""
     import chernlab.spectral as spectral_mod
-    from chernlab.errors import InternalConsistencyError
 
-    def broken(c, r, p, q):
-        raise InternalConsistencyError("page differential leaves the target")
+    real = spectral_mod._adapted_basis
+    monkeypatch.setattr(
+        spectral_mod, "_adapted_basis", lambda c, n: patch(n, *real(c, n))
+    )
 
-    monkeypatch.setattr(spectral_mod, "page_differential", broken)
+
+def test_spectral_differential_invariant_exits_7(complex_file, capsys, monkeypatch):
+    # levels lowered by 100 per degree: every pair of d gets a negative gap
+    _patch_adapted_basis(
+        monkeypatch, lambda n, vecs, levels: (vecs, [p - 100 * n for p in levels])
+    )
     code, _, err = run(capsys, "spectral", str(complex_file))
     _assert_one_line_error(code, err, 7)
     assert "internal invariant violated" in err
+    assert "lowers the filtration degree" in err
 
 
 def test_spectral_unstable_infinity_page_exits_7(complex_file, capsys, monkeypatch):
-    import chernlab.spectral as spectral_mod
-
-    real_entry = spectral_mod.page_entry
-
-    def drifting(c, r, p, q):
-        entry = real_entry(c, r, p, q)
-        if r == c.filtration_length + 2:  # the stability probe
-            return spectral_mod.PageEntry(entry.numerator, entry.numerator)
-        return entry
-
-    monkeypatch.setattr(spectral_mod, "page_entry", drifting)
+    # levels raised by 100 per degree: every pair outlives the stable page
+    _patch_adapted_basis(
+        monkeypatch, lambda n, vecs, levels: (vecs, [p + 100 * n for p in levels])
+    )
     code, _, err = run(capsys, "spectral", str(complex_file))
     _assert_one_line_error(code, err, 7)
     assert "failed to stabilize" in err
+
+
+def test_spectral_adapted_basis_check_exits_7(complex_file, capsys, monkeypatch):
+    _patch_adapted_basis(
+        monkeypatch, lambda n, vecs, levels: (vecs[:1] * len(vecs), levels)
+    )
+    code, _, err = run(capsys, "spectral", str(complex_file))
+    _assert_one_line_error(code, err, 7)
+    assert "no basis" in err
+
+
+def test_spectral_cli_reads_pages_from_the_pairing(tmp_path, capsys, monkeypatch):
+    """17 spots of dimension 7 in one row and no differentials: every page
+    is E_0.  The CLI takes its pages from the pairing alone, so it never
+    runs the page recursion, which took seconds here."""
+    import chernlab.spectral as spectral_mod
+
+    def recursion(*args):
+        raise AssertionError("the CLI ran the page recursion")
+
+    for name in ("page_entry", "page_differential", "compute_page", "infinity_page"):
+        monkeypatch.setattr(spectral_mod, name, recursion)
+    spots = {f"{i},0": 7 for i in range(17)}
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"dims": spots}))
+    code, data, err = run_json(capsys, "spectral", str(path), "--double", "horizontal")
+    assert code == 0, err
+    assert data["results"]["pages"]["0"] == data["results"]["infinity"] == spots
+    assert data["verification"][0]["passed"]
 
 
 def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):

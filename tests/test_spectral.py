@@ -1,4 +1,5 @@
-"""Spectral engine: formulas, page recursion, convergence, double complexes."""
+"""Spectral engine: formulas, page recursion, persistence pairing,
+convergence, double complexes."""
 
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from chernlab.spectral import (
     infinity_page,
     page_differential,
     page_entry,
+    persistence_pairing,
 )
 from chernlab.subspaces import Subspace, mat_from_rows, matmul
 
@@ -201,6 +203,56 @@ def test_graded_cohomology_trivial_filtration():
     )
     assert graded_cohomology(c, 0, 0) == cohomology_dim(c, 0) == 1
     assert graded_cohomology(c, 0, 1) == cohomology_dim(c, 1) == 0
+
+
+# -- persistence pairing --------------------------------------------------------------
+
+def shifted(c, dn, dp):
+    """c with its degrees moved by dn and its filtration degrees by dp."""
+    return FilteredComplex(
+        n_min=c.n_min + dn,
+        n_max=c.n_max + dn,
+        dims={n + dn: k for n, k in c.dims.items()},
+        d={n + dn: m for n, m in c.d.items()},
+        p_min=c.p_min + dp,
+        p_max=c.p_max + dp,
+        filtration={(p + dp, n + dn): s for (p, n), s in c.filtration.items()},
+    )
+
+
+def assert_pairing_matches_recursion(c):
+    pairing = persistence_pairing(c)
+    for r in range(c.filtration_length + 3):
+        assert pairing.dims(r) == compute_page(c, r).dims(), r
+    stable = infinity_page(c)
+    assert pairing.dims() == stable.dims()
+    assert pairing.stabilized_at == stable.stabilized_at
+
+
+def test_pairing_matches_recursion_on_shifted_corpus():
+    rng = np.random.default_rng(37)
+    for k in range(24):
+        c = (random_filtered_complex(rng) if k % 4
+             else random_filtered_complex(rng, max_dim=8, max_length=6))
+        for dn, dp in ((0, 0), (-2, 3), (3, -4)):
+            assert_pairing_matches_recursion(shifted(c, dn, dp))
+
+
+def test_pairing_matches_recursion_on_bete_with_negative_degrees():
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        c = shifted(random_filtered_complex(rng), -3, 0)
+        assert_pairing_matches_recursion(
+            bete_filtration(c.dims, c.d, c.n_min, c.n_max)
+        )
+
+
+def test_pairing_matches_recursion_on_double_complexes():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        dc = random_double_complex(rng)
+        for filtration in ("vertical", "horizontal"):
+            assert_pairing_matches_recursion(from_double_complex(dc, filtration))
 
 
 # -- double complexes ---------------------------------------------------------------
