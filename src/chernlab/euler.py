@@ -152,9 +152,6 @@ class ConnectedSum:
         return " # ".join(_wrap(s) for s in self.summands)
 
 
-SpaceExpr = (Surface, Sphere, PSpace, Torus, Hopf, Product, ConnectedSum)
-
-
 def _wrap(e) -> str:
     text = str(e)
     return f"({text})" if isinstance(e, (Product, ConnectedSum)) else text

@@ -46,6 +46,7 @@ STEPS_PER_UNIT = 1000  # default RK4 resolution
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
 BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
 MAX_CHART_DIM = 64     # dimension m of euclidean:m, hopf:m and flat-torus:m
+MIN_RADIUS, MAX_RADIUS = 1e-50, 1e50  # sphere:r; r^4 stays within the float range
 
 
 @dataclass(frozen=True)
@@ -720,6 +721,9 @@ def parse_geometry(key: str) -> Geometry:
             raise DomainError(f"bad sphere radius '{arg}'") from exc
         if not (math.isfinite(radius) and radius > 0.0):
             raise DomainError(f"sphere radius must be positive and finite, got {arg}")
+        if not MIN_RADIUS <= radius <= MAX_RADIUS:
+            raise DomainError(f"sphere radius must be between {MIN_RADIUS:g} and "
+                              f"{MAX_RADIUS:g}, got {arg}")
         chart = Chart(
             2, box_lo=(1e-8, -math.inf), box_hi=(math.pi - 1e-8, math.inf)
         )

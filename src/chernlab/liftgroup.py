@@ -174,12 +174,6 @@ class CoveredElement:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def __mul__(self, other: "CoveredElement") -> "CoveredElement":
-        return lift_mul(self, other)
-
-    def inverse(self) -> "CoveredElement":
-        return lift_inv(self)
-
     def __repr__(self) -> str:
         e = self.matrix.ravel()
         return (

@@ -62,6 +62,7 @@ from .liftgroup import (
 
 TAU_REL = 1e-8        # infinity-norm tolerance on the surface relation
 TAU_CLASS = 1e-6      # trace/det tolerance for conjugacy-class tags
+MAX_FLOAT_ENTRY = 10 ** 150  # exact entries rounded to float; 2x2 products stay finite
 _TWO_PI = 2.0 * math.pi
 
 A0: Mat2 = np.array([[2.0, 0.0], [0.0, 0.5]])
@@ -248,6 +249,11 @@ def _fconj(s: tuple, m: tuple) -> tuple:
 
 
 def _ffloat(a: tuple) -> Mat2:
+    """The float matrix of an exact one: the exact pipeline's one float boundary."""
+    if any(abs(v) > MAX_FLOAT_ENTRY for row in a for v in row):
+        raise InstabilityError(
+            "exact entry exceeds MAX_FLOAT_ENTRY = 1e150; float products overflow"
+        )
     return np.array([[float(v) for v in row] for row in a])
 
 

@@ -256,35 +256,31 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
 
 
 def quotient_representatives(u: Subspace, v: Subspace) -> tuple:
-    """Vectors extending V's canonical basis to U's, in deterministic order."""
-    if not u.contains(v):
+    """Vectors extending V's canonical basis to U's, in deterministic order:
+    U's basis vectors at the pivot columns of one rref of [V | U] (as
+    columns), so each is the first outside the span of V and those before
+    it.  V lies in U exactly when the pivots number dim U."""
+    u._check_ambient(v)
+    _, pivots = rref(list(zip(*v.vectors, *u.vectors)))
+    if len(pivots) != u.dim:
         raise DomainError("quotient denominator is not contained in numerator")
-    reps = []
-    current = v
-    for vec in u.vectors:
-        if not current.contains_vector(vec):
-            reps.append(vec)
-            current = Subspace.span(u.ambient_dim, current.vectors + (vec,))
-    return tuple(reps)
+    return tuple(u.vectors[c - v.dim] for c in pivots[v.dim:])
 
 
 def quotient_coordinates(
-    v_basis: Sequence[Vector], reps: Sequence[Vector], x: Vector
-) -> Vector:
-    """Coordinates of x along reps, modulo span(v_basis).
+    v_basis: Sequence[Vector], reps: Sequence[Vector], xs: Sequence[Vector]
+) -> list:
+    """Coordinates of each x in xs along reps, modulo span(v_basis).
 
-    Solves x = sum a_i v_i + sum b_j rep_j exactly and returns the b part;
-    raises if x is outside the span.
+    Solves every x = sum a_i v_i + sum b_j rep_j exactly from one rref of
+    [v_basis | reps | xs] (as columns) and returns the b parts; raises if
+    the basis vectors are dependent or some x is outside their span.
     """
-    cols = list(v_basis) + list(reps)
-    n = len(x)
-    aug = [
-        tuple(cols[j][i] for j in range(len(cols))) + (x[i],) for i in range(n)
+    k = len(v_basis) + len(reps)
+    reduced, pivots = rref(list(zip(*v_basis, *reps, *xs, strict=True)))
+    if pivots != tuple(range(k)):
+        raise DomainError("basis vectors dependent or a vector outside their span")
+    return [
+        tuple(row[k + j] for row in reduced[len(v_basis):])
+        for j in range(len(xs))
     ]
-    reduced, pivots = rref(aug)
-    if len(cols) in pivots:
-        raise DomainError("vector is outside the numerator subspace")
-    sol = [ZERO] * len(cols)
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[-1]
-    return tuple(sol[len(v_basis):])

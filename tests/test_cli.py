@@ -1,6 +1,7 @@
 """CLI contract: exit codes, schemas, determinism of results blocks."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_build_inadmissible_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "build", "2", "2", "--out", str(tmp_path / "x"))
     assert code == 5
     assert "inadmissible" in err
+
+
+@pytest.mark.parametrize("genus, degree", [("300", "299"), ("251", "250")])
+def test_build_past_the_float_range_exits_3(tmp_path, capsys, genus, degree):
+    # entries grow with the degree until float products would overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(
+            capsys, "build", genus, degree, "--out", str(tmp_path / "big.json")
+        )
+    _assert_one_line_error(code, err, 3)
+    assert "MAX_FLOAT_ENTRY = 1e150" in err
+    assert not caught and "Warning" not in err
 
 
 def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
@@ -199,6 +213,24 @@ def test_spectral_bad_filtration_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "spectral", str(path))
     assert code == 3
     assert "subcomplex" in err
+
+
+def test_spectral_missing_interior_step_exits_2(tmp_path, capsys):
+    # F^1 C^1 is absent; the subcomplex check at (1, 0) is the first to read it
+    payload = {
+        "degrees": {"0": 1, "1": 1},
+        "differentials": {"0": [["0"]]},
+        "filtration": {
+            "0": {"0": [["1"]], "1": [["1"]]},
+            "1": {"0": [["1"]]},
+            "2": {"0": [], "1": []},
+        },
+    }
+    path = tmp_path / "missing_step.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "spectral", str(path))
+    _assert_one_line_error(code, err, 2)
+    assert "missing filtration step (1, 1)" in err
 
 
 def test_spectral_malformed_exits_2(tmp_path, capsys):
@@ -335,13 +367,21 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["levi-civita", "sphere:inf", "--point", "1,0.2"],
          "sphere radius must be positive and finite"),
         (["gauss-bonnet", "sphere:nan"], "sphere radius must be positive and finite"),
+        (["levi-civita", "sphere:1e300", "--point", "1,0"],
+         "sphere radius must be between 1e-50 and 1e+50, got 1e300"),
+        (["geodesic", "sphere:1e-300", "--point", "1,0"], "between 1e-50 and 1e+50"),
+        (["gauss-bonnet", "sphere:1e100", "--mesh", "8"], "between 1e-50 and 1e+50"),
+        (["transport", "sphere:1e-160", "--latitude", "1", "--vector", "1,0",
+          "--samples", "20"], "between 1e-50 and 1e+50"),
         (["geodesic", "euclidean:2", "--velocity", "inf,0"], "--velocity must be finite"),
         (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
          "time-steps-cap", "steps-cap", "exp-steps-cap", "mesh-cap",
          "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
-         "sphere-nan", "velocity-inf", "point-nan"],
+         "sphere-nan", "sphere-radius-cap-high", "sphere-radius-cap-low",
+         "sphere-radius-cap-gauss-bonnet", "sphere-radius-cap-transport",
+         "velocity-inf", "point-nan"],
 )
 def test_geometry_input_bounds_exit_2(capsys, argv, message):
     code, _, err = run(capsys, "geometry", *argv)

@@ -72,6 +72,11 @@ def test_milnor_loader_ends_in_a_documented_code(tmp_path, value):
 
 @PROPERTY_SETTINGS
 @given(value=JSON_VALUES)
+@example(value={  # an interior step F^1 C^1 is missing
+    "degrees": {"0": 1, "1": 1}, "differentials": {"0": [["0"]]},
+    "filtration": {"0": {"0": [["1"]], "1": [["1"]]}, "1": {"0": [["1"]]},
+                   "2": {"0": [], "1": []}},
+})
 def test_filtered_complex_loader_ends_in_a_documented_code(tmp_path, value):
     path = tmp_path / "complex.json"
     _assert_contract(path, value, ["spectral", str(path)])

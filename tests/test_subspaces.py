@@ -140,13 +140,89 @@ def test_quotient_coordinates_solve_exactly():
     v = Subspace.span(3, [[1, 0, 0]])
     reps = quotient_representatives(u, v)
     x = (F(5), F(2), F(-3))
-    coords = quotient_coordinates(v.vectors, reps, x)
+    (coords,) = quotient_coordinates(v.vectors, reps, [x])
     rebuilt = [F(0)] * 3
     for c, rep in zip(coords, reps):
         for i in range(3):
             rebuilt[i] += c * rep[i]
     # x - rebuilt must be in the denominator
     assert v.contains_vector([a - b for a, b in zip(x, rebuilt)])
+
+
+def _incremental_representatives(u, v):
+    """The greedy rule spelled out: walk U's basis and keep each vector
+    that is not yet in the span of V and the vectors kept so far."""
+    reps, current = [], v
+    for vec in u.vectors:
+        if not current.contains_vector(vec):
+            reps.append(vec)
+            current = Subspace.span(u.ambient_dim, current.vectors + (vec,))
+    return tuple(reps)
+
+
+def _random_pair(rng, dim, kind):
+    """(U, V) with V inside U; kind picks V = 0, V = U, U full or neither."""
+    full = kind == "full"
+    u = Subspace.full(dim) if full else Subspace.span(
+        dim, random_vectors(rng, int(rng.integers(0, dim + 1)), dim)
+    )
+    if kind == "zero":
+        return u, Subspace.zero(dim)
+    if kind == "equal":
+        return u, u
+    # V spanned by random combinations of U's basis, so V is no coordinate
+    # subspace of U's echelon basis
+    coeffs = random_vectors(rng, int(rng.integers(0, u.dim + 1)), u.dim)
+    basis = u.basis_columns()
+    return u, Subspace.span(dim, [matvec(basis, c) for c in coeffs])
+
+
+@pytest.mark.parametrize("kind", ["zero", "equal", "full", "random"])
+def test_quotient_representatives_follow_the_greedy_rule(kind):
+    rng = np.random.default_rng(["zero", "equal", "full", "random"].index(kind))
+    for _ in range(40):
+        u, v = _random_pair(rng, int(rng.integers(0, 7)), kind)
+        assert v.dim <= u.dim and u.contains(v)
+        assert quotient_representatives(u, v) == _incremental_representatives(u, v)
+
+
+def test_quotient_representatives_reject_a_denominator_outside():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        dim = int(rng.integers(1, 6))
+        u = Subspace.span(dim, random_vectors(rng, int(rng.integers(0, dim)), dim))
+        v = Subspace.span(dim, random_vectors(rng, int(rng.integers(1, dim + 1)), dim))
+        if u.contains(v):
+            continue
+        with pytest.raises(DomainError, match="not contained in numerator"):
+            quotient_representatives(u, v)
+
+
+def test_batched_quotient_coordinates_equal_one_vector_solves():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        u, v = _random_pair(rng, int(rng.integers(1, 7)), "random")
+        reps = quotient_representatives(u, v)
+        basis = u.basis_columns()
+        xs = [matvec(basis, c) for c in random_vectors(rng, 4, u.dim)]
+        batched = quotient_coordinates(v.vectors, reps, xs)
+        assert batched == [quotient_coordinates(v.vectors, reps, [x])[0] for x in xs]
+        for x, coords in zip(xs, batched):
+            rest = list(x)
+            for c, rep in zip(coords, reps):
+                rest = [a - c * b for a, b in zip(rest, rep)]
+            assert v.contains_vector(rest)
+
+
+def test_quotient_coordinates_reject_outside_and_dependent_vectors():
+    e1, e2, e3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    assert quotient_coordinates([e1], [e2], [(F(4), F(5), F(0))]) == [(F(5),)]
+    with pytest.raises(DomainError):
+        quotient_coordinates([e1], [e2], [e1, e3])  # e3 outside the span
+    with pytest.raises(DomainError):
+        quotient_coordinates([e1], [e2, (F(2), F(3), F(0))], [e1])  # dependent
+    with pytest.raises(DomainError):
+        quotient_coordinates([e1, e1], [], [])  # dependent, nothing to solve
 
 
 def test_ambient_mismatch_raises():
