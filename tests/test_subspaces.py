@@ -162,8 +162,7 @@ def _incremental_representatives(u, v):
 
 def _random_pair(rng, dim, kind):
     """(U, V) with V inside U; kind picks V = 0, V = U, U full or neither."""
-    full = kind == "full"
-    u = Subspace.full(dim) if full else Subspace.span(
+    u = Subspace.full(dim) if kind == "full" else Subspace.span(
         dim, random_vectors(rng, int(rng.integers(0, dim + 1)), dim)
     )
     if kind == "zero":
