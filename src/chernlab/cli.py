@@ -35,6 +35,7 @@ flags, then CHERNLAB_* environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -465,7 +466,9 @@ def cmd_euler(args) -> RunReport:
 
 # -- argument parsing ------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="chernlab",
         description=(

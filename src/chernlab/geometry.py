@@ -16,13 +16,17 @@ temporaries.
 
 Derivatives are central differences with step H_DEFAULT; identity checks
 built on them are expected to hold to about FD_TOL.  Geodesics and
-parallel transport use fixed-step RK4.
+parallel transport use fixed-step RK4.  A geodesic carries one stacked
+state (u, w) of shape (2, dim) and writes every step into one
+preallocated trajectory array; its escape test runs once per block of
+BLOCK_NODES steps, on the segment of every step of the block.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
 bound, blows up, or crosses the deleted point sets escape_flag and keeps
-the last valid state.  This witnesses incompleteness as a numeric event;
-it can never prove completeness, which is a one-sided limitation of any
-finite probe.
+the last valid state.  The trajectory is cut before the first such step,
+so the steps a block computed past it change nothing.  This witnesses
+incompleteness as a numeric event; it can never prove completeness,
+which is a one-sided limitation of any finite probe.
 """
 
 from __future__ import annotations
@@ -80,19 +84,23 @@ class Chart:
             inside &= _norm(x - self.hole_center) >= self.hole_radius
         return inside
 
-    def segment_escapes(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """True when the step a -> b leaves the domain, including passing
-        through the deleted point without landing on it."""
-        if not self.contains(b):
-            return True
+    def segment_escapes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each step a -> b, shape (..., dim), leaves the domain,
+        including passing through the deleted point without landing on
+        it: a bool per segment."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        out = ~self.contains(b)
         if self.hole_center is not None:
             c = np.asarray(self.hole_center)
-            d = b - a
-            denom = float(d @ d)
-            t = 0.0 if denom == 0.0 else float(np.clip((c - a) @ d / denom, 0.0, 1.0))
-            if np.linalg.norm(a + t * d - c) < self.hole_radius:
-                return True
-        return False
+            # non-finite endpoints give NaNs here, which compare False
+            with np.errstate(all="ignore"):
+                d = b - a
+                denom = np.einsum("...i,...i->...", d, d)
+                reach = np.einsum("...i,...i->...", c - a, d)
+                t = np.where(denom == 0.0, 0.0, np.clip(reach / denom, 0.0, 1.0))
+                out |= _norm(a + t[..., None] * d - c) < self.hole_radius
+        return out
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -273,7 +281,7 @@ def levi_civita(
         # dg[..., i, j, k] = d_i g_jk
         dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
         # c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
-        t = np.moveaxis(dg, -1, -3)
+        t = dg.transpose(*range(dg.ndim - 3), -1, -3, -2)
         c = t + t.swapaxes(-1, -2) - dg
         flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
         return 0.5 * (ginv @ flat_c).reshape(c.shape)
@@ -311,8 +319,10 @@ class Trajectory:
         return np.asarray(self.velocities[-1])
 
 
-def _geodesic_rhs(conn: ChartConnection, u: np.ndarray, w: np.ndarray):
-    return w, -np.einsum("akj,k,j->a", conn.gamma(u), w, w)
+def _geodesic_rhs(conn: ChartConnection, y: np.ndarray) -> np.ndarray:
+    """(u', w') = (w, -Gamma(u) w w) at the stacked state y = (u, w)."""
+    w = y[1]
+    return np.array((w, -((conn.gamma(y[0]) @ w) @ w)))
 
 
 def geodesic(
@@ -325,7 +335,10 @@ def geodesic(
     """RK4 integration of u'' + Gamma(u) u' u' = 0 from (p, v) to t = time.
 
     With Gamma = 0 the integrator reproduces the straight line p + t v to
-    machine accuracy.
+    machine accuracy.  Each block of BLOCK_NODES steps runs first and is
+    tested for escape after, on every step's segment from its start to its
+    unwrapped end; the trajectory is cut before the first bad step, and
+    the steps the block ran past it are discarded.
     """
     if steps is None:
         steps = max(1, round(STEPS_PER_UNIT * abs(time)))
@@ -333,33 +346,49 @@ def geodesic(
         raise DomainError("step count must be positive")
     u = np.asarray(p, dtype=float)
     w = np.asarray(v, dtype=float)
+    if u.shape != (conn.dim,) or w.shape != u.shape:
+        raise DomainError(
+            f"geodesic needs a point and a velocity in dimension {conn.dim}"
+        )
     u = _require_inside(conn, u)
+    chart = conn.chart
     dt = time / steps
-    times = [0.0]
-    points = [conn.chart.wrap(u).copy()]
-    velocities = [w.copy()]
-    escaped = False
-    for k in range(steps):
-        try:
-            du1, dw1 = _geodesic_rhs(conn, u, w)
-            du2, dw2 = _geodesic_rhs(conn, u + 0.5 * dt * du1, w + 0.5 * dt * dw1)
-            du3, dw3 = _geodesic_rhs(conn, u + 0.5 * dt * du2, w + 0.5 * dt * dw2)
-            du4, dw4 = _geodesic_rhs(conn, u + dt * du3, w + dt * dw3)
-        except (FloatingPointError, DomainError, ValueError):
-            escaped = True
-            break
-        u_next = u + dt / 6.0 * (du1 + 2 * du2 + 2 * du3 + du4)
-        w_next = w + dt / 6.0 * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
-        if not np.all(np.isfinite(u_next)) or conn.chart.segment_escapes(
-            u, u_next
-        ):
-            escaped = True
-            break
-        u, w = conn.chart.wrap(u_next), w_next
-        times.append((k + 1) * dt)
-        points.append(u.copy())
-        velocities.append(w.copy())
-    return Trajectory(tuple(times), tuple(points), tuple(velocities), escaped)
+    ys = np.empty((steps + 1, 2, conn.dim))
+    ys[0] = chart.wrap(u), w
+    ends = np.empty((min(steps, BLOCK_NODES), conn.dim))  # unwrapped end points
+    y = np.array((u, w))  # the first step starts from the unwrapped p
+    done, escaped = steps, False
+    # a non-finite state is already an escape, so speculative steps run silent
+    with np.errstate(all="ignore"):
+        for lo in range(0, steps, BLOCK_NODES):
+            hi = stop = min(lo + BLOCK_NODES, steps)
+            for k in range(lo, hi):
+                try:
+                    k1 = _geodesic_rhs(conn, y)
+                    k2 = _geodesic_rhs(conn, y + 0.5 * dt * k1)
+                    k3 = _geodesic_rhs(conn, y + 0.5 * dt * k2)
+                    k4 = _geodesic_rhs(conn, y + dt * k3)
+                except (FloatingPointError, DomainError, ValueError):
+                    stop = k
+                    break
+                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                ends[k - lo] = y[0]
+                y[0] = chart.wrap(y[0])
+                ys[k + 1] = y
+            starts = ys[lo:stop, 0].copy()
+            if lo == 0:
+                starts[:1] = u
+            end = ends[:stop - lo]
+            bad = np.flatnonzero(
+                ~np.isfinite(end).all(axis=-1) | chart.segment_escapes(starts, end)
+            )
+            if bad.size or stop < hi:
+                done = lo + int(bad[0]) if bad.size else stop
+                escaped = True
+                break
+    times = (0.0, *(np.arange(1, done + 1) * dt).tolist())
+    return Trajectory(times, tuple(ys[:done + 1, 0]), tuple(ys[:done + 1, 1]),
+                      escaped)
 
 
 def exponential_map(

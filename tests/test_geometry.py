@@ -1,6 +1,7 @@
 """Chart geometry: connections, geodesics, transport, Pfaffian, quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,209 @@ def test_geodesic_rejects_bad_steps():
 def test_trajectory_validation():
     with pytest.raises(DomainError):
         ge.Trajectory((0.0, 0.0), ((0.0,), (1.0,)), ((1.0,), (1.0,)), False)
+
+
+
+def test_geodesic_rejects_mismatched_dimensions():
+    conn = ge.flat_connection(2)
+    with pytest.raises(DomainError):
+        ge.geodesic(conn, [0.0, 0.0], [1.0, 0.0, 0.0], 1.0, steps=4)
+    with pytest.raises(DomainError):
+        ge.geodesic(conn, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0, steps=4)
+
+
+def scalar_segment_escapes(chart, a, b):
+    """One segment at a time, as the geodesic loop tested it per step."""
+    if not chart.contains(b):
+        return True
+    if chart.hole_center is not None:
+        c = np.asarray(chart.hole_center)
+        d = b - a
+        denom = float(d @ d)
+        t = 0.0 if denom == 0.0 else float(np.clip((c - a) @ d / denom, 0.0, 1.0))
+        if np.linalg.norm(a + t * d - c) < chart.hole_radius:
+            return True
+    return False
+
+
+def reference_geodesic(conn, p, v, time, steps):
+    """The per-step RK4 loop: separate u and w, a three-operand einsum,
+    and the escape test after every step."""
+    def rhs(u, w):
+        return w, -np.einsum("akj,k,j->a", conn.gamma(u), w, w)
+
+    u = np.asarray(p, dtype=float)
+    w = np.asarray(v, dtype=float)
+    dt = time / steps
+    times, points, velocities = [0.0], [conn.chart.wrap(u).copy()], [w.copy()]
+    escaped = False
+    for k in range(steps):
+        try:
+            du1, dw1 = rhs(u, w)
+            du2, dw2 = rhs(u + 0.5 * dt * du1, w + 0.5 * dt * dw1)
+            du3, dw3 = rhs(u + 0.5 * dt * du2, w + 0.5 * dt * dw2)
+            du4, dw4 = rhs(u + dt * du3, w + dt * dw3)
+        except (FloatingPointError, DomainError, ValueError):
+            escaped = True
+            break
+        u_next = u + dt / 6.0 * (du1 + 2 * du2 + 2 * du3 + du4)
+        w_next = w + dt / 6.0 * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
+        if not np.all(np.isfinite(u_next)) or scalar_segment_escapes(
+            conn.chart, u, u_next
+        ):
+            escaped = True
+            break
+        u, w = conn.chart.wrap(u_next), w_next
+        times.append((k + 1) * dt)
+        points.append(u.copy())
+        velocities.append(w.copy())
+    return ge.Trajectory(tuple(times), tuple(points), tuple(velocities), escaped)
+
+
+def assert_matches_reference(conn, p, v, time, steps, tol=0.0):
+    got = ge.geodesic(conn, p, v, time, steps)
+    want = reference_geodesic(conn, p, v, time, steps)
+    assert got.times == want.times
+    assert got.escape_flag == want.escape_flag
+    for a, b in [(got.points, want.points), (got.velocities, want.velocities)]:
+        a, b = np.array(a), np.array(b)
+        if tol == 0.0:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.max(np.abs(a - b)) <= tol
+    return got
+
+
+B = ge.BLOCK_NODES
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, B - 1, B, B + 1, 2 * B + 37])
+@pytest.mark.parametrize("key", ["euclidean:2", "hopf:2", "flat-torus:2"])
+def test_geodesic_matches_per_step_loop_on_flat_charts(key, steps):
+    conn = ge.parse_geometry(key).connection
+    rng = np.random.default_rng(steps)
+    for _ in range(4):
+        p, v = rng.uniform(-2.0, 2.0, 2), rng.uniform(-1.5, 1.5, 2)
+        assert_matches_reference(conn, p, v, float(rng.uniform(0.2, 3.0)), steps)
+    # a start point outside [0, 1)^2 is wrapped only after the first step
+    assert_matches_reference(conn, [1.7, -0.3], [0.3, 0.7], 1.0, steps)
+    assert_matches_reference(conn, [-2.2, 3.05], [0.0, -0.4], 2.0, steps)
+
+
+@pytest.mark.parametrize("k, steps", [
+    (0, 1), (0, 5), (B - 1, B), (B - 1, 2 * B), (B, 2 * B), (B, B + 1),
+    (2 * B - 1, 3 * B + 5), (2 * B + 37, 3 * B), (999, 1500),
+])
+def test_geodesic_aimed_at_the_puncture_matches_per_step_loop(k, steps):
+    conn = ge.parse_geometry("hopf:2").connection
+    time = steps / (k + 0.5)  # the line from p to -p meets 0 at t = 1, in step k
+    for p in ([0.8, -0.6], [1.0, 0.0], [0.0, -0.3]):
+        p = np.array(p)
+        got = assert_matches_reference(conn, p, -p, time, steps)
+        assert got.escape_flag and len(got.times) == k + 1
+
+
+@pytest.mark.parametrize("steps", [1, 9, B - 1, B + 1, 2 * B + 37])
+def test_sphere_geodesic_matches_per_step_loop(steps):
+    conn = ge.parse_geometry("sphere:1.7").connection
+    rng = np.random.default_rng(100 + steps)
+    for _ in range(3):
+        p = np.array([rng.uniform(0.4, 2.7), rng.uniform(-3.0, 3.0)])
+        v = rng.uniform(-1.5, 1.5, 2)
+        assert_matches_reference(conn, p, v, float(rng.uniform(0.2, 2.0)), steps, 1e-10)
+    # toward the pole: leaves the chart's box
+    got = assert_matches_reference(conn, [0.5, 0.0], [-1.0, 0.0], 1.0, steps, 1e-10)
+    assert got.escape_flag
+
+
+def guarded_connection(raise_beyond):
+    """Gamma = 0 on the box chart x <= 1, raising DomainError at points
+    with x > raise_beyond, as a field outside its own domain does."""
+    zeros = np.zeros((2, 2, 2))
+
+    def gamma(p):
+        if p[0] > raise_beyond:
+            raise DomainError("outside the field's domain")
+        return zeros
+
+    return ge.ChartConnection(2, gamma, ge.Chart(2, box_hi=(1.0, 10.0)), True)
+
+
+def test_speculative_steps_past_a_box_escape_are_discarded():
+    # the box is left in step 99; Gamma raises from step 102 on, in the
+    # same block
+    conn = guarded_connection(1.03)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = ge.geodesic(conn, [0.005, 0.0], [1.0, 0.0], 2.0, steps=200)
+    assert traj.escape_flag and len(traj.times) == 100
+    assert traj.end_point[0] == pytest.approx(0.995)
+    assert_matches_reference(conn, [0.005, 0.0], [1.0, 0.0], 2.0, 200)
+
+
+def test_a_raising_gamma_ends_the_trajectory_before_its_step():
+    conn = guarded_connection(0.5)
+    traj = assert_matches_reference(conn, [0.005, 0.0], [1.0, 0.0], 2.0, 200)
+    assert traj.escape_flag and traj.end_point[0] < 0.5
+
+
+def test_blow_up_without_a_norm_bound_is_caught_by_the_finite_check():
+    # u'' = (u')^2 from u' = 1 blows up at t = 1; in one dimension the
+    # state overflows to inf, which no norm bound of inf refuses
+    conn = ge.constant_connection([[[-1.0]]], ge.Chart(1, norm_bound=math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = ge.geodesic(conn, [0.0], [1.0], 3.0, steps=3 * B)
+    assert traj.escape_flag and 0.9 < traj.end_time < 1.1
+    assert np.all(np.isfinite(traj.end_point))
+    with np.errstate(all="ignore"):
+        want = reference_geodesic(conn, [0.0], [1.0], 3.0, 3 * B)
+    assert traj.times == want.times
+    assert np.array(traj.points).tobytes() == np.array(want.points).tobytes()
+
+
+def test_first_segment_starts_at_the_unwrapped_point():
+    # from the wrapped start (0.2, 0.5) the first step would cross the hole
+    chart = ge.Chart(2, periods=(1.0, 1.0), hole_center=(0.5, 0.5), hole_radius=0.01)
+    conn = ge.flat_connection(2, chart)
+    traj = assert_matches_reference(conn, [1.2, 0.5], [0.1, 0.0], 1.0, 10)
+    assert not traj.escape_flag
+
+
+@pytest.mark.parametrize("chart", [
+    ge.Chart(2, hole_center=(0.0, 0.0)),
+    ge.Chart(3, hole_center=(0.5, -0.25, 0.0), hole_radius=0.1),
+    ge.Chart(2, box_lo=(-1.0, -1.0), box_hi=(1.0, 1.0), hole_center=(0.2, 0.1),
+             hole_radius=0.05, norm_bound=1.3),
+    ge.Chart(2, box_lo=(1e-8, -math.inf), box_hi=(math.pi - 1e-8, math.inf)),
+])
+def test_batched_segment_escapes_matches_one_segment_at_a_time(chart):
+    rng = np.random.default_rng(chart.dim)
+    dim, n = chart.dim, 400
+    c = np.zeros(dim) if chart.hole_center is None else np.asarray(chart.hole_center)
+    a = rng.uniform(-2.0, 2.0, (n, dim))
+    b = rng.uniform(-2.0, 2.0, (n, dim))
+    b[:40] = a[:40]                       # zero length
+    b[40:80] = 2 * c - a[40:80]           # through the hole, not landing in it
+    a[80] = b[80] = c                     # zero length, at the hole
+    b[81:90] = c + (c - a[81:90]) * 1e-9  # landing within the hole radius
+    b[90:100, 0] = np.nan
+    a[100:110, -1] = np.nan
+    b[110:120, 0] = np.inf
+    a[120:130, 0] = -np.inf
+    a[130:140] = b[130:140] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = chart.segment_escapes(a, b)
+        one_at_a_time = [bool(chart.segment_escapes(x, y)) for x, y in zip(a, b)]
+    with np.errstate(all="ignore"):
+        want = [scalar_segment_escapes(chart, x, y) for x, y in zip(a, b)]
+    assert got.shape == (n,)
+    assert got.tolist() == want == one_at_a_time
+    if chart.hole_center is not None:
+        assert got[40:80].all()
+    got_grid = chart.segment_escapes(a.reshape(20, 20, dim), b.reshape(20, 20, dim))
+    assert got_grid.ravel().tolist() == want
 
 
 # -- exponential map -----------------------------------------------------------------
