@@ -14,10 +14,16 @@ BLOCK_NODES nodes, and parallel transport evaluates Gamma at the RK4 nodes
 of one block of segments at a time, which bounds the size of the
 temporaries.
 
-Derivatives are central differences with step H_DEFAULT; identity checks
-built on them are expected to hold to about FD_TOL.  Geodesics and
-parallel transport use fixed-step RK4.  A geodesic carries one stacked
-state (u, w) of shape (2, dim) and writes every step into one
+Torsion, curvature and the Nijenhuis tensor are built from their tensor
+formulas and contracted with the values of the vector fields at p.
+Torsion needs Gamma at p only and is exact.  Curvature takes d Gamma
+from one Gamma call on the (2 dim + 1)-point stencil of each point, and
+the Nijenhuis tensor takes one Jacobian of A.  Derivatives are central
+differences with step H_DEFAULT; identity checks built on them are
+expected to hold to about FD_TOL.
+
+Geodesics and parallel transport use fixed-step RK4.  A geodesic carries
+one stacked state (u, w) of shape (2, dim) and writes every step into one
 preallocated trajectory array; its escape test runs once per block of
 BLOCK_NODES steps, on the segment of every step of the block.
 
@@ -74,8 +80,8 @@ class Chart:
     def contains(self, x: np.ndarray):
         """Domain membership of x, shape (..., dim): a bool per point."""
         x = np.asarray(x, dtype=float)
-        # NaN or infinite coordinates fail the (finite) norm bound
-        inside = _norm(x) <= self.norm_bound
+        # NaN or infinite coordinates are outside whatever the norm bound
+        inside = np.isfinite(x).all(axis=-1) & (_norm(x) <= self.norm_bound)
         if self.box_lo is not None:
             inside &= (x >= self.box_lo).all(axis=-1)
         if self.box_hi is not None:
@@ -106,6 +112,13 @@ class Chart:
 def _norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, without overflow warnings."""
     return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _stencil(dim: int, h: float) -> np.ndarray:
+    """Offsets of a point and its 2 dim neighbours: 0, then +h e_i, then
+    -h e_i, shape (2 dim + 1, dim)."""
+    step = h * np.eye(dim)
+    return np.concatenate([np.zeros((1, dim)), step, -step])
 
 
 def _field(f: Callable, p: np.ndarray, shape: tuple) -> np.ndarray:
@@ -170,24 +183,13 @@ def _require_inside(conn: ChartConnection, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def vector_jacobian(y: VectorField, p: np.ndarray, h: float = H_DEFAULT) -> np.ndarray:
-    """jac[i][k] = d y^k / d x^i by central differences."""
-    dim = len(p)
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        jac[i] = (np.asarray(y(p + e)) - np.asarray(y(p - e))) / (2.0 * h)
-    return jac
-
-
-def lie_bracket(
-    x: VectorField, y: VectorField, p: np.ndarray, h: float = H_DEFAULT
-) -> np.ndarray:
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
-    a = np.asarray(x(p), dtype=float)
-    b = np.asarray(y(p), dtype=float)
-    return a @ vector_jacobian(y, p, h) - b @ vector_jacobian(x, p, h)
+def vector_jacobian(y: Callable, p: np.ndarray, h: float = H_DEFAULT) -> np.ndarray:
+    """jac[i] = d y / d x^i by central differences, for a field of any value
+    shape; for a vector field jac[i][k] = d y^k / d x^i."""
+    return np.array([
+        (np.asarray(y(p + e)) - np.asarray(y(p - e))) / (2.0 * h)
+        for e in h * np.eye(len(p))
+    ])
 
 
 def covariant_derivative(
@@ -206,19 +208,39 @@ def covariant_derivative(
 
 
 def torsion(
-    conn: ChartConnection,
-    x: VectorField,
-    y: VectorField,
-    p: np.ndarray,
-    h: float = H_DEFAULT,
+    conn: ChartConnection, x: VectorField, y: VectorField, p: np.ndarray
 ) -> np.ndarray:
-    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y]."""
+    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y], that is
+    (Gamma^k_ij - Gamma^k_ji) X^i Y^j at p: the derivatives cancel."""
     p = _require_inside(conn, p)
-    return (
-        covariant_derivative(conn, x, y, p, h)
-        - covariant_derivative(conn, y, x, p, h)
-        - lie_bracket(x, y, p, h)
-    )
+    gam = np.asarray(conn.gamma(p), dtype=float)
+    return np.einsum("kij,i,j->k", gam - gam.swapaxes(-1, -2), x(p), y(p))
+
+
+def _curvature_tensor(
+    conn: ChartConnection, p: np.ndarray, h: float
+) -> np.ndarray:
+    """r[..., k, l, i, j] = R^k_lij, where R(e_i, e_j) e_l = R^k_lij e_k,
+
+        R^k_lij = d_i Gamma^k_jl - d_j Gamma^k_il
+                  + Gamma^k_im Gamma^m_jl - Gamma^k_jm Gamma^m_il,
+
+    at points p of shape (..., dim), from one Gamma call on the stencil of
+    each point and its 2 dim neighbours at +-h."""
+    dim = conn.dim
+    lead = p.shape[:-1]
+    n = len(lead)
+    gs = _field(conn.gamma, p[..., None, :] + _stencil(dim, h), (dim, dim, dim))
+    gp = gs[..., 0, :, :, :]
+    # dg[..., i, k, j, l] = d_i Gamma^k_jl
+    dg = (gs[..., 1:dim + 1, :, :, :] - gs[..., dim + 1:, :, :, :]) / (2.0 * h)
+    # q[..., k, i, j, l] = Gamma^k_im Gamma^m_jl: one (k i, m) by (m, j l) matmul
+    q = gp.reshape(lead + (dim * dim, dim)) @ gp.reshape(lead + (dim, dim * dim))
+    q = q.reshape(lead + (dim,) * 4)
+    # s[..., k, l, i, j] = d_i Gamma^k_jl + Gamma^k_im Gamma^m_jl
+    s = (dg.transpose(*range(n), n + 1, n + 3, n, n + 2)
+         + q.transpose(*range(n), n, n + 3, n + 1, n + 2))
+    return s - s.swapaxes(-1, -2)
 
 
 def curvature(
@@ -229,21 +251,11 @@ def curvature(
     p: np.ndarray,
     h: float = H_DEFAULT,
 ) -> np.ndarray:
-    """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+    """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
+    that is R^k_lij X^i Y^j Z^l at p."""
     p = _require_inside(conn, p)
-
-    def nabla_y_z(q):
-        return covariant_derivative(conn, y, z, q, h)
-
-    def nabla_x_z(q):
-        return covariant_derivative(conn, x, z, q, h)
-
-    bracket_at_p = constant_field(lie_bracket(x, y, p, h))
-    return (
-        covariant_derivative(conn, x, nabla_y_z, p, h)
-        - covariant_derivative(conn, y, nabla_x_z, p, h)
-        - covariant_derivative(conn, bracket_at_p, z, p, h)
-    )
+    r = _curvature_tensor(conn, p, h)
+    return np.einsum("klij,i,j,l->k", r, x(p), y(p), z(p))
 
 
 def levi_civita(
@@ -259,8 +271,7 @@ def levi_civita(
     if isinstance(chart, int):
         chart = free_chart(chart)
     dim = chart.dim
-    step = h * np.eye(dim)
-    offsets = np.concatenate([np.zeros((1, dim)), step, -step])
+    offsets = _stencil(dim, h)
 
     def gamma(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -379,9 +390,7 @@ def geodesic(
             if lo == 0:
                 starts[:1] = u
             end = ends[:stop - lo]
-            bad = np.flatnonzero(
-                ~np.isfinite(end).all(axis=-1) | chart.segment_escapes(starts, end)
-            )
+            bad = np.flatnonzero(chart.segment_escapes(starts, end))
             if bad.size or stop < hi:
                 done = lo + int(bad[0]) if bad.size else stop
                 escaped = True
@@ -500,30 +509,6 @@ def _perm_sign(sigma) -> int:
     return sign
 
 
-def coordinate_curvature_12(
-    conn: ChartConnection, p: np.ndarray, h: float = H_DEFAULT
-) -> np.ndarray:
-    """R(e1, e2) e2 on coordinate fields, from a five-point Gamma stencil.
-
-    Same tensor as curvature() with coordinate fields (their bracket
-    vanishes), but without re-deriving the constant fields; used by the
-    quadrature, which evaluates it at every node.  Points have shape
-    (..., 2); one Gamma call covers the stencils of the whole batch.
-    """
-    p = np.asarray(p, dtype=float)
-    offsets = h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
-    gs = _field(conn.gamma, p[..., None, :] + offsets, (2, 2, 2))
-    gp = gs[..., 0, :, :, :]
-    w22 = gp[..., :, 1, 1, None]
-    w12 = gp[..., :, 0, 1, None]
-    d0_w22 = (gs[..., 1, :, 1, 1] - gs[..., 2, :, 1, 1]) / (2 * h)
-    d1_w12 = (gs[..., 3, :, 0, 1] - gs[..., 4, :, 0, 1]) / (2 * h)
-    return (
-        d0_w22 + (gp[..., :, 0, :] @ w22)[..., 0]
-        - d1_w12 - (gp[..., :, 1, :] @ w12)[..., 0]
-    )
-
-
 def gaussian_curvature(
     conn: ChartConnection,
     g: MetricField,
@@ -537,7 +522,7 @@ def gaussian_curvature(
     denom = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] ** 2
     if np.any(denom <= 0.0):
         raise DomainError("metric is degenerate at the quadrature point")
-    r = coordinate_curvature_12(conn, p, h)
+    r = _curvature_tensor(conn, p, h)[..., :, 1, 0, 1]  # R(e1, e2) e2
     return (gp[..., 0, :] * r).sum(axis=-1) / denom
 
 
@@ -615,6 +600,17 @@ def gauss_bonnet(
 
 # -- Nijenhuis tensor and para-hypercomplex checks -------------------------------
 
+def _nijenhuis_tensor(
+    a_field: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float
+) -> np.ndarray:
+    """n[k, i, j] = N_A(e_i, e_j)^k = t^k_ij - t^k_ji at p, with
+    t^k_ij = A^k_m d_i A^m_j - A^m_i d_m A^k_j, from A(p) and one Jacobian."""
+    a = np.asarray(a_field(p), dtype=float)
+    da = vector_jacobian(a_field, p, h)  # da[i, k, j] = d_i A^k_j
+    t = np.einsum("km,imj->kij", a, da) - np.einsum("mi,mkj->kij", a, da)
+    return t - t.swapaxes(-1, -2)
+
+
 def nijenhuis(
     a_field: Callable[[np.ndarray], np.ndarray],
     x: VectorField,
@@ -622,21 +618,10 @@ def nijenhuis(
     p: np.ndarray,
     h: float = H_DEFAULT,
 ) -> np.ndarray:
-    """N_A(X, Y) = -A^2 [X, Y] + A([AX, Y] + [X, AY]) - [AX, AY]."""
+    """N_A(X, Y) = -A^2 [X, Y] + A([AX, Y] + [X, AY]) - [AX, AY], that is
+    N^k_ij X^i Y^j at p."""
     p = np.asarray(p, dtype=float)
-
-    def ax(q):
-        return np.asarray(a_field(q)) @ np.asarray(x(q))
-
-    def ay(q):
-        return np.asarray(a_field(q)) @ np.asarray(y(q))
-
-    ap = np.asarray(a_field(p), dtype=float)
-    return (
-        -ap @ ap @ lie_bracket(x, y, p, h)
-        + ap @ (lie_bracket(ax, y, p, h) + lie_bracket(x, ay, p, h))
-        - lie_bracket(ax, ay, p, h)
-    )
+    return np.einsum("kij,i,j->k", _nijenhuis_tensor(a_field, p, h), x(p), y(p))
 
 
 def standard_para_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -670,15 +655,10 @@ def para_structure_check(
 
     rng = np.random.default_rng(seed)
     worst_n = 0.0
-    a_field = lambda q: i_mat
     for _ in range(point_samples):
         p = rng.uniform(-1.0, 1.0, size=dim)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                val = nijenhuis(
-                    a_field, coordinate_field(i, dim), coordinate_field(j, dim), p
-                )
-                worst_n = max(worst_n, float(np.max(np.abs(val))))
+        n = _nijenhuis_tensor(lambda q: i_mat, p, H_DEFAULT)
+        worst_n = max(worst_n, float(np.max(np.abs(n))))
     report["Nijenhuis of I"] = worst_n
 
     worst_z = 0.0

@@ -190,6 +190,20 @@ def principal_lift(m: Mat2) -> CoveredElement:
     return CoveredElement(np.asarray(m, dtype=float), retract(m))
 
 
+def _product_retract(a: Mat2, b: Mat2) -> tuple[Mat2, float]:
+    """a @ b and its retract angle, for a and b in GL+(2, R).  A float
+    product that leaves GL+ lost its determinant to rounding: an
+    InstabilityError, not bad input."""
+    product = a @ b
+    try:
+        return product, retract(product)
+    except DomainError as exc:
+        raise InstabilityError(
+            f"float product of two GL+ matrices left GL+ ({exc}); largest "
+            f"entry {np.max(np.abs(product)):.6g}"
+        ) from exc
+
+
 def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
     """Product in the universal cover.
 
@@ -198,8 +212,7 @@ def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
     defect lands within EPS_GUARD of the window edge the factor y is split
     into its rotation part (exact) and square roots of its SPD part.
     """
-    product = x.matrix @ y.matrix
-    base = retract(product)
+    product, base = _product_retract(x.matrix, y.matrix)
     target = x.lift + y.lift
     k = round((target - base) / _TWO_PI)
     u = base + _TWO_PI * k
@@ -219,8 +232,7 @@ def _split_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
 
 
 def _mul_spd(x: CoveredElement, p: Mat2, depth: int) -> CoveredElement:
-    product = x.matrix @ p
-    base = retract(product)
+    product, base = _product_retract(x.matrix, p)
     k = round((x.lift - base) / _TWO_PI)
     u = base + _TWO_PI * k
     if abs(u - x.lift) <= TAU_ANGLE:

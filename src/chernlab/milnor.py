@@ -336,13 +336,29 @@ def _chain_exact(n: int) -> list:
     return chain
 
 
-def _cover_from_plain_class(m: tuple) -> CoveredElement:
-    """K~ element over an exact K matrix; the principal lift is in
-    (-pi/2, pi/2) because the trace is positive."""
-    elem = principal_lift(_ffloat(m))
-    if not _in_plain_class(elem):
+def _cover_exact(m: tuple, plain_class: bool = False) -> CoveredElement:
+    """Principal lift of the float rounding of an exact GL+ matrix; with
+    plain_class, a K~ element over an exact K matrix, whose principal lift
+    is in (-pi/2, pi/2) because the trace is positive.
+
+    A rounding that fails the float checks is float conditioning
+    (InstabilityError) when m passes them exactly, and a bug when not."""
+    try:
+        elem = principal_lift(_ffloat(m))
+    except DomainError:
+        elem = None
+    if elem is not None and (not plain_class or _in_plain_class(elem)):
+        return elem
+    det = _fdet(m)
+    if det <= 0:
+        raise InternalConsistencyError("exact matrix has nonpositive det")
+    if plain_class and (m[0][0] + m[1][1], det) != (K_TAG.trace, K_TAG.det):
         raise InternalConsistencyError("exact matrix left the K class")
-    return elem
+    largest = max(abs(v) for row in m for v in row)
+    raise InstabilityError(
+        "float rounding of an exact matrix fails its GL+ or K check; "
+        f"largest entry {float(largest):.6g}"
+    )
 
 
 def _exact_shifted_class(x: CoveredElement) -> tuple:
@@ -367,7 +383,7 @@ def productmil_decompose(
 ) -> tuple[CoveredElement, CoveredElement]:
     """Write a pi K~ element as a product of two K~ elements."""
     m1, m2 = _productmil_exact(_exact_shifted_class(target))
-    out = _cover_from_plain_class(m1), _cover_from_plain_class(m2)
+    out = _cover_exact(m1, plain_class=True), _cover_exact(m2, plain_class=True)
     _check_same_element(lift_mul(*out), target, "productmil_decompose")
     return out
 
@@ -383,7 +399,7 @@ def commutator_decompose(
     beta1 beta3 = target.
     """
     b1, b2 = _commutator_exact(_exact_shifted_class(target))
-    out = _cover_from_plain_class(b1), principal_lift(_ffloat(b2))
+    out = _cover_exact(b1, plain_class=True), _cover_exact(b2)
     _check_same_element(lift_commutator(*out), target, "commutator_decompose")
     return out
 
@@ -397,7 +413,7 @@ def chain_build(n: int) -> list[CoveredElement]:
     """
     if n < 1:
         raise DomainError("chain_build needs n >= 1")
-    chain = [_cover_from_plain_class(m) for m in _chain_exact(n)]
+    chain = [_cover_exact(m, plain_class=True) for m in _chain_exact(n)]
     expected = deck_shift(principal_lift(A0), n)
     _check_same_element(product_lift(chain), expected, "chain_build")
     return chain
@@ -429,7 +445,7 @@ def build_representation(genus: int, degree: int) -> SurfaceGroupRep:
 
     pairs = [_commutator_exact(_fneg(g)) for g in gammas]
     covered = [
-        (_cover_from_plain_class(b1), principal_lift(_ffloat(b2)))
+        (_cover_exact(b1, plain_class=True), _cover_exact(b2))
         for b1, b2 in pairs
     ]
     total = product_lift([lift_commutator(a, b) for a, b in covered])

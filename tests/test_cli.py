@@ -109,6 +109,26 @@ def test_build_past_the_float_range_exits_3(tmp_path, capsys, genus, degree):
     assert not caught and "Warning" not in err
 
 
+@pytest.mark.parametrize("genus, degree, message", [
+    # the float product of two valid GL+ lifts loses its determinant sign
+    ("7", "6", "float product of two GL+ matrices left GL+"),
+    ("8", "7", "float product of two GL+ matrices left GL+"),
+    # exact factors in K whose float roundings fail the K window
+    ("21", "20", "float rounding of an exact matrix"),
+])
+def test_build_float_conditioning_exits_3(tmp_path, capsys, genus, degree, message):
+    out = tmp_path / "rep.json"
+    code, _, err = run(capsys, "build", genus, degree, "--out", str(out))
+    _assert_one_line_error(code, err, 3)
+    assert message in err and "largest entry" in err
+    assert not out.exists()
+
+
+def test_build_below_the_conditioning_limit_exits_0(tmp_path, capsys):
+    code, _, _ = run(capsys, "build", "7", "5", "--out", str(tmp_path / "rep.json"))
+    assert code == 0
+
+
 def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
     import chernlab.milnor as milnor_mod
 

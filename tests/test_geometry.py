@@ -88,21 +88,144 @@ def test_sphere_sectional_curvature():
         assert k == pytest.approx(1.0 / radius**2, abs=1e-5)
 
 
-def test_fast_coordinate_curvature_matches_generic_op():
+# References: torsion, curvature and the Nijenhuis tensor written from their
+# definitions, with Lie brackets and covariant derivatives by (nested)
+# central differences of the vector fields.
+
+def lie_bracket(x, y, p, h=ge.H_DEFAULT):
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
+    a = np.asarray(x(p), dtype=float)
+    b = np.asarray(y(p), dtype=float)
+    return a @ ge.vector_jacobian(y, p, h) - b @ ge.vector_jacobian(x, p, h)
+
+
+def reference_torsion(conn, x, y, p, h=ge.H_DEFAULT):
+    """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y]."""
+    return (
+        ge.covariant_derivative(conn, x, y, p, h)
+        - ge.covariant_derivative(conn, y, x, p, h)
+        - lie_bracket(x, y, p, h)
+    )
+
+
+def reference_curvature(conn, x, y, z, p, h=ge.H_DEFAULT):
+    """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+    nabla_y_z = lambda q: ge.covariant_derivative(conn, y, z, q, h)
+    nabla_x_z = lambda q: ge.covariant_derivative(conn, x, z, q, h)
+    bracket_at_p = ge.constant_field(lie_bracket(x, y, p, h))
+    return (
+        ge.covariant_derivative(conn, x, nabla_y_z, p, h)
+        - ge.covariant_derivative(conn, y, nabla_x_z, p, h)
+        - ge.covariant_derivative(conn, bracket_at_p, z, p, h)
+    )
+
+
+def reference_nijenhuis(a_field, x, y, p, h=ge.H_DEFAULT):
+    """N_A(X, Y) = -A^2 [X, Y] + A([AX, Y] + [X, AY]) - [AX, AY]."""
+    ax = lambda q: np.asarray(a_field(q)) @ np.asarray(x(q))
+    ay = lambda q: np.asarray(a_field(q)) @ np.asarray(y(q))
+    ap = np.asarray(a_field(p), dtype=float)
+    return (
+        -ap @ ap @ lie_bracket(x, y, p, h)
+        + ap @ (lie_bracket(ax, y, p, h) + lie_bracket(x, ay, p, h))
+        - lie_bracket(ax, ay, p, h)
+    )
+
+
+def random_connection(rng, dim):
+    """A batched, non-symmetric, non-constant Christoffel field."""
+    c0 = rng.normal(size=(dim,) * 3)
+    c1 = rng.normal(size=(dim,) * 4)
+    c2 = rng.normal(size=(dim,) * 4)
+    return ge.ChartConnection(dim, lambda p: (
+        c0 + np.einsum("kija,...a->...kij", c1, np.sin(p))
+        + np.einsum("kija,...a->...kij", c2, p * p) / 4
+    ), ge.free_chart(dim))
+
+
+def random_field(rng, dim):
+    c = rng.normal(size=dim)
+    m1, m2 = rng.normal(size=(2, dim, dim))
+    return lambda p: c + m1 @ np.cos(p) + m2 @ (p * p) / 3
+
+
+def random_cases(dim_range=(2, 3, 4), per_dim=4, seed=5):
+    rng = np.random.default_rng(seed)
+    for dim in dim_range:
+        for _ in range(per_dim):
+            fields = [random_field(rng, dim) for _ in range(3)]
+            yield rng, dim, fields, rng.uniform(-1.0, 1.0, size=dim)
+
+
+def assert_close_to(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * max(1.0, np.max(np.abs(want)))
+
+
+def test_curvature_matches_the_nested_difference_definition():
     g = ge.sphere_metric(1.3)
     conn = ge.levi_civita(g, 2)
     rng = np.random.default_rng(3)
+    e0, e1 = ge.coordinate_field(0, 2), ge.coordinate_field(1, 2)
     for _ in range(5):
         p = np.array([rng.uniform(0.5, 2.5), rng.uniform(0.0, 6.0)])
-        fast = ge.coordinate_curvature_12(conn, p)
-        slow = ge.curvature(
-            conn,
-            ge.coordinate_field(0, 2),
-            ge.coordinate_field(1, 2),
-            ge.coordinate_field(1, 2),
-            p,
-        )
-        assert np.allclose(fast, slow, atol=1e-9)
+        for x, y, z in [(e0, e1, e1), (e1, e0, e0), (e0, e1, e0)]:
+            assert_close_to(ge.curvature(conn, x, y, z, p),
+                            reference_curvature(conn, x, y, z, p), 1e-8)
+    for rng, dim, (x, y, z), p in random_cases():
+        conn = random_connection(rng, dim)
+        assert_close_to(ge.curvature(conn, x, y, z, p),
+                        reference_curvature(conn, x, y, z, p), 1e-8)
+
+
+def test_torsion_matches_the_difference_definition():
+    for rng, dim, (x, y, _), p in random_cases():
+        conn = random_connection(rng, dim)
+        got = ge.torsion(conn, x, y, p)
+        assert np.max(np.abs(got - reference_torsion(conn, x, y, p))) <= 1e-12
+
+
+def test_nijenhuis_matches_the_bracket_definition():
+    for rng, dim, (x, y, _), p in random_cases():
+        c, m = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim, dim))
+        a_field = lambda q: c + m @ np.sin(q)
+        assert_close_to(ge.nijenhuis(a_field, x, y, p),
+                        reference_nijenhuis(a_field, x, y, p), 1e-8)
+
+
+def random_metric(rng, dim):
+    """A batched positive-definite metric field b b^T + dim I, b affine in p."""
+    b0, b1 = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim, dim))
+
+    def g(p):
+        b = b0 + np.einsum("ija,...a->...ij", b1, np.sin(p)) / 2
+        return b @ b.swapaxes(-1, -2) + dim * np.eye(dim)
+
+    return g
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_levi_civita_curvature_symmetries(dim, seed):
+    rng = np.random.default_rng(seed)
+    conn = ge.levi_civita(random_metric(rng, dim), dim)
+    p = rng.uniform(-1.0, 1.0, size=(3, dim))
+    r = ge._curvature_tensor(conn, p, ge.H_DEFAULT)  # r[..., k, l, i, j] = R^k_lij
+    assert np.array_equal(r, -r.swapaxes(-1, -2))
+    # first Bianchi identity for a symmetric connection: R^k_lij + R^k_ijl + R^k_jli = 0
+    cyclic = r + r.transpose(0, 1, 3, 4, 2) + r.transpose(0, 1, 4, 2, 3)
+    assert np.max(np.abs(cyclic)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_curvature_of_a_constant_connection_is_its_quadratic_term(dim, seed):
+    rng = np.random.default_rng(seed)
+    gamma = rng.normal(size=(dim,) * 3)
+    conn = ge.constant_connection(gamma)
+    r = ge._curvature_tensor(conn, rng.uniform(-1.0, 1.0, size=dim), ge.H_DEFAULT)
+    want = (np.einsum("kim,mjl->klij", gamma, gamma)
+            - np.einsum("kjm,mil->klij", gamma, gamma))
+    assert np.max(np.abs(r - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_tensoriality_in_function_multiples():
@@ -434,7 +557,7 @@ def test_a_raising_gamma_ends_the_trajectory_before_its_step():
 
 def test_blow_up_without_a_norm_bound_is_caught_by_the_finite_check():
     # u'' = (u')^2 from u' = 1 blows up at t = 1; in one dimension the
-    # state overflows to inf, which no norm bound of inf refuses
+    # state overflows to inf, which only the chart's finite check refuses
     conn = ge.constant_connection([[[-1.0]]], ge.Chart(1, norm_bound=math.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -445,6 +568,22 @@ def test_blow_up_without_a_norm_bound_is_caught_by_the_finite_check():
         want = reference_geodesic(conn, [0.0], [1.0], 3.0, 3 * B)
     assert traj.times == want.times
     assert np.array(traj.points).tobytes() == np.array(want.points).tobytes()
+
+
+def test_non_finite_points_are_outside_an_unbounded_chart():
+    chart = ge.Chart(1, norm_bound=math.inf)
+    conn = ge.flat_connection(1, chart)
+    one = ge.constant_field([1.0])
+    assert not chart.contains(np.array([[math.inf], [-math.inf], [math.nan]])).any()
+    assert chart.contains(np.array([1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="outside the chart"):
+            ge.parallel_transport(conn, [[0.0], [math.inf]], [1.0])
+        with pytest.raises(DomainError, match="outside the chart"):
+            ge.geodesic(conn, [math.inf], [1.0], 1.0)
+        with pytest.raises(DomainError, match="outside the chart"):
+            ge.covariant_derivative(conn, one, one, np.array([math.nan]))
 
 
 def test_first_segment_starts_at_the_unwrapped_point():
@@ -684,6 +823,18 @@ def test_gauss_bonnet_flat_torus_is_exactly_zero():
 def test_gauss_bonnet_radius_two_sphere():
     geo = ge.parse_geometry("sphere:2")
     assert ge.gauss_bonnet(geo.patches, 32) == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("key, mesh, want", [
+    ("sphere:1", 64, 2.0002006473220244),
+    ("sphere:1", 128, 2.0000501914635924),
+    ("sphere:2", 32, 2.0008034104906858),
+    ("flat-torus:2", 64, 0.0),
+])
+def test_gauss_bonnet_floats_are_pinned(key, mesh, want):
+    # the floats of the earlier five-point R(e1, e2) e2 formula; reading
+    # R from the curvature tensor reproduces them bit for bit
+    assert ge.gauss_bonnet(ge.parse_geometry(key).patches, mesh) == want
 
 
 def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):

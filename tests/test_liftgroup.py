@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import chernlab.liftgroup as lg
 import chernlab.milnor as mi
-from chernlab.errors import ChernLabError, DomainError, SubdivisionError
+from chernlab.errors import (
+    ChernLabError,
+    DomainError,
+    InstabilityError,
+    SubdivisionError,
+)
 
 A0 = np.array([[2.0, 0.0], [0.0, 0.5]])
 A1 = np.array([[-2.5, 4.5], [-3.0, 5.0]])
@@ -107,6 +112,18 @@ def test_lift_mul_identity():
     out = lg.lift_mul(e, e)
     assert out.lift == 0.0
     assert np.array_equal(out.matrix, np.eye(2))
+
+
+def test_float_product_leaving_gl_plus_is_an_instability():
+    # integer matrices of det 1 whose float dets are exact; their product
+    # has exact integer entries near 5e14, but its float det rounds to 0
+    x = lg.principal_lift(np.array([[27012484.0, -10895177.0],
+                                    [22739233.0, -9171610.0]]))
+    y = lg.principal_lift(np.array([[20222729.0, 15395734.0],
+                                    [-1237639.0, -942225.0]]))
+    assert lg.det2(x.matrix) == lg.det2(y.matrix) == 1.0
+    with pytest.raises(InstabilityError, match="largest entry"):
+        lg.lift_mul(x, y)
 
 
 def test_lift_mul_rotations_add_exactly():

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import chernlab.milnor as mi
 from chernlab.errors import (
     AdmissibilityError,
     DomainError,
+    InstabilityError,
+    InternalConsistencyError,
     PreconditionError,
     SubdivisionError,
 )
@@ -222,6 +225,23 @@ def test_build_rejects_inadmissible():
         mi.build_representation(2, 2)
     with pytest.raises(AdmissibilityError):
         mi.build_representation(3, -5)
+
+
+def test_float_rounding_of_an_exact_matrix():
+    n = Fraction(2**60)
+    s = ((n + 1, n), (Fraction(1), Fraction(1)))  # det 1
+    big_k = mi._fconj(s, mi._A0_EXACT)  # exactly in K, entries near 1e36
+    assert big_k[0][0] + big_k[1][1] == Fraction(5, 2) and mi._fdet(big_k) == 1
+    with pytest.raises(InstabilityError, match="largest entry"):
+        mi._cover_exact(big_k, plain_class=True)
+    # an exact matrix that breaks the invariant itself is a bug
+    off_k = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(1, 3)))
+    with pytest.raises(InternalConsistencyError, match="left the K class"):
+        mi._cover_exact(off_k, plain_class=True)
+    singular = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)))
+    with pytest.raises(InternalConsistencyError, match="nonpositive det"):
+        mi._cover_exact(singular)
+    assert mi._cover_exact(off_k).lift == 0.0
 
 
 def test_realization_table():
