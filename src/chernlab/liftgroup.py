@@ -16,13 +16,13 @@ wide enough because the lift defect of a product is strictly below pi/2.
 
 Deck transformations are central and act by (M, u) -> (R(n*pi) M, u + n*pi).
 
-Paths are batched: canonical_path and word_path (and milnor's
-commutator_loop_path) map t of any shape (...) to matrices of shape
-(..., 2, 2), elementwise equal to evaluation at each scalar t; a scalar t
-gives one 2x2 matrix.  SampledLoop.from_path refines the winding oracle's
-loop one level at a time, evaluating the midpoints of all pending
-intervals in blocks of at most 256 values of t, and gives up past
-MAX_LOOP_SAMPLES samples or max_depth levels.
+Paths are batched: word_path, the one path constructor, maps t of any
+shape (...) to matrices of shape (..., 2, 2), elementwise equal to
+evaluation at each scalar t; a scalar t gives one 2x2 matrix.  The loop
+of a word concatenates its letters' paths.  SampledLoop.from_path
+refines the winding oracle's loop one level at a time, evaluating the
+midpoints of all pending intervals in blocks of at most 256 values of t,
+and gives up past MAX_LOOP_SAMPLES samples or max_depth levels.
 
 All values are immutable and all operations are pure functions.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,39 +122,6 @@ def spd_power(p: Mat2, t: float) -> Mat2:
     if np.any(w <= 0.0):
         raise DomainError("matrix is not positive definite")
     return (q * w**t) @ q.T
-
-
-def canonical_path(m: Mat2, lift: float | None = None) -> Callable[[np.ndarray], Mat2]:
-    """Path t -> R(t * lift) P^t from the identity to m.
-
-    Stays inside GL+(2, R); its retract angle lifts continuously to
-    t * lift, so the path represents the cover element (m, lift).  With the
-    default lift = retract(m) it represents the principal lift.  The path
-    is batched: t of shape (...) gives matrices of shape (..., 2, 2).
-    """
-    m = np.array(m, dtype=float)
-    angle, p = polar_parts(m)
-    if lift is None:
-        lift = angle
-    elif abs(wrap_angle(lift - angle)) > TAU_ANGLE:
-        raise DomainError("lift is inconsistent with the rotation part")
-    w, q = np.linalg.eigh(p)
-    if np.any(w <= 0.0):
-        raise DomainError("polar factor is not positive definite")
-    logw = np.log(w)
-
-    def path(t) -> Mat2:
-        t = np.asarray(t, dtype=float)
-        theta = t * lift
-        rot = _rotation_stack(np.cos(theta), np.sin(theta))
-        out = rot @ ((q * np.exp(t[..., None] * logw)[..., None, :]) @ q.T)
-        # endpoints are returned exactly: loops built from words of these
-        # paths then close bit-exactly instead of up to eigh roundoff
-        out[t == 0.0] = IDENTITY
-        out[t == 1.0] = m
-        return out
-
-    return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +346,7 @@ class SampledLoop:
         """Sample a batched path on [0, 1], refining one level at a time.
 
         path maps t of shape (n,) to matrices of shape (n, 2, 2), as
-        canonical_path does.  The rotation angle of a sample is the argument
+        word_path does.  The rotation angle of a sample is the argument
         of the plane point P = (a+d, b-c); it can swing arbitrarily fast
         where the path comes close to P = 0.  An interval is accepted only
         when the sampled polyline through its midpoint is short against the
@@ -442,21 +410,42 @@ def lift_loop(loop: SampledLoop) -> int:
 def word_path(
     elements: Sequence[CoveredElement],
 ) -> Callable[[np.ndarray], Mat2]:
-    """Pointwise product of the canonical paths of a word's letters.
+    """Concatenation of the paths of a word's letters.
 
-    At t = 1 the path reaches the product matrix; if the word projects to
-    the identity the result is a loop whose winding equals the central lift
-    of the product divided by 2*pi.  Each letter's path realises that
-    letter's stored lift, deck shifts included.  Batched like
-    canonical_path.
+    Letter j of n moves on [j/n, (j+1)/n] along R(s * lift) P^s, s in
+    [0, 1], on top of the float product of the letters before it; exact
+    (I, 0) letters are constant and dropped first.  Each letter realises
+    its stored lift, deck shifts included, and t = 1 gives the product
+    exactly: if the word projects to the identity, the loop winds by the
+    central lift of the product over 2*pi.
     """
-    paths = [canonical_path(e.matrix, e.lift) for e in elements]
+    letters = [
+        e for e in elements
+        if e.lift != 0.0 or not np.array_equal(e.matrix, IDENTITY)
+    ] or [COVER_IDENTITY]  # a word of only (I, 0) letters keeps one
+    n = len(letters)
+    w, q = np.linalg.eigh([polar_parts(e.matrix)[1] for e in letters])
+    if np.any(w <= 0.0):
+        raise DomainError("polar factor is not positive definite")
+    lift, logw = np.array([e.lift for e in letters]), np.log(w)
+    qt = q.swapaxes(1, 2)
+    prefix = np.array(list(
+        accumulate((e.matrix for e in letters), np.matmul, initial=IDENTITY)
+    ))
 
-    def f(t) -> Mat2:
+    def path(t) -> Mat2:
         t = np.asarray(t, dtype=float)
-        acc = np.broadcast_to(IDENTITY, t.shape + (2, 2))
-        for p in paths:
-            acc = acc @ p(t)
-        return acc
+        k = np.minimum(np.floor(t * n), n - 1).astype(np.intp)
+        s = t * n - k
+        theta = s * lift[k]
+        out = (
+            prefix[k] @ _rotation_stack(np.cos(theta), np.sin(theta))
+            @ ((q[k] * np.exp(s[..., None] * logw[k])[..., None, :]) @ qt[k])
+        )
+        # endpoints are returned exactly, so a word that multiplies to the
+        # identity closes bit-exactly instead of up to eigh roundoff
+        out[t == 0.0] = IDENTITY
+        out[t == 1.0] = prefix[n]
+        return out
 
-    return f
+    return path

@@ -14,7 +14,8 @@ built from the conjugacy class K of diag(2, 1/2):
 
 Every element of pi K~ factors as a product of two K~ elements (conjugate
 the seed factorisation A2 = A0 A1) and hence also as a single commutator;
-stacking those commutators realises any admissible degree.
+stacking those commutators realises any admissible degree.  Their chain
+splits its element of least height, so entries grow polynomially in d.
 
 The factorisations run in exact Fraction arithmetic.  productmil_decompose
 and commutator_decompose read a float target entry by entry as a binary
@@ -47,17 +48,18 @@ from .liftgroup import (
     IDENTITY,
     Mat2,
     TAU_WINDING,
-    canonical_path,
     check_positive_det,
     deck_shift,
     det2,
     inv2,
     lift_commutator,
+    lift_inv,
     lift_loop,
     lift_mul,
     principal_lift,
     product_lift,
     SampledLoop,
+    word_path,
 )
 
 TAU_REL = 1e-8        # infinity-norm tolerance on the surface relation
@@ -157,21 +159,13 @@ def check_milnor_inequality(rep: SurfaceGroupRep) -> bool:
 
 
 def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
-    """The closed path t -> prod [alpha_i(t), beta_i(t)] of canonical paths,
-    batched like canonical_path: t of shape (...) gives (..., 2, 2)."""
-    paths = [
-        (canonical_path(a), canonical_path(b)) for a, b in zip(rep.A, rep.B)
-    ]
-
-    def f(t) -> Mat2:
-        t = np.asarray(t, dtype=float)
-        acc = np.broadcast_to(IDENTITY, t.shape + (2, 2))
-        for pa, pb in paths:
-            at, bt = pa(t), pb(t)
-            acc = acc @ at @ bt @ inv2(at) @ inv2(bt)
-        return acc
-
-    return f
+    """The closed path of the relation word alpha_1 beta_1 alpha_1^-1
+    beta_1^-1 ... over principal lifts: word_path of its 4g letters."""
+    letters = []
+    for a, b in zip(rep.A, rep.B):
+        x, y = principal_lift(a), principal_lift(b)
+        letters += [x, y, lift_inv(x), lift_inv(y)]
+    return word_path(letters)
 
 
 def winding_number(rep: SurfaceGroupRep, initial_samples: int = 64) -> int:
@@ -322,12 +316,23 @@ def _commutator_exact(target: tuple) -> tuple:
     return b1, s
 
 
+def _height(a: tuple) -> float:
+    """The largest |entry| of an exact matrix, as a float."""
+    return float(max(abs(v) for row in a for v in row))
+
+
 def _chain_exact(n: int) -> list:
-    """n+1 exact K matrices multiplying to the matrix of n pi alpha0."""
+    """n+1 exact K matrices multiplying to the matrix of n pi alpha0.
+
+    Each step replaces the element c of least height (largest |entry|,
+    ties to the lowest index) by factors g1 g2 = -c; -I is central, so the
+    product flips sign wherever c sits."""
     chain = list(_productmil_exact(_fneg(_A0_EXACT)))
+    heights = [_height(g) for g in chain]
     for _ in range(n - 1):
-        g1, g2 = _productmil_exact(_fneg(chain[0]))
-        chain = [g1, g2] + chain[1:]
+        i = heights.index(min(heights))
+        chain[i:i + 1] = _productmil_exact(_fneg(chain[i]))
+        heights[i:i + 1] = map(_height, chain[i:i + 2])
     acc = ((_F(1), _F(0)), (_F(0), _F(1)))
     for g in chain:
         acc = _fmul(acc, g)
@@ -354,10 +359,9 @@ def _cover_exact(m: tuple, plain_class: bool = False) -> CoveredElement:
         raise InternalConsistencyError("exact matrix has nonpositive det")
     if plain_class and (m[0][0] + m[1][1], det) != (K_TAG.trace, K_TAG.det):
         raise InternalConsistencyError("exact matrix left the K class")
-    largest = max(abs(v) for row in m for v in row)
     raise InstabilityError(
         "float rounding of an exact matrix fails its GL+ or K check; "
-        f"largest entry {float(largest):.6g}"
+        f"largest entry {_height(m):.6g}"
     )
 
 
@@ -407,9 +411,10 @@ def commutator_decompose(
 def chain_build(n: int) -> list[CoveredElement]:
     """n+1 elements of K~ whose product is the n-fold deck shift of alpha0.
 
-    Induction step: prepend the two-factor decomposition of pi*gamma_1 to
-    the previous chain.  Matrices are carried exactly; the lift arithmetic
-    of the assembled chain is verified before returning.
+    Induction step: replace the element of least height by the two-factor
+    decomposition of its half-turn shift.  Matrices are carried exactly;
+    the lift arithmetic of the assembled chain is verified before
+    returning.
     """
     if n < 1:
         raise DomainError("chain_build needs n >= 1")

@@ -98,23 +98,22 @@ def test_build_inadmissible_exits_5(tmp_path, capsys):
 
 @pytest.mark.parametrize("genus, degree", [("300", "299"), ("251", "250")])
 def test_build_past_the_float_range_exits_3(tmp_path, capsys, genus, degree):
-    # entries grow with the degree until float products would overflow
+    # entries grow polynomially with the degree; near 1e10 their float
+    # roundings leave the K class, long before MAX_FLOAT_ENTRY
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _, err = run(
             capsys, "build", genus, degree, "--out", str(tmp_path / "big.json")
         )
     _assert_one_line_error(code, err, 3)
-    assert "MAX_FLOAT_ENTRY = 1e150" in err
+    assert "float rounding of an exact matrix" in err and "largest entry" in err
     assert not caught and "Warning" not in err
 
 
 @pytest.mark.parametrize("genus, degree, message", [
-    # the float product of two valid GL+ lifts loses its determinant sign
-    ("7", "6", "float product of two GL+ matrices left GL+"),
-    ("8", "7", "float product of two GL+ matrices left GL+"),
-    # exact factors in K whose float roundings fail the K window
-    ("21", "20", "float rounding of an exact matrix"),
+    # the first degree where the float product of two valid GL+ lifts
+    # loses its determinant sign
+    ("18", "17", "float product of two GL+ matrices left GL+"),
 ])
 def test_build_float_conditioning_exits_3(tmp_path, capsys, genus, degree, message):
     out = tmp_path / "rep.json"
@@ -125,8 +124,9 @@ def test_build_float_conditioning_exits_3(tmp_path, capsys, genus, degree, messa
 
 
 def test_build_below_the_conditioning_limit_exits_0(tmp_path, capsys):
-    code, _, _ = run(capsys, "build", "7", "5", "--out", str(tmp_path / "rep.json"))
-    assert code == 0
+    for genus, degree in [("7", "5"), ("7", "6"), ("7", "-6"), ("17", "16")]:
+        out = str(tmp_path / "rep.json")
+        assert run(capsys, "build", genus, degree, "--out", out)[0] == 0
 
 
 def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
@@ -140,8 +140,8 @@ def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
 
 
 def test_milnor_oracle_past_the_sample_cap_exits_3(tmp_path, capsys):
-    path = tmp_path / "rep65.json"
-    code, _, _ = run(capsys, "build", "6", "5", "--out", str(path))
+    path = tmp_path / "rep1716.json"
+    code, _, _ = run(capsys, "build", "17", "16", "--out", str(path))
     assert code == 0
     code, _, err = run(capsys, "milnor", str(path), "--oracle")
     _assert_one_line_error(code, err, 3)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chernlab.liftgroup as lg
@@ -62,6 +62,51 @@ def random_element(rng):
             break
     x = lg.principal_lift(m)
     return lg.deck_shift(x, int(rng.integers(-2, 3)) * 2)
+
+
+def pointwise_word_path(elements):
+    """The pointwise product of the letters' paths t -> R(t * lift) P^t,
+    the loop constructor before word_path concatenated its letters; t = 0
+    and t = 1 give the identity and the product exactly."""
+    letters = []
+    product = np.eye(2)
+    for x in elements:
+        w, q = np.linalg.eigh(lg.polar_parts(x.matrix)[1])
+        letters.append((x.lift, q, np.log(w)))
+        product = product @ x.matrix
+
+    def path(t):
+        t = np.asarray(t, dtype=float)
+        acc = np.broadcast_to(np.eye(2), t.shape + (2, 2))
+        for lift, q, logw in letters:
+            spd = (q * np.exp(t[..., None] * logw)[..., None, :]) @ q.T
+            acc = acc @ rotations(t * lift) @ spd
+        acc = acc.copy()
+        acc[t == 0.0] = np.eye(2)
+        acc[t == 1.0] = product
+        return acc
+
+    return path
+
+
+def pointwise_commutator_path(rep):
+    """The commutator loop before word_path: t -> prod [a_i(t), b_i(t)]
+    over the one-letter paths of the principal lifts."""
+    pairs = [
+        (pointwise_word_path([lg.principal_lift(a)]),
+         pointwise_word_path([lg.principal_lift(b)]))
+        for a, b in zip(rep.A, rep.B)
+    ]
+
+    def path(t):
+        t = np.asarray(t, dtype=float)
+        acc = np.broadcast_to(np.eye(2), t.shape + (2, 2))
+        for pa, pb in pairs:
+            at, bt = pa(t), pb(t)
+            acc = acc @ at @ bt @ lg.inv2(at) @ lg.inv2(bt)
+        return acc
+
+    return path
 
 
 # -- retract ------------------------------------------------------------------
@@ -139,7 +184,7 @@ def test_lift_mul_seed_product_against_path_oracle():
     y = lg.principal_lift(A1)
     out = lg.lift_mul(x, y)
     assert np.allclose(out.matrix, A2, atol=1e-12)
-    # oracle: continuous lifting along the pointwise product of canonical paths
+    # oracle: continuous lifting along the path of the word x y
     f = lg.word_path([x, y])
     expected = path_lift(f)
     assert out.lift == pytest.approx(expected, abs=1e-6)
@@ -262,7 +307,7 @@ def test_commutator_reaching_shifted_class():
     assert np.isclose(np.trace(out.matrix), -2.5, atol=1e-9)
     assert np.isclose(lg.det2(out.matrix), 1.0, atol=1e-9)
     assert math.pi / 2 < out.lift < 3 * math.pi / 2
-    # path-winding oracle on the pointwise commutator path
+    # path-winding oracle on the path of the commutator word
     f = lg.word_path([x, y, lg.lift_inv(x), lg.lift_inv(y)])
     assert out.lift == pytest.approx(path_lift(f, samples=8192), abs=1e-5)
 
@@ -403,9 +448,9 @@ def test_from_path_stops_at_a_nan_without_refining():
 
 def test_from_path_caps_the_sample_count(monkeypatch):
     path = mi.commutator_loop_path(mi.build_representation(3, 2))
-    assert len(lg.SampledLoop.from_path(path)) == 483
-    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 482)
-    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 482"):
+    assert len(lg.SampledLoop.from_path(path)) == 783
+    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 782)
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 782"):
         lg.SampledLoop.from_path(path)
 
 
@@ -496,6 +541,8 @@ def test_word_winding_matches_deck_shift():
         loop = lg.SampledLoop.from_path(lg.word_path(word))
         assert lg.lift_loop(loop) == k
         assert total.lift == pytest.approx(2 * math.pi * k, abs=1e-9)
+        pointwise = lg.SampledLoop.from_path(pointwise_word_path(word))
+        assert lg.lift_loop(pointwise) == k
 
 
 def test_level_refinement_matches_recursion_on_deck_shift_words():
@@ -508,28 +555,31 @@ def test_level_refinement_matches_recursion_on_deck_shift_words():
 
 
 def test_level_refinement_matches_recursion_on_milnor_table():
-    """Every (g, d) with |d| < g <= 7 whose build and oracle succeed.
+    """Every (g, d) with |d| < g <= 7.
 
-    Identity padding pairs multiply the loop by exact identities, so the
-    recursion runs once per degree, on its smallest genus, and every
-    larger genus must give the same samples bit for bit."""
+    The loop drops the identity padding letters, so the recursion runs
+    once per degree, on its smallest genus, and every larger genus must
+    give the same samples bit for bit.  The pointwise commutator loop it
+    replaced gives the same winding up to degree 5; at degree 6 its
+    entries are too large for float64 and refinement hits the cap."""
     reference = {}
-    checked = 0
+    pointwise = {}
     for g in range(2, 8):
         for d in range(1 - g, g):
-            try:
-                rep = mi.build_representation(g, d)
-                loop = lg.SampledLoop.from_path(mi.commutator_loop_path(rep))
-            except ChernLabError:
-                continue
+            rep = mi.build_representation(g, d)
+            loop = lg.SampledLoop.from_path(mi.commutator_loop_path(rep))
             if d not in reference:
-                path = mi.commutator_loop_path(rep)
-                assert_matches_recursive_reference(path)
+                assert_matches_recursive_reference(mi.commutator_loop_path(rep))
                 reference[d] = loop
+                try:
+                    old = pointwise_commutator_path(rep)
+                    pointwise[d] = lg.lift_loop(lg.SampledLoop.from_path(old))
+                except ChernLabError:
+                    pass
             assert np.array_equal(loop.samples, reference[d].samples)
             assert lg.lift_loop(loop) == d
-            checked += 1
-    assert checked == 42 and sorted(reference) == list(range(-4, 5))
+    assert sorted(reference) == list(range(-6, 7))
+    assert pointwise == {d: d for d in range(-5, 6)}
 
 
 # -- batched paths ------------------------------------------------------------
@@ -554,24 +604,49 @@ def assert_batched_equals_scalar(path, ts):
 @settings(max_examples=40, deadline=None)
 @given(m=MATRICES, shift=st.integers(-2, 2), ts=T_VALUES)
 def test_batched_canonical_path_equals_scalar(m, shift, ts):
+    """The canonical path of one element is its one-letter word path:
+    batched equals scalar, the ends are exact and it realises the stored
+    lift, deck shifts included."""
     x = lg.deck_shift(lg.principal_lift(m), 2 * shift)
-    path = lg.canonical_path(x.matrix, x.lift)
+    path = lg.word_path([x])
     assert_batched_equals_scalar(path, ts)
     ends = path(np.array([0.0, 1.0]))
     assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], x.matrix)
+    assert path_lift(path, samples=512) == pytest.approx(x.lift, abs=1e-9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(word=st.lists(MATRICES, max_size=4), ts=T_VALUES)
+LETTERS = st.builds(
+    lambda m, shift: lg.deck_shift(lg.principal_lift(m), 2 * shift),
+    MATRICES, st.integers(-2, 2),
+) | st.just(lg.COVER_IDENTITY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(LETTERS, max_size=4), ts=T_VALUES)
+@example(word=[], ts=np.array([0.0, 0.3, 1.0]))
+@example(
+    word=[lg.COVER_IDENTITY, lg.principal_lift(A1), lg.COVER_IDENTITY],
+    ts=np.array([0.0, 1 / 3, 0.5, 2 / 3, 1.0]),
+)
 def test_batched_word_path_equals_scalar(word, ts):
-    elements = [lg.principal_lift(m) for m in word]
-    path = lg.word_path(elements)
+    """Batched equals scalar and the ends are exact; (I, 0) letters are
+    dropped, the empty word is the constant identity, and a one-letter
+    path realises the letter's stored lift, deck shifts included."""
+    path = lg.word_path(word)
     assert_batched_equals_scalar(path, ts)
     product = np.eye(2)
-    for m in word:
-        product = product @ m
+    for x in word:
+        product = product @ x.matrix
     ends = path(np.array([0.0, 1.0]))
     assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], product)
+    letters = [
+        x for x in word if x.lift != 0.0 or not np.array_equal(x.matrix, np.eye(2))
+    ]
+    assert np.array_equal(path(ts), lg.word_path(letters)(ts))
+    if len(letters) == 1:
+        assert path_lift(path, samples=512) == pytest.approx(letters[0].lift, abs=1e-9)
+    if not letters:
+        assert np.array_equal(path(ts), np.broadcast_to(np.eye(2), ts.shape + (2, 2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -588,6 +663,16 @@ def test_batched_commutator_loop_path_equals_scalar(entry, ts):
         closing = closing @ a @ b @ lg.inv2(a) @ lg.inv2(b)
     ends = path(np.array([0.0, 1.0]))
     assert np.array_equal(ends[0], np.eye(2)) and np.array_equal(ends[1], closing)
+
+
+def test_word_path_rejects_a_polar_factor_that_is_not_positive_definite(
+    monkeypatch,
+):
+    # eigh of the polar factor of a nearly rank-one float matrix with
+    # entries near 1e15 can return a zero eigenvalue
+    monkeypatch.setattr(lg, "polar_parts", lambda m: (0.0, np.diag([1.0, 0.0])))
+    with pytest.raises(DomainError, match="not positive definite"):
+        lg.word_path([lg.principal_lift(A1)])
 
 
 def test_batched_inverse_keeps_the_singular_check():

@@ -52,7 +52,11 @@ def test_seed_lift_lands_in_shifted_window():
 # -- milnor_number -------------------------------------------------------------
 
 def test_trivial_rep_has_degree_zero():
-    assert mi.milnor_number(mi.trivial_representation(3)) == 0
+    rep = mi.trivial_representation(3)
+    assert mi.milnor_number(rep) == 0
+    # every letter is (I, 0): a constant loop, accepted on the bare grid
+    loop = lg.SampledLoop.from_path(mi.commutator_loop_path(rep))
+    assert len(loop) == 2 * 64 + 1 and lg.lift_loop(loop) == 0
 
 
 def test_rotation_rep_has_degree_zero():
@@ -69,7 +73,7 @@ def test_build_2_1_degree_one_by_both_methods():
 
 
 def test_oracle_past_the_sample_cap_raises_quickly():
-    rep = mi.build_representation(6, 5)
+    rep = mi.build_representation(17, 16)
     start = time.perf_counter()
     with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES"):
         mi.winding_number(rep)
@@ -197,6 +201,21 @@ def test_chain_build_membership():
         assert abs(gamma.lift) < math.pi / 2
 
 
+def _prepended_chain(n):
+    """The chain before balancing: always split the newest element."""
+    chain = list(mi._productmil_exact(mi._fneg(mi._A0_EXACT)))
+    for _ in range(n - 1):
+        chain = list(mi._productmil_exact(mi._fneg(chain[0]))) + chain[1:]
+    return chain
+
+
+def test_balanced_chain_keeps_small_chains_and_grows_slowly():
+    for n in (1, 2):
+        assert mi._chain_exact(n) == _prepended_chain(n)
+    # largest entry at n = 19: 2.9e21 when the newest element is split
+    assert max(mi._height(g) for g in mi._chain_exact(19)) == 330369.0
+
+
 def test_chain_build_rejects_zero():
     with pytest.raises(DomainError):
         mi.chain_build(0)
@@ -245,11 +264,15 @@ def test_float_rounding_of_an_exact_matrix():
 
 
 def test_realization_table():
-    for g in range(1, 5):
+    """Every |d| < g <= 10 is built, with an exact relation, and the lift
+    arithmetic and the winding oracle both read d."""
+    for g in range(1, 11):
         for d in range(-(g - 1), g):
             rep = mi.build_representation(g, d)
+            assert mi.relation_defect(rep) == 0.0
             assert mi.milnor_number(rep) == d
             assert abs(mi.milnor_number(rep)) <= g - 1
+            assert mi.winding_number(rep) == d
 
 
 def test_flip_trivial():
