@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -468,7 +467,9 @@ def parallel_transport(
 # -- Pfaffian and Gauss-Bonnet --------------------------------------------------
 
 def pfaffian(a: np.ndarray) -> float:
-    """Direct permutation-sum Pfaffian of an exactly skew matrix, 2n <= 8."""
+    """Pfaffian of an exactly skew matrix, 2n <= 8, by expansion along the
+    first row: Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and columns
+    0 and j), with Pf of the empty matrix 1."""
     a = np.asarray(a, dtype=float)
     n2 = a.shape[0]
     if a.shape != (n2, n2):
@@ -476,37 +477,17 @@ def pfaffian(a: np.ndarray) -> float:
     if n2 % 2 != 0:
         raise DomainError("Pfaffian needs even dimension")
     if n2 > 8:
-        raise DomainError("direct summation is limited to 2n <= 8")
+        raise DomainError("row expansion is limited to 2n <= 8")
     if not np.array_equal(a.T, -a):
         raise DomainError("matrix must be exactly skew-symmetric")
-    n = n2 // 2
+    if n2 == 0:
+        return 1.0
     total = 0.0
-    for sigma in permutations(range(n2)):
-        sign = _perm_sign(sigma)
-        prod = 1.0
-        for i in range(n):
-            prod *= a[sigma[2 * i], sigma[2 * i + 1]]
-            if prod == 0.0:
-                break
-        total += sign * prod
-    return total / (math.factorial(n) * 2**n)
-
-
-def _perm_sign(sigma) -> int:
-    seen = [False] * len(sigma)
-    sign = 1
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    for j in range(1, n2):
+        if a[0, j] != 0.0:
+            rest = [k for k in range(1, n2) if k != j]
+            total += (-1) ** (j + 1) * a[0, j] * pfaffian(a[np.ix_(rest, rest)])
+    return total
 
 
 def gaussian_curvature(

@@ -10,9 +10,13 @@ factorisation A = R(phi) P with P symmetric positive definite and
 The rotation angle satisfies phi = atan2(b - c, a + d); ``retract`` returns
 it in (-pi, pi].  An element of the universal cover is stored as a pair
 (matrix, lift) where ``lift`` is any real number congruent to
-retract(matrix) mod 2*pi.  Multiplication picks the unique lift of the
-product within pi/2 of the sum of the factors' lifts; that window is always
-wide enough because the lift defect of a product is strictly below pi/2.
+retract(matrix) mod 2*pi.  Multiplication picks the lift of the product
+nearest to the sum of the factors' lifts.  That is the right lift because
+the lift defect of a product is strictly below pi/2: for A = R(alpha) P and
+B = R(beta) Q, AB = R(alpha + beta) P'Q with P' = R(-beta) P R(beta), and
+P' and Q are both SPD, so tr(P'Q) > 0 and the rotation angle of P'Q lies in
+(-pi/2, pi/2).  Candidate lifts are 2*pi apart, so only a float angle error
+above pi/2 could make the nearest one wrong.
 
 Deck transformations are central and act by (M, u) -> (R(n*pi) M, u + n*pi).
 
@@ -42,9 +46,8 @@ Mat2 = np.ndarray
 
 TAU_ANGLE = 1e-9       # rotation-consistency tolerance for stored lifts
 TAU_WINDING = 1e-3     # max residue when rounding a winding to an integer
-EPS_GUARD = 1e-6       # defect guard distance from pi/2 in lift_mul
 CLOSURE_TOL = 1e-6     # endpoint tolerance for sampled loops
-MAX_LOOP_SAMPLES = 2**14  # samples of one loop before refinement gives up
+MAX_LOOP_SAMPLES = 2**15  # samples of one loop before refinement gives up
 
 _PATH_BLOCK = 256      # values of t per batched path call in from_path
 
@@ -116,14 +119,6 @@ def polar_parts(m: Mat2) -> tuple[float, Mat2]:
     return angle, (p + p.T) / 2.0
 
 
-def spd_power(p: Mat2, t: float) -> Mat2:
-    """Fractional power of a symmetric positive definite matrix."""
-    w, q = np.linalg.eigh(p)
-    if np.any(w <= 0.0):
-        raise DomainError("matrix is not positive definite")
-    return (q * w**t) @ q.T
-
-
 @dataclass(frozen=True, eq=False)
 class CoveredElement:
     """Element of the universal cover: (matrix in GL+(2, R), angle lift)."""
@@ -175,42 +170,20 @@ def _product_retract(a: Mat2, b: Mat2) -> tuple[Mat2, float]:
 def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
     """Product in the universal cover.
 
-    The lift of the product is the unique lift of retract(XY) inside the
-    open window (x.lift + y.lift - pi/2, x.lift + y.lift + pi/2).  If the
-    defect lands within EPS_GUARD of the window edge the factor y is split
-    into its rotation part (exact) and square roots of its SPD part.
+    The lift of the product is the lift of retract(XY) nearest to
+    x.lift + y.lift.  With X = R(alpha) P and Y = R(beta) Q in polar form,
+    XY = R(alpha + beta) P'Q where P' = R(-beta) P R(beta); P' and Q are
+    SPD, so tr(P'Q) > 0 and the defect lies in (-pi/2, pi/2), while the
+    candidate lifts are 2*pi apart.
     """
     product, base = _product_retract(x.matrix, y.matrix)
     target = x.lift + y.lift
-    k = round((target - base) / _TWO_PI)
-    u = base + _TWO_PI * k
+    u = base + _TWO_PI * round((target - base) / _TWO_PI)
     if abs(u - target) <= TAU_ANGLE:
         # zero-defect product (rotations, inverses, deck shifts): keep the
         # lift arithmetic exact instead of reintroducing atan2 rounding
         return CoveredElement(product, target)
-    if abs(u - target) < math.pi / 2.0 - EPS_GUARD:
-        return CoveredElement(product, u)
-    return _split_mul(x, y)
-
-
-def _split_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
-    _, p = polar_parts(y.matrix)
-    acc = lift_mul_rotation(x, y.lift)
-    return _mul_spd(acc, p, depth=0)
-
-
-def _mul_spd(x: CoveredElement, p: Mat2, depth: int) -> CoveredElement:
-    product, base = _product_retract(x.matrix, p)
-    k = round((x.lift - base) / _TWO_PI)
-    u = base + _TWO_PI * k
-    if abs(u - x.lift) <= TAU_ANGLE:
-        return CoveredElement(product, x.lift)
-    if abs(u - x.lift) < math.pi / 4.0:
-        return CoveredElement(product, u)
-    if depth >= 60:
-        raise InstabilityError("split multiplication failed to converge")
-    root = spd_power(p, 0.5)
-    return _mul_spd(_mul_spd(x, root, depth + 1), root, depth + 1)
+    return CoveredElement(product, u)
 
 
 def lift_inv(x: CoveredElement) -> CoveredElement:

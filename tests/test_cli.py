@@ -111,9 +111,10 @@ def test_build_past_the_float_range_exits_3(tmp_path, capsys, genus, degree):
 
 
 @pytest.mark.parametrize("genus, degree, message", [
-    # the first degree where the float product of two valid GL+ lifts
-    # loses its determinant sign
-    ("18", "17", "float product of two GL+ matrices left GL+"),
+    # the first degrees, one of each sign, where the float product of two
+    # valid GL+ lifts loses its determinant sign
+    ("35", "34", "float product of two GL+ matrices left GL+"),
+    ("34", "-33", "float product of two GL+ matrices left GL+"),
 ])
 def test_build_float_conditioning_exits_3(tmp_path, capsys, genus, degree, message):
     out = tmp_path / "rep.json"
@@ -124,7 +125,8 @@ def test_build_float_conditioning_exits_3(tmp_path, capsys, genus, degree, messa
 
 
 def test_build_below_the_conditioning_limit_exits_0(tmp_path, capsys):
-    for genus, degree in [("7", "5"), ("7", "6"), ("7", "-6"), ("17", "16")]:
+    for genus, degree in [("7", "5"), ("7", "6"), ("7", "-6"), ("17", "16"),
+                          ("18", "17"), ("33", "32"), ("34", "33")]:
         out = str(tmp_path / "rep.json")
         assert run(capsys, "build", genus, degree, "--out", out)[0] == 0
 
@@ -140,12 +142,12 @@ def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
 
 
 def test_milnor_oracle_past_the_sample_cap_exits_3(tmp_path, capsys):
-    path = tmp_path / "rep1716.json"
-    code, _, _ = run(capsys, "build", "17", "16", "--out", str(path))
+    path = tmp_path / "rep2625.json"
+    code, _, _ = run(capsys, "build", "26", "25", "--out", str(path))
     assert code == 0
     code, _, err = run(capsys, "milnor", str(path), "--oracle")
     _assert_one_line_error(code, err, 3)
-    assert "MAX_LOOP_SAMPLES = 16384" in err
+    assert "MAX_LOOP_SAMPLES = 32768" in err
 
 
 def test_build_writes_schema(tmp_path, capsys):

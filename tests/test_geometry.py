@@ -1,5 +1,6 @@
 """Chart geometry: connections, geodesics, transport, Pfaffian, quadrature."""
 
+import itertools
 import math
 import warnings
 
@@ -797,6 +798,27 @@ def test_pfaffian_properties_random():
             assert ge.pfaffian(bab) == pytest.approx(
                 np.linalg.det(b) * pf, rel=1e-8, abs=1e-10
             )
+
+
+def _permutation_sum_pfaffian(a):
+    """Pf(A) = sum over permutations s of sgn(s) prod_i a[s(2i), s(2i+1)],
+    divided by n! 2^n; the sign is the parity of the inversion count."""
+    n2 = len(a)
+    total = 0.0
+    for s in itertools.permutations(range(n2)):
+        inversions = sum(s[i] > s[j] for i in range(n2) for j in range(i + 1, n2))
+        pairs = (a[s[2 * i], s[2 * i + 1]] for i in range(n2 // 2))
+        total += (-1) ** inversions * math.prod(pairs)
+    return total / (math.factorial(n2 // 2) * 2 ** (n2 // 2))
+
+
+def test_pfaffian_matches_permutation_sum():
+    rng = np.random.default_rng(29)
+    for n2 in (2, 4, 6, 8):
+        for _ in range(2):
+            raw = rng.normal(size=(n2, n2))
+            a = raw - raw.T
+            assert ge.pfaffian(a) == pytest.approx(_permutation_sum_pfaffian(a), rel=1e-10)
 
 
 def test_pfaffian_rejects_bad_input():

@@ -218,9 +218,9 @@ def test_lift_mul_strong_shears_against_oracle():
     assert out.lift == pytest.approx(path_lift(f, samples=20000), abs=1e-5)
 
 
-def test_lift_mul_near_boundary_takes_split_route():
+def test_lift_mul_near_boundary_matches_path_oracle():
     # two huge stretches at almost-orthogonal axes: the defect sits within
-    # EPS_GUARD of pi/2, forcing the polar-split fallback
+    # 1e-6 of pi/2, and the nearest lift is still the path's
     lam, psi = 3e8, math.pi / 2 - 2e-7
     d1 = np.diag([lam, 1.0 / lam])
     r = lg.rotation(psi)
@@ -228,11 +228,25 @@ def test_lift_mul_near_boundary_takes_split_route():
     d2 = (d2 + d2.T) / 2.0
     x, y = lg.principal_lift(d1), lg.principal_lift(d2)
     gap = math.pi / 2 - abs(lg.retract(d1 @ d2))
-    assert gap <= lg.EPS_GUARD  # the guard really fires here
+    assert gap <= 1e-6
     out = lg.lift_mul(x, y)
     f = lg.word_path([x, y])
     assert out.lift == pytest.approx(path_lift(f, samples=60000), abs=1e-6)
     assert np.allclose(out.matrix, d1 @ d2, rtol=1e-9)
+
+
+def test_lift_mul_near_orthogonal_stretches_matches_path_oracle():
+    # stretches 1e7 whose axes are 1e-7 off orthogonal: the defect is
+    # within 3e-7 of -pi/2, and only the direct product is taken
+    d = np.diag([1e7, 1e-7])
+    x = lg.principal_lift(lg.rotation(0.3) @ d @ lg.rotation(0.9))
+    y = lg.principal_lift(
+        lg.rotation(-0.9) @ lg.rotation(math.pi / 2 - 1e-7) @ d @ lg.rotation(-1.2)
+    )
+    out = lg.lift_mul(x, y)
+    assert abs(abs(out.lift - x.lift - y.lift) - math.pi / 2) < 1e-6
+    assert np.array_equal(out.matrix, x.matrix @ y.matrix)
+    assert out.lift == pytest.approx(path_lift(lg.word_path([x, y])), abs=1e-6)
 
 
 # -- lift_inv -----------------------------------------------------------------

@@ -73,9 +73,9 @@ def test_build_2_1_degree_one_by_both_methods():
 
 
 def test_oracle_past_the_sample_cap_raises_quickly():
-    rep = mi.build_representation(17, 16)
+    rep = mi.build_representation(26, 25)
     start = time.perf_counter()
-    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES"):
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 32768"):
         mi.winding_number(rep)
     assert time.perf_counter() - start < 2.0
 
@@ -273,6 +273,15 @@ def test_realization_table():
             assert mi.milnor_number(rep) == d
             assert abs(mi.milnor_number(rep)) <= g - 1
             assert mi.winding_number(rep) == d
+
+
+def test_every_degree_up_to_32_builds_exactly():
+    """Every |d| <= 32, both signs, on its smallest genus: an exact
+    relation and the lift arithmetic reads d."""
+    for d in range(-32, 33):
+        rep = mi.build_representation(abs(d) + 1, d)
+        assert mi.relation_defect(rep) == 0.0
+        assert mi.milnor_number(rep) == d
 
 
 def test_flip_trivial():
