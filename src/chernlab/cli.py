@@ -291,9 +291,12 @@ def cmd_geometry(args) -> RunReport:
             raise DomainError(f"--time must be positive and finite, got {args.time}")
         steps = _bounded(
             f"geodesic steps (--steps, or {geo_mod.STEPS_PER_UNIT} per unit of --time)",
-            args.steps or max(1, round(geo_mod.STEPS_PER_UNIT * args.time)),
+            args.steps if args.steps is not None
+            else max(1, round(geo_mod.STEPS_PER_UNIT * args.time)),
             1, MAX_STEPS,
         )
+        if args.rows < 0:
+            raise DomainError(f"--rows must be at least 0, got {args.rows}")
         traj = geo_mod.geodesic(
             geo.connection, point, velocity, args.time, steps
         )
@@ -301,8 +304,8 @@ def cmd_geometry(args) -> RunReport:
         rows = [
             {
                 "t": round(traj.times[i], 12),
-                "point": [round(v, 12) for v in traj.points[i]],
-                "velocity": [round(v, 12) for v in traj.velocities[i]],
+                "point": [round(float(v), 12) for v in traj.points[i]],
+                "velocity": [round(float(v), 12) for v in traj.velocities[i]],
             }
             for i in range(0, len(traj.times), stride)
         ]
@@ -341,7 +344,7 @@ def cmd_geometry(args) -> RunReport:
         return report
 
     if args.geo_command == "exp":
-        if args.steps:
+        if args.steps is not None:
             _bounded("--steps", args.steps, 1, MAX_STEPS)
         end = geo_mod.exponential_map(geo.connection, point, velocity, args.steps)
         report.results = {"exp": [float(v) for v in end]}

@@ -409,7 +409,7 @@ def exponential_map(
 
     A geodesic that leaves the chart raises EscapeError; its message names
     the last state inside the chart."""
-    traj = geodesic(conn, p, v, 1.0, steps or STEPS_PER_UNIT)
+    traj = geodesic(conn, p, v, 1.0, steps)
     if traj.escape_flag or traj.end_time < 1.0:
         raise EscapeError(
             "geodesic left the chart; v is outside the domain of the "

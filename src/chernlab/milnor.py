@@ -432,6 +432,8 @@ def build_representation(genus: int, degree: int) -> SurfaceGroupRep:
     identity pairs.  degree < 0: flip the orientation of the positive
     construction.
     """
+    if genus < 1:
+        raise DomainError("genus must be a positive integer")
     if abs(degree) >= genus:
         raise AdmissibilityError(
             f"|{degree}| >= {genus}: inadmissible, need |degree| < genus "

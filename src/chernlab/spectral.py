@@ -43,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import Callable, Literal
 
 from .errors import (
@@ -53,7 +54,9 @@ from .errors import (
 )
 from .subspaces import (
     Matrix,
+    ZERO,
     Subspace,
+    identity_matrix,
     image,
     kernel,
     mat_from_rows,
@@ -482,6 +485,11 @@ def _build_pairing(c: FilteredComplex) -> Pairing:
 
 # -- double complexes ----------------------------------------------------------
 
+# Each differential of a double complex: its field, its key in the JSON
+# schema, and the step it moves the bidegree (i, j) by.
+_ARROWS = {"d_h": ("dH", (1, 0)), "d_v": ("dV", (0, 1))}
+
+
 @dataclass(frozen=True, eq=False)
 class DoubleComplex:
     """Bounded first-quadrant double complex.
@@ -510,21 +518,17 @@ class DoubleComplex:
         if sum(self.dims[spot] for spot in self.spots()) > MAX_TOTAL_DIM:
             raise DomainError(f"total dimension exceeds {MAX_TOTAL_DIM}")
         for (i, j) in self.spots():
-            h = self.dh(i, j)
-            v = self.dv(i, j)
-            if len(h) != self.dim(i + 1, j) or (
-                h and len(h[0]) != self.dim(i, j)
-            ):
-                raise DomainError(f"d_h at {(i, j)} has wrong shape")
-            if len(v) != self.dim(i, j + 1) or (
-                v and len(v[0]) != self.dim(i, j)
-            ):
-                raise DomainError(f"d_v at {(i, j)} has wrong shape")
+            for name, (_, (di, dj)) in _ARROWS.items():
+                m = self._arrow(name, i, j)
+                if len(m) != self.dim(i + di, j + dj) or (
+                    m and len(m[0]) != self.dim(i, j)
+                ):
+                    raise DomainError(f"{name} at {(i, j)} has wrong shape")
         for (i, j) in self.spots():
-            if not _is_zero(matmul(self.dh(i + 1, j), self.dh(i, j))):
-                raise PreconditionError(f"d_h^2 != 0 at {(i, j)}")
-            if not _is_zero(matmul(self.dv(i, j + 1), self.dv(i, j))):
-                raise PreconditionError(f"d_v^2 != 0 at {(i, j)}")
+            for name, (_, (di, dj)) in _ARROWS.items():
+                m = matmul(self._arrow(name, i + di, j + dj), self._arrow(name, i, j))
+                if not _is_zero(m):
+                    raise PreconditionError(f"{name}^2 != 0 at {(i, j)}")
         self.convention()
 
     def spots(self) -> list:
@@ -537,33 +541,39 @@ class DoubleComplex:
     def dim(self, i: int, j: int) -> int:
         return self.dims.get((i, j), 0)
 
-    def dh(self, i: int, j: int) -> Matrix:
-        m = self.d_h.get((i, j))
+    def _arrow(self, name: str, i: int, j: int) -> Matrix:
+        """The matrix of differential name out of (i, j); zero if not given."""
+        _, (di, dj) = _ARROWS[name]
+        m = getattr(self, name).get((i, j))
         if m is None:
-            return zero_matrix(self.dim(i + 1, j), self.dim(i, j))
+            return zero_matrix(self.dim(i + di, j + dj), self.dim(i, j))
         return m
 
+    def dh(self, i: int, j: int) -> Matrix:
+        return self._arrow("d_h", i, j)
+
     def dv(self, i: int, j: int) -> Matrix:
-        m = self.d_v.get((i, j))
-        if m is None:
-            return zero_matrix(self.dim(i, j + 1), self.dim(i, j))
-        return m
+        return self._arrow("d_v", i, j)
 
     def convention(self) -> str:
         """'anticommuting' or 'commuting'; mixed data is a convention error."""
-        anti = True
-        comm = True
+        return self._convention
+
+    @cached_property
+    def _convention(self) -> str:
+        anti = comm = True
         for (i, j) in self.spots():
             hv = matmul(self.dh(i, j + 1), self.dv(i, j))
             vh = matmul(self.dv(i + 1, j), self.dh(i, j))
-            plus = tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(hv, vh)
-            )
-            minus = tuple(
-                tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(hv, vh)
-            )
-            anti = anti and _is_zero(plus)
-            comm = comm and _is_zero(minus)
+            # a product through a zero-dimensional spot has empty rows, and
+            # its missing entries are zeros
+            pairs = [
+                (a, b)
+                for ra, rb in zip(hv, vh)
+                for a, b in zip_longest(ra, rb, fillvalue=ZERO)
+            ]
+            anti = anti and all(a == -b for a, b in pairs)
+            comm = comm and all(a == b for a, b in pairs)
         if anti:
             return "anticommuting"
         if comm:
@@ -573,82 +583,67 @@ class DoubleComplex:
         )
 
 
-def _blocks(dc: DoubleComplex, n: int) -> list:
-    """(i, j, offset) summands of total degree n, i ascending."""
-    out = []
-    offset = 0
-    for i in range(max(0, n - dc.j_max), min(dc.i_max, n) + 1):
-        j = n - i
-        out.append((i, j, offset))
-        offset += dc.dim(i, j)
-    return out
+def _level_filtration(levels: dict, p_min: int, p_max: int) -> dict:
+    """F^p C^n for p_min <= p <= p_max: the span of the unit vectors of C^n
+    whose level is >= p, where levels[n] lists one level per coordinate.
+
+    Unit vectors in ascending position are already in reduced echelon
+    form, so each step is built as it stands, without an elimination.
+    """
+    filt = {}
+    for n, coordinate_levels in levels.items():
+        units = identity_matrix(len(coordinate_levels))
+        for p in range(p_min, p_max + 1):
+            filt[(p, n)] = Subspace(len(units), tuple(
+                u for u, level in zip(units, coordinate_levels) if level >= p
+            ))
+    return filt
 
 
 def from_double_complex(
     dc: DoubleComplex,
     filtration: Literal["vertical", "horizontal"] = "vertical",
 ) -> FilteredComplex:
-    """Total complex with the vertical (j >= r) or horizontal (i >= r)
+    """Total complex with the vertical (j >= p) or horizontal (i >= p)
     filtration.
 
     The total differential uses d = d_h + (-1)^i d_v on the (i, j) summand
     when the input commutes; anticommuting input is taken as is.  Either
-    way the total square is checked to vanish exactly.
+    way d squares to zero, blockwise by the checks DoubleComplex made.
     """
     if filtration not in ("vertical", "horizontal"):
         raise DomainError("filtration must be 'vertical' or 'horizontal'")
     twist = dc.convention() == "commuting"
+    axis = 1 if filtration == "vertical" else 0
     n_max = dc.i_max + dc.j_max
-    dims = {n: sum(dc.dim(i, j) for i, j, _ in _blocks(dc, n))
-            for n in range(n_max + 1)}
+    # the summands of C^n are the spots (i, n - i), i ascending: each spot's
+    # offset in its C^n, and the level of each coordinate of C^n
+    offsets, levels = {}, {n: [] for n in range(n_max + 1)}
+    for n in levels:
+        for i in range(max(0, n - dc.j_max), min(dc.i_max, n) + 1):
+            offsets[(i, n - i)] = len(levels[n])
+            levels[n] += [(i, n - i)[axis]] * dc.dim(i, n - i)
+    dims = {n: len(levels[n]) for n in levels}
 
-    diffs = {}
-    for n in range(n_max):
-        rows = [[Fraction(0)] * dims[n] for _ in range(dims[n + 1])]
-        target_offset = {
-            (i, j): off for i, j, off in _blocks(dc, n + 1)
-        }
-        for i, j, off in _blocks(dc, n):
-            h = dc.dh(i, j)
-            if (i + 1, j) in target_offset:
-                t_off = target_offset[(i + 1, j)]
-                for a in range(len(h)):
-                    for b in range(dc.dim(i, j)):
-                        rows[t_off + a][off + b] = h[a][b]
-            v = dc.dv(i, j)
-            sign = Fraction(-1 if (twist and i % 2) else 1)
-            if (i, j + 1) in target_offset:
-                t_off = target_offset[(i, j + 1)]
-                for a in range(len(v)):
-                    for b in range(dc.dim(i, j)):
-                        rows[t_off + a][off + b] = sign * v[a][b]
-        diffs[n] = tuple(tuple(row) for row in rows)
+    rows = {n: [[ZERO] * dims[n] for _ in range(dims[n + 1])] for n in range(n_max)}
+    for (i, j), off in offsets.items():
+        for name, (_, (di, dj)) in _ARROWS.items():
+            t_off = offsets.get((i + di, j + dj))
+            if t_off is None:
+                continue
+            sign = (-1) ** (i * dj) if twist else 1  # (-1)^i on d_v
+            for a, row in enumerate(dc._arrow(name, i, j)):
+                rows[i + j][t_off + a][off:off + len(row)] = [sign * x for x in row]
 
-    for n in range(n_max - 1):
-        if not _is_zero(matmul(diffs[n + 1], diffs[n])):
-            raise ConventionError("total differential does not square to zero")
-
-    level = (lambda i, j: j) if filtration == "vertical" else (lambda i, j: i)
-    p_max = (dc.j_max if filtration == "vertical" else dc.i_max) + 1
-    filt = {}
-    for n in range(n_max + 1):
-        for p in range(0, p_max + 1):
-            vecs = []
-            for i, j, off in _blocks(dc, n):
-                if level(i, j) >= p:
-                    for k in range(dc.dim(i, j)):
-                        unit = [Fraction(0)] * dims[n]
-                        unit[off + k] = Fraction(1)
-                        vecs.append(unit)
-            filt[(p, n)] = Subspace.span(dims[n], vecs)
+    p_max = (dc.i_max, dc.j_max)[axis] + 1
     return FilteredComplex(
         n_min=0,
         n_max=n_max,
         dims=dims,
-        d=diffs,
+        d={n: tuple(tuple(row) for row in m) for n, m in rows.items()},
         p_min=0,
         p_max=p_max,
-        filtration=filt,
+        filtration=_level_filtration(levels, 0, p_max),
     )
 
 
@@ -659,21 +654,15 @@ def bete_filtration(
 
     Its spectral sequence stabilises at page two onto the cohomology.
     """
-    filt = {}
-    p_min, p_max = n_min, n_max + 1
-    for n in range(n_min, n_max + 1):
-        for p in range(p_min, p_max + 1):
-            filt[(p, n)] = (
-                Subspace.full(dims[n]) if n >= p else Subspace.zero(dims[n])
-            )
+    levels = {n: [n] * dims[n] for n in range(n_min, n_max + 1)}
     return FilteredComplex(
         n_min=n_min,
         n_max=n_max,
         dims=dict(dims),
         d=dict(d),
-        p_min=p_min,
-        p_max=p_max,
-        filtration=filt,
+        p_min=n_min,
+        p_max=n_max + 1,
+        filtration=_level_filtration(levels, n_min, n_max + 1),
     )
 
 
@@ -760,37 +749,33 @@ def filtered_complex_from_dict(data: dict) -> FilteredComplex:
 
 
 def double_complex_to_dict(dc: DoubleComplex) -> dict:
-    return {
-        "dims": {f"{i},{j}": dc.dim(i, j) for i, j in dc.spots()},
-        "dH": {
-            f"{i},{j}": _matrix_to_lists(dc.dh(i, j))
+    data = {"dims": {f"{i},{j}": dc.dim(i, j) for i, j in dc.spots()}}
+    for name, (key, (di, dj)) in _ARROWS.items():
+        data[key] = {
+            f"{i},{j}": _matrix_to_lists(dc._arrow(name, i, j))
             for i, j in dc.spots()
-            if i < dc.i_max
-        },
-        "dV": {
-            f"{i},{j}": _matrix_to_lists(dc.dv(i, j))
-            for i, j in dc.spots()
-            if j < dc.j_max
-        },
-    }
+            if i + di <= dc.i_max and j + dj <= dc.j_max
+        }
+    return data
+
+
+def _spot(key: str) -> tuple:
+    i, j = (int(t) for t in key.split(","))
+    return i, j
 
 
 def double_complex_from_dict(data: dict) -> DoubleComplex:
     try:
-        dims = {}
-        for key, v in data["dims"].items():
-            i, j = (int(t) for t in key.split(","))
-            dims[(i, j)] = int(v)
+        dims = {_spot(key): int(v) for key, v in data["dims"].items()}
         i_max = max(i for i, _ in dims)
         j_max = max(j for _, j in dims)
-        d_h = {}
-        for key, rows in data.get("dH", {}).items():
-            i, j = (int(t) for t in key.split(","))
-            d_h[(i, j)] = _matrix_from_lists(rows)
-        d_v = {}
-        for key, rows in data.get("dV", {}).items():
-            i, j = (int(t) for t in key.split(","))
-            d_v[(i, j)] = _matrix_from_lists(rows)
+        arrows = {
+            name: {
+                _spot(spot): _matrix_from_lists(rows)
+                for spot, rows in data.get(key, {}).items()
+            }
+            for name, (key, _) in _ARROWS.items()
+        }
     except _MALFORMED as exc:
         raise DomainError(f"malformed double-complex payload: {exc}") from exc
-    return DoubleComplex(i_max=i_max, j_max=j_max, dims=dims, d_h=d_h, d_v=d_v)
+    return DoubleComplex(i_max=i_max, j_max=j_max, dims=dims, **arrows)

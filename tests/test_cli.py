@@ -382,6 +382,10 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["geodesic", "euclidean:2", "--time", "1e9"], "between 1 and 1000000"),
         (["geodesic", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
         (["exp", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
+        (["geodesic", "euclidean:2", "--steps", "0"], "between 1 and 1000000, got 0"),
+        (["exp", "euclidean:2", "--steps", "0"], "between 1 and 1000000, got 0"),
+        (["geodesic", "euclidean:2", "--rows", "-1"],
+         "--rows must be at least 0, got -1"),
         (["gauss-bonnet", "sphere:1", "--mesh", "1025"], "between 8 and 1024"),
         (["geodesic", "euclidean:65"], "between 1 and 64, got 65"),
         (["geodesic", "hopf:65"], "between 1 and 64, got 65"),
@@ -399,7 +403,8 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
-         "time-steps-cap", "steps-cap", "exp-steps-cap", "mesh-cap",
+         "time-steps-cap", "steps-cap", "exp-steps-cap", "steps-0", "exp-steps-0",
+         "rows-negative", "mesh-cap",
          "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
          "sphere-nan", "sphere-radius-cap-high", "sphere-radius-cap-low",
          "sphere-radius-cap-gauss-bonnet", "sphere-radius-cap-transport",
@@ -416,6 +421,10 @@ def test_geometry_input_bounds_exit_2(capsys, argv, message):
     [
         (["build", "1001", "1", "--out", "x.json"], None,
          "genus must be at most 1000, got 1001"),
+        (["build", "0", "0", "--out", "x.json"], None,
+         "genus must be a positive integer"),
+        (["build", "-1", "0", "--out", "x.json"], None,
+         "genus must be a positive integer"),
         (["build", "3", "2", "--out", "/nonexistent/dir/x.json"], None,
          "cannot write /nonexistent/dir/x.json"),
         (["spectral", "FILE", "--pages", "-1"], None, "between 0 and 100, got -1"),
@@ -437,9 +446,9 @@ def test_geometry_input_bounds_exit_2(capsys, argv, message):
           "filtration": {"0": {"0": [["1e999999999"]]}, "1": {"0": []}}},
          "exponent beyond 1000"),
     ],
-    ids=["genus-cap", "unwritable-out", "pages-negative", "pages-cap", "bidegree-cap",
-         "double-dim-cap", "degree-dim-cap", "filtration-length-cap",
-         "entry-exponent-cap"],
+    ids=["genus-cap", "genus-0", "genus-negative", "unwritable-out", "pages-negative",
+         "pages-cap", "bidegree-cap", "double-dim-cap", "degree-dim-cap",
+         "filtration-length-cap", "entry-exponent-cap"],
 )
 def test_build_and_spectral_input_bounds_exit_2(
     tmp_path, complex_file, capsys, monkeypatch, argv, payload, message
@@ -464,6 +473,24 @@ def test_geodesic_torus_runs_to_time(capsys):
     assert code == 0
     assert data["results"]["escape_flag"] is False
     assert data["results"]["end_time"] == pytest.approx(10.0)
+
+
+def test_geodesic_json_keeps_huge_velocities_finite(capsys):
+    # rounding a numpy float to 12 places overflows above about 1.8e296
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "geometry", "geodesic", "sphere:1",
+            "--point", "1,0", "--velocity", "1e300,0", "--json",
+        )
+    assert code == 0
+    assert err == "" and not caught
+    rows = json.loads(out, parse_constant=refuse)["results"]["rows"]
+    assert rows[0]["velocity"] == [1e300, 0.0]
+    assert rows[0]["point"] == [1.0, 0.0]
 
 
 def test_geodesic_hopf_incompleteness_verdict(capsys):

@@ -405,6 +405,8 @@ def test_geodesic_rejects_bad_steps():
     conn = ge.flat_connection(2)
     with pytest.raises(DomainError):
         ge.geodesic(conn, [0.0, 0.0], [1.0, 0.0], 1.0, steps=0)
+    with pytest.raises(DomainError, match="step count must be positive"):
+        ge.exponential_map(conn, [0.0, 0.0], [1.0, 0.0], steps=0)
 
 
 def test_trajectory_validation():

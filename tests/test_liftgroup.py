@@ -26,26 +26,23 @@ A2 = np.array([[-5.0, 9.0], [-1.5, 2.5]])
 # shares no code with the lift_mul window selection.
 
 def _angle(m):
-    return math.atan2(m[0, 1] - m[1, 0], m[0, 0] + m[1, 1])
+    """Retract angle of a 2x2 matrix, or of each in a stack of them."""
+    m = np.asarray(m)
+    return np.arctan2(m[..., 0, 1] - m[..., 1, 0], m[..., 0, 0] + m[..., 1, 1])
 
 
 def _wrap(a):
-    while a <= -math.pi:
-        a += 2 * math.pi
-    while a > math.pi:
-        a -= 2 * math.pi
-    return a
+    """A difference of two angles, moved into (-pi, pi] by at most one turn."""
+    return np.where(
+        a <= -math.pi, a + 2 * math.pi, np.where(a > math.pi, a - 2 * math.pi, a)
+    )
 
 
 def path_lift(path, samples=4096):
-    """Lifted retract angle at t=1 of a path starting at the identity."""
-    prev = _angle(np.asarray(path(0.0)))
-    total = prev
-    for i in range(1, samples + 1):
-        cur = _angle(np.asarray(path(i / samples)))
-        total += _wrap(cur - prev)
-        prev = cur
-    return total
+    """Lifted retract angle at t=1 of a path starting at the identity; the
+    path is evaluated once, on the whole array of sample times."""
+    angles = _angle(path(np.arange(samples + 1) / samples))
+    return angles[0] + np.sum(_wrap(np.diff(angles)))
 
 
 def rotations(angles):

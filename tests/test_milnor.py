@@ -246,6 +246,12 @@ def test_build_rejects_inadmissible():
         mi.build_representation(3, -5)
 
 
+@pytest.mark.parametrize("genus", [0, -1])
+def test_build_rejects_genus_below_one_before_admissibility(genus):
+    with pytest.raises(DomainError, match="genus must be a positive integer"):
+        mi.build_representation(genus, 0)
+
+
 def test_float_rounding_of_an_exact_matrix():
     n = Fraction(2**60)
     s = ((n + 1, n), (Fraction(1), Fraction(1)))  # det 1

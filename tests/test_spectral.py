@@ -404,6 +404,140 @@ def test_total_complex_cohomology_independent_of_filtration():
             assert cohomology_dim(cv, n) == cohomology_dim(ch, n)
 
 
+# -- reference front ends ----------------------------------------------------------
+# from_double_complex and bete_filtration as they were before both built their
+# filtrations from levels: one elimination per step, an explicit d^2 check.
+
+def _ref_blocks(dc, n):
+    out = []
+    offset = 0
+    for i in range(max(0, n - dc.j_max), min(dc.i_max, n) + 1):
+        j = n - i
+        out.append((i, j, offset))
+        offset += dc.dim(i, j)
+    return out
+
+
+def reference_from_double_complex(dc, filtration="vertical"):
+    twist = dc.convention() == "commuting"
+    n_max = dc.i_max + dc.j_max
+    dims = {n: sum(dc.dim(i, j) for i, j, _ in _ref_blocks(dc, n))
+            for n in range(n_max + 1)}
+
+    diffs = {}
+    for n in range(n_max):
+        rows = [[F(0)] * dims[n] for _ in range(dims[n + 1])]
+        target_offset = {(i, j): off for i, j, off in _ref_blocks(dc, n + 1)}
+        for i, j, off in _ref_blocks(dc, n):
+            h = dc.dh(i, j)
+            if (i + 1, j) in target_offset:
+                t_off = target_offset[(i + 1, j)]
+                for a in range(len(h)):
+                    for b in range(dc.dim(i, j)):
+                        rows[t_off + a][off + b] = h[a][b]
+            v = dc.dv(i, j)
+            sign = F(-1 if (twist and i % 2) else 1)
+            if (i, j + 1) in target_offset:
+                t_off = target_offset[(i, j + 1)]
+                for a in range(len(v)):
+                    for b in range(dc.dim(i, j)):
+                        rows[t_off + a][off + b] = sign * v[a][b]
+        diffs[n] = tuple(tuple(row) for row in rows)
+
+    for n in range(n_max - 1):
+        product = matmul(diffs[n + 1], diffs[n])
+        if any(v != 0 for row in product for v in row):
+            raise ConventionError("total differential does not square to zero")
+
+    level = (lambda i, j: j) if filtration == "vertical" else (lambda i, j: i)
+    p_max = (dc.j_max if filtration == "vertical" else dc.i_max) + 1
+    filt = {}
+    for n in range(n_max + 1):
+        for p in range(0, p_max + 1):
+            vecs = []
+            for i, j, off in _ref_blocks(dc, n):
+                if level(i, j) >= p:
+                    for k in range(dc.dim(i, j)):
+                        unit = [F(0)] * dims[n]
+                        unit[off + k] = F(1)
+                        vecs.append(unit)
+            filt[(p, n)] = Subspace.span(dims[n], vecs)
+    return FilteredComplex(
+        n_min=0, n_max=n_max, dims=dims, d=diffs, p_min=0, p_max=p_max,
+        filtration=filt,
+    )
+
+
+def reference_bete_filtration(dims, d, n_min, n_max):
+    filt = {}
+    p_min, p_max = n_min, n_max + 1
+    for n in range(n_min, n_max + 1):
+        for p in range(p_min, p_max + 1):
+            filt[(p, n)] = (
+                Subspace.full(dims[n]) if n >= p else Subspace.zero(dims[n])
+            )
+    return FilteredComplex(
+        n_min=n_min, n_max=n_max, dims=dict(dims), d=dict(d),
+        p_min=p_min, p_max=p_max, filtration=filt,
+    )
+
+
+def assert_same_complex(got, want):
+    for name in ("n_min", "n_max", "dims", "d", "p_min", "p_max"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.filtration.keys() == want.filtration.keys()
+    for p in got.filtration_degrees():
+        for n in got.degrees():
+            assert got.filt(p, n) == want.filt(p, n), (p, n)
+    # every step built from levels is already in canonical echelon form
+    for step in got.filtration.values():
+        assert step == Subspace.span(step.ambient_dim, step.vectors)
+
+
+def anticommuting(dc):
+    """dc with d_v negated at odd i, which swaps commuting and anticommuting."""
+    d_v = {(i, j): tuple(tuple(-x for x in row) for row in m) if i % 2 else m
+           for (i, j), m in dc.d_v.items()}
+    return DoubleComplex(i_max=dc.i_max, j_max=dc.j_max, dims=dc.dims,
+                         d_h=dc.d_h, d_v=d_v)
+
+
+def test_double_complex_front_end_matches_reference():
+    rng = np.random.default_rng(67)
+    seen = set()
+    for _ in range(30):
+        base = random_double_complex(rng)
+        for dc in (base, anticommuting(base)):
+            seen.add(dc.convention())
+            for filtration in ("vertical", "horizontal"):
+                assert_same_complex(
+                    from_double_complex(dc, filtration),
+                    reference_from_double_complex(dc, filtration),
+                )
+    assert seen == {"commuting", "anticommuting"}
+
+
+def test_truncation_front_end_matches_reference():
+    rng = np.random.default_rng(71)
+    for k in range(30):
+        c = random_filtered_complex(rng)
+        if k % 2:
+            c = shifted(c, -3, 0)
+        args = (c.dims, c.d, c.n_min, c.n_max)
+        assert_same_complex(bete_filtration(*args), reference_bete_filtration(*args))
+
+
+def test_square_through_an_empty_spot_is_checked():
+    # d_h d_v = 1 on the square through (0, 1), while d_v d_h passes the
+    # zero-dimensional (1, 0) and vanishes: neither convention holds
+    dims = {(0, 0): 1, (1, 0): 0, (0, 1): 1, (1, 1): 1}
+    with pytest.raises(ConventionError, match="neither commute nor anticommute"):
+        DoubleComplex(
+            i_max=1, j_max=1, dims=dims,
+            d_h={(0, 1): mat_from_rows([[1]])}, d_v={(0, 0): mat_from_rows([[1]])},
+        )
+
+
 def test_mixed_convention_is_rejected():
     # d_h d_v = +d_v d_h on one square and -1 times it on another
     dims = {(0, 0): 2, (1, 0): 2, (0, 1): 2, (1, 1): 2}
@@ -417,6 +551,18 @@ def test_mixed_convention_is_rejected():
     }
     with pytest.raises(ConventionError):
         DoubleComplex(i_max=1, j_max=1, dims=dims, d_h=d_h, d_v=d_v)
+
+
+@pytest.mark.parametrize("name, step", [("d_h", (1, 0)), ("d_v", (0, 1))])
+def test_arrow_errors_name_the_differential(name, step):
+    di, dj = step
+    spots = [(k * di, k * dj) for k in range(3)]
+    line = dict(i_max=2 * di, j_max=2 * dj, dims={s: 1 for s in spots}, d_h={}, d_v={})
+    one = mat_from_rows([[1]])
+    with pytest.raises(DomainError, match=rf"^{name} at \(0, 0\) has wrong shape$"):
+        DoubleComplex(**{**line, name: {spots[0]: mat_from_rows([[1, 1]])}})
+    with pytest.raises(PreconditionError, match=rf"^{name}\^2 != 0 at \(0, 0\)$"):
+        DoubleComplex(**{**line, name: {spots[0]: one, spots[1]: one}})
 
 
 def test_dsquared_violation_rejected():
