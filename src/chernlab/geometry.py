@@ -22,10 +22,15 @@ the Nijenhuis tensor takes one Jacobian of A.  Derivatives are central
 differences with step H_DEFAULT; identity checks built on them are
 expected to hold to about FD_TOL.
 
-Geodesics and parallel transport use fixed-step RK4.  A geodesic carries
-one stacked state (u, w) of shape (2, dim) and writes every step into one
-preallocated trajectory array; its escape test runs once per block of
-BLOCK_NODES steps, on the segment of every step of the block.
+A geodesic carries one stacked state (u, w) of shape (2, dim).  Without a
+step count it is integrated by the Dormand-Prince 5(4) pair with error
+control at relative tolerance GEODESIC_RTOL; its step size never drops
+below 1/STEPS_PER_UNIT, except on the final step, so it takes at most as
+many accepted steps as fixed-step RK4 at STEPS_PER_UNIT.  Every attempted
+step is tested for escape.  Given a step count, a geodesic runs fixed-step
+RK4, writes every step into one preallocated trajectory array, and runs
+its escape test once per block of BLOCK_NODES steps, on the segment of
+every step of the block.  Parallel transport uses fixed-step RK4.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
 bound, blows up, or crosses the deleted point sets escape_flag and keeps
@@ -51,7 +56,8 @@ MetricField = Callable[[np.ndarray], np.ndarray]
 H_DEFAULT = 1e-5       # central-difference step
 FD_TOL = 1e-4          # expected accuracy of derivative-based identities
 NORM_BOUND = 1e8       # blow-up threshold for geodesic states
-STEPS_PER_UNIT = 1000  # default RK4 resolution
+STEPS_PER_UNIT = 1000  # smallest adaptive geodesic step is 1/STEPS_PER_UNIT
+GEODESIC_RTOL = 1e-10  # adaptive geodesic tolerance; atol is GEODESIC_RTOL / 100
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
 BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
 MAX_CHART_DIM = 64     # dimension m of euclidean:m, hopf:m and flat-torus:m
@@ -303,12 +309,17 @@ def levi_civita(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of the geodesic system."""
+    """Sampled solution of the geodesic system.  An adaptive run also
+    counts its rejected steps (error test failed, or the step escaped and
+    was halved) and its floored steps (accepted at the smallest step size
+    although the error test failed)."""
 
     times: tuple
     points: tuple
     velocities: tuple
     escape_flag: bool
+    rejected: int = 0
+    floored: int = 0
 
     def __post_init__(self) -> None:
         if not (len(self.times) == len(self.points) == len(self.velocities)):
@@ -335,25 +346,45 @@ def _geodesic_rhs(conn: ChartConnection, y: np.ndarray) -> np.ndarray:
     return np.array((w, -((conn.gamma(y[0]) @ w) @ w)))
 
 
+_STEP_ERRORS = (FloatingPointError, DomainError, ValueError)
+
+# Dormand-Prince 5(4): the rows of the stage matrix, the last being the
+# fifth-order weights, so that the last stage is the derivative at the new
+# state (first same as last); and the weights of the error estimate, fifth
+# order minus the embedded fourth order.
+_DOPRI_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_DOPRI_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                     -17253 / 339200, 22 / 525, -1 / 40])
+
+
 def geodesic(
     conn: ChartConnection,
     p: Sequence[float],
     v: Sequence[float],
     time: float,
     steps: int | None = None,
+    tol: float = GEODESIC_RTOL,
 ) -> Trajectory:
-    """RK4 integration of u'' + Gamma(u) u' u' = 0 from (p, v) to t = time.
+    """Integration of u'' + Gamma(u) u' u' = 0 from (p, v) to t = time:
+    fixed-step RK4 when steps is given, else Dormand-Prince 5(4) at
+    relative tolerance tol.
 
-    With Gamma = 0 the integrator reproduces the straight line p + t v to
-    machine accuracy.  Each block of BLOCK_NODES steps runs first and is
-    tested for escape after, on every step's segment from its start to its
-    unwrapped end; the trajectory is cut before the first bad step, and
-    the steps the block ran past it are discarded.
+    With Gamma = 0 either integrator reproduces the straight line p + t v
+    to machine accuracy.  The trajectory ends at the last state before the
+    first step that leaves the chart, crosses the deleted point or blows
+    up, and escape_flag is then set.
     """
-    if steps is None:
-        steps = max(1, round(STEPS_PER_UNIT * abs(time)))
-    if steps <= 0:
+    if steps is not None and steps <= 0:
         raise DomainError("step count must be positive")
+    if not (math.isfinite(time) and time > 0.0):
+        raise DomainError(f"geodesic time must be positive and finite, got {time}")
     u = np.asarray(p, dtype=float)
     w = np.asarray(v, dtype=float)
     if u.shape != (conn.dim,) or w.shape != u.shape:
@@ -361,6 +392,20 @@ def geodesic(
             f"geodesic needs a point and a velocity in dimension {conn.dim}"
         )
     u = _require_inside(conn, u)
+    # a non-finite state is already an escape, so trial steps run silent
+    with np.errstate(all="ignore"):
+        if steps is None:
+            return _dopri5_geodesic(conn, u, w, time, tol)
+        return _rk4_geodesic(conn, u, w, time, steps)
+
+
+def _rk4_geodesic(
+    conn: ChartConnection, u: np.ndarray, w: np.ndarray, time: float, steps: int
+) -> Trajectory:
+    """Fixed-step RK4.  Each block of BLOCK_NODES steps runs first and is
+    tested for escape after, on every step's segment from its start to its
+    unwrapped end; the trajectory is cut before the first bad step, and
+    the steps the block ran past it are discarded."""
     chart = conn.chart
     dt = time / steps
     ys = np.empty((steps + 1, 2, conn.dim))
@@ -368,35 +413,98 @@ def geodesic(
     ends = np.empty((min(steps, BLOCK_NODES), conn.dim))  # unwrapped end points
     y = np.array((u, w))  # the first step starts from the unwrapped p
     done, escaped = steps, False
-    # a non-finite state is already an escape, so speculative steps run silent
-    with np.errstate(all="ignore"):
-        for lo in range(0, steps, BLOCK_NODES):
-            hi = stop = min(lo + BLOCK_NODES, steps)
-            for k in range(lo, hi):
-                try:
-                    k1 = _geodesic_rhs(conn, y)
-                    k2 = _geodesic_rhs(conn, y + 0.5 * dt * k1)
-                    k3 = _geodesic_rhs(conn, y + 0.5 * dt * k2)
-                    k4 = _geodesic_rhs(conn, y + dt * k3)
-                except (FloatingPointError, DomainError, ValueError):
-                    stop = k
-                    break
-                y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                ends[k - lo] = y[0]
-                y[0] = chart.wrap(y[0])
-                ys[k + 1] = y
-            starts = ys[lo:stop, 0].copy()
-            if lo == 0:
-                starts[:1] = u
-            end = ends[:stop - lo]
-            bad = np.flatnonzero(chart.segment_escapes(starts, end))
-            if bad.size or stop < hi:
-                done = lo + int(bad[0]) if bad.size else stop
-                escaped = True
+    for lo in range(0, steps, BLOCK_NODES):
+        hi = stop = min(lo + BLOCK_NODES, steps)
+        for k in range(lo, hi):
+            try:
+                k1 = _geodesic_rhs(conn, y)
+                k2 = _geodesic_rhs(conn, y + 0.5 * dt * k1)
+                k3 = _geodesic_rhs(conn, y + 0.5 * dt * k2)
+                k4 = _geodesic_rhs(conn, y + dt * k3)
+            except _STEP_ERRORS:
+                stop = k
                 break
+            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            ends[k - lo] = y[0]
+            y[0] = chart.wrap(y[0])
+            ys[k + 1] = y
+        starts = ys[lo:stop, 0].copy()
+        if lo == 0:
+            starts[:1] = u
+        end = ends[:stop - lo]
+        bad = np.flatnonzero(chart.segment_escapes(starts, end))
+        if bad.size or stop < hi:
+            done = lo + int(bad[0]) if bad.size else stop
+            escaped = True
+            break
     times = (0.0, *(np.arange(1, done + 1) * dt).tolist())
     return Trajectory(times, tuple(ys[:done + 1, 0]), tuple(ys[:done + 1, 1]),
                       escaped)
+
+
+def _dopri5_geodesic(
+    conn: ChartConnection, u: np.ndarray, w: np.ndarray, time: float, rtol: float
+) -> Trajectory:
+    """Dormand-Prince 5(4) with the step-size control of Hairer, Norsett
+    and Wanner (Solving ODEs I, II.4).
+
+    The error is the RMS of err / (atol + rtol max(|y|, |y_new|)) with
+    atol = rtol / 100, and the next step is h 0.9 err^(-1/5), clamped to
+    [h / 5, 5 h], and not above h right after a rejection.  The step never
+    drops below h_min = 1/STEPS_PER_UNIT, except on the final step, which
+    lands exactly on time; a step at the floor that fails the error test
+    is accepted and counted as floored.  A step that escapes (its segment
+    leaves the chart, its end is not finite, or Gamma raises) is halved
+    and tried again; one that escapes at h <= h_min ends the trajectory.
+    """
+    chart = conn.chart
+    atol, h_min = rtol / 100.0, 1.0 / STEPS_PER_UNIT
+    y = np.array((u, w))  # the first step starts from the unwrapped p
+    times, states = [0.0], [np.array((chart.wrap(u), w))]
+    k = np.empty((7,) + y.shape)  # the stages; k[0] is the derivative at y
+    flat_k = k.reshape(7, -1)
+    t, h = 0.0, time  # the first step tries the whole interval
+    rejected = floored = 0
+    grow, escaped = True, False
+    try:
+        k[0] = _geodesic_rhs(conn, y)
+    except _STEP_ERRORS:
+        escaped = True
+    while not escaped and t < time:
+        last = h >= time - t
+        if last:
+            h = time - t
+        try:
+            for i, a in enumerate(_DOPRI_A, start=1):
+                y_new = y + h * (a @ flat_k[:i]).reshape(y.shape)
+                k[i] = _geodesic_rhs(conn, y_new)
+            err = h * (_DOPRI_E @ flat_k).reshape(y.shape)
+            bad = (not (np.isfinite(y_new).all() and np.isfinite(err).all())
+                   or chart.segment_escapes(y[0], y_new[0]))
+        except _STEP_ERRORS:
+            bad = True
+        if bad:
+            escaped = h <= h_min
+            h, grow = max(h / 2.0, h_min), False
+            rejected += not escaped
+            continue
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        e = math.sqrt(float(np.mean((err / scale) ** 2)))
+        factor = min(5.0, max(0.2, 0.9 * max(e, 1e-10) ** -0.2))
+        if e > 1.0 and h > h_min:
+            h, grow = max(h * factor, h_min), False
+            rejected += 1
+            continue
+        floored += e > 1.0
+        t = time if last else t + h
+        y, k[0] = y_new, k[-1]
+        y[0] = chart.wrap(y[0])
+        times.append(t)
+        states.append(y)
+        h = max(h * (factor if grow else min(factor, 1.0)), h_min)
+        grow = True
+    return Trajectory(tuple(times), tuple(s[0] for s in states),
+                      tuple(s[1] for s in states), escaped, rejected, floored)
 
 
 def exponential_map(

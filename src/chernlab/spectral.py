@@ -515,6 +515,14 @@ class DoubleComplex:
         for spot in self.spots():
             if self.dims.get(spot) is None or self.dims[spot] < 0:
                 raise DomainError(f"missing or negative dimension at {spot}")
+        grid = set(self.spots())
+        for name, keyed in (("dims", self.dims), ("d_h", self.d_h), ("d_v", self.d_v)):
+            for spot in keyed:
+                if spot not in grid:
+                    raise DomainError(
+                        f"{name} at {spot} is outside the grid 0 <= i <= "
+                        f"{self.i_max}, 0 <= j <= {self.j_max}"
+                    )
         if sum(self.dims[spot] for spot in self.spots()) > MAX_TOTAL_DIM:
             raise DomainError(f"total dimension exceeds {MAX_TOTAL_DIM}")
         for (i, j) in self.spots():
@@ -654,7 +662,8 @@ def bete_filtration(
 
     Its spectral sequence stabilises at page two onto the cohomology.
     """
-    levels = {n: [n] * dims[n] for n in range(n_min, n_max + 1)}
+    # a missing degree is refused by FilteredComplex, with its message
+    levels = {n: [n] * dims.get(n, 0) for n in range(n_min, n_max + 1)}
     return FilteredComplex(
         n_min=n_min,
         n_max=n_max,

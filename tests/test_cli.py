@@ -380,6 +380,7 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["geodesic", "sphere:1", "--point", "1,0", "--time", "0"],
          "--time must be positive and finite"),
         (["geodesic", "euclidean:2", "--time", "1e9"], "between 1 and 1000000"),
+        (["geodesic", "euclidean:2", "--time", "1001"], "between 1 and 1000000, got 1001000"),
         (["geodesic", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
         (["exp", "euclidean:2", "--steps", "1000001"], "between 1 and 1000000"),
         (["geodesic", "euclidean:2", "--steps", "0"], "between 1 and 1000000, got 0"),
@@ -403,7 +404,7 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
         (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
-         "time-steps-cap", "steps-cap", "exp-steps-cap", "steps-0", "exp-steps-0",
+         "time-steps-cap", "time-1001", "steps-cap", "exp-steps-cap", "steps-0", "exp-steps-0",
          "rows-negative", "mesh-cap",
          "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
          "sphere-nan", "sphere-radius-cap-high", "sphere-radius-cap-low",
@@ -445,10 +446,14 @@ def test_geometry_input_bounds_exit_2(capsys, argv, message):
          {"degrees": {"0": 1}, "differentials": {},
           "filtration": {"0": {"0": [["1e999999999"]]}, "1": {"0": []}}},
          "exponent beyond 1000"),
+        (["spectral", "FILE", "--double", "vertical"],
+         {"dims": {"0,0": 1, "1,0": 1}, "dH": {"0,0": [["1"]], "7,7": [["1", "2"]]},
+          "dV": {"-1,0": [["5"]]}},
+         "d_h at (7, 7) is outside the grid 0 <= i <= 1, 0 <= j <= 0"),
     ],
     ids=["genus-cap", "genus-0", "genus-negative", "unwritable-out", "pages-negative",
          "pages-cap", "bidegree-cap", "double-dim-cap", "degree-dim-cap",
-         "filtration-length-cap", "entry-exponent-cap"],
+         "filtration-length-cap", "entry-exponent-cap", "double-spot-outside-grid"],
 )
 def test_build_and_spectral_input_bounds_exit_2(
     tmp_path, complex_file, capsys, monkeypatch, argv, payload, message
@@ -491,6 +496,28 @@ def test_geodesic_json_keeps_huge_velocities_finite(capsys):
     rows = json.loads(out, parse_constant=refuse)["results"]["rows"]
     assert rows[0]["velocity"] == [1e300, 0.0]
     assert rows[0]["point"] == [1.0, 0.0]
+
+
+def test_geodesic_reports_its_steps(capsys):
+    argv = ["geometry", "geodesic", "sphere:1", "--point", "1,0",
+            "--velocity", "1,1", "--time", "0.3"]
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0
+    got = data["results"]
+    assert got["method"] == "dopri5" and got["floored"] == 0
+    assert 0 < got["steps"] < 300 and got["rejected"] >= 0
+    assert got["rows"][-1]["t"] == 0.3
+    assert len(got["rows"]) == got["steps"] + 1  # fewer than 2 x 20 rows: all printed
+    assert data["verification"][0]["check"] == "looser-tolerance integration agrees"
+    assert data["verification"][0]["passed"]
+    assert run_json(capsys, *argv)[1]["results"] == got
+
+    code, data, _ = run_json(capsys, *argv, "--steps", "300")
+    assert code == 0
+    got = data["results"]
+    assert (got["method"], got["steps"], got["rejected"], got["floored"]) == ("rk4", 300, 0, 0)
+    assert data["verification"][0]["check"] == "half-resolution integration agrees"
+    assert data["verification"][0]["passed"]
 
 
 def test_geodesic_hopf_incompleteness_verdict(capsys):

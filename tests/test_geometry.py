@@ -633,6 +633,106 @@ def test_batched_segment_escapes_matches_one_segment_at_a_time(chart):
     assert got_grid.ravel().tolist() == want
 
 
+# -- adaptive geodesics (Dormand-Prince 5(4)) ------------------------------------------
+
+def great_circle(p, v, time):
+    """Chart coordinates (theta, phi) at `time` of the sphere geodesic from
+    p with coordinate velocity v, from the great circle in R^3."""
+    (st, ct), (sp, cp) = (math.sin(p[0]), math.cos(p[0])), (math.sin(p[1]), math.cos(p[1]))
+    x = np.array([st * cp, st * sp, ct])
+    dx = v[0] * np.array([ct * cp, ct * sp, -st]) + v[1] * np.array([-st * sp, st * cp, 0.0])
+    speed = float(np.linalg.norm(dx))
+    y = math.cos(speed * time) * x + math.sin(speed * time) * dx / speed
+    return np.array([math.acos(y[2]), math.atan2(y[1], y[0])])
+
+
+@pytest.mark.parametrize("key", ["euclidean:3", "flat-torus:3"])
+def test_adaptive_flat_geodesic_is_the_wrapped_straight_line(key):
+    geo = ge.parse_geometry(key)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p, v = rng.uniform(-2.0, 2.0, 3), rng.uniform(-1.5, 1.5, 3)
+        time = float(rng.uniform(0.01, 50.0))
+        traj = ge.geodesic(geo.connection, p, v, time)
+        assert not traj.escape_flag and traj.end_time == time
+        diff = traj.end_point - geo.chart.wrap(p + time * v)
+        if geo.chart.periods is not None:
+            diff -= np.round(diff)  # a point near 0 may land near 1
+        assert np.max(np.abs(diff)) <= 1e-12
+        assert np.array_equal(traj.end_velocity, v)
+        assert traj.rejected == traj.floored == 0
+
+
+def test_adaptive_sphere_geodesics_follow_the_great_circle():
+    geo = ge.parse_geometry("sphere:1.7")
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        theta, phi = rng.uniform(0.9, 2.2), rng.uniform(-3.0, 3.0)
+        speed, angle = rng.uniform(0.5, 1.5), rng.uniform(-3.1, 3.1)
+        v = [speed * math.cos(angle), speed * math.sin(angle) / math.sin(theta)]
+        time = float(rng.uniform(0.1, 0.6))
+        traj = ge.geodesic(geo.connection, [theta, phi], v, time)
+        assert not traj.escape_flag and traj.end_time == time and traj.floored == 0
+        diff = traj.end_point - great_circle([theta, phi], v, time)
+        diff[1] = math.remainder(diff[1], 2.0 * math.pi)
+        assert np.max(np.abs(diff)) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [[1.0, 0.0], [0.8, -0.6], [0.0, -0.3], [1.3, 1.1]])
+def test_adaptive_geodesic_at_the_puncture_stops_just_before_it(p):
+    conn = ge.parse_geometry("hopf:2").connection
+    p = np.array(p)
+    traj = ge.geodesic(conn, p, -p, 1.5)
+    assert traj.escape_flag and 0.99 < traj.end_time <= 1.0
+    assert np.max(np.abs(traj.end_point - p * (1.0 - traj.end_time))) <= 1e-9
+
+
+def test_adaptive_blow_up_ends_escaped_with_increasing_times():
+    # u'' = -(u')^2 from u' = -1 blows up at t = 1; the step floor keeps
+    # t + h > t, and Trajectory checks that the times strictly increase
+    conn = ge.constant_connection(np.ones((1, 1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = ge.geodesic(conn, [0.0], [-1.0], 3.0)
+    assert traj.escape_flag and 0.9 < traj.end_time < 1.1
+    assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+    assert traj.floored > 0
+
+
+def test_adaptive_steps_never_exceed_the_fixed_step_count():
+    # u = log(1 + t) solves u'' = -(u')^2 from u' = 1
+    conn = ge.constant_connection(np.ones((1, 1, 1)))
+    traj = ge.geodesic(conn, [0.0], [1.0], 3.0)
+    assert not traj.escape_flag and traj.end_time == 3.0
+    assert len(traj.times) - 1 <= 3 * ge.STEPS_PER_UNIT
+    assert traj.end_point[0] == pytest.approx(math.log(4.0), abs=1e-9)
+    # a tolerance no step can meet: every step is floored, none below 1/STEPS_PER_UNIT
+    strict = ge.geodesic(conn, [0.0], [1.0], 0.5, tol=1e-30)
+    assert len(strict.times) - 1 == ge.STEPS_PER_UNIT // 2
+    assert strict.floored == len(strict.times) - 1
+
+
+def test_adaptive_escape_keeps_the_last_state_inside():
+    # the box x <= 1 is left at t = 0.995; Gamma raises past x = 1.03
+    conn = guarded_connection(1.03)
+    traj = ge.geodesic(conn, [0.005, 0.0], [1.0, 0.0], 2.0)
+    assert traj.escape_flag and 0.994 <= traj.end_time < 0.995
+    assert traj.end_point[0] <= 1.0 and traj.rejected > 0
+
+
+def test_adaptive_geodesic_with_a_raising_gamma_at_the_start():
+    conn = guarded_connection(-1.0)
+    traj = ge.geodesic(conn, [0.005, 0.0], [1.0, 0.0], 2.0)
+    assert traj.escape_flag and traj.times == (0.0,)
+
+
+@pytest.mark.parametrize("time", [0.0, -1.0, math.inf, math.nan])
+def test_geodesic_rejects_bad_times(time):
+    conn = ge.flat_connection(2)
+    with pytest.raises(DomainError, match="time must be positive and finite"):
+        ge.geodesic(conn, [0.0, 0.0], [1.0, 0.0], time)
+
+
 # -- exponential map -----------------------------------------------------------------
 
 def test_exponential_of_zero_is_base_point():

@@ -565,6 +565,22 @@ def test_arrow_errors_name_the_differential(name, step):
         DoubleComplex(**{**line, name: {spots[0]: one, spots[1]: one}})
 
 
+@pytest.mark.parametrize("name, spot", [
+    ("d_h", (7, 7)), ("d_v", (-1, 0)), ("d_h", (0, 1)), ("dims", (2, 0)),
+])
+def test_spots_outside_the_grid_are_refused(name, spot):
+    line = dict(i_max=1, j_max=0, dims={(0, 0): 1, (1, 0): 1}, d_h={}, d_v={})
+    value = 1 if name == "dims" else mat_from_rows([[1, 2]])
+    with pytest.raises(DomainError, match=rf"^{name} at \({spot[0]}, {spot[1]}\) "
+                                          r"is outside the grid 0 <= i <= 1, 0 <= j <= 0$"):
+        DoubleComplex(**{**line, name: {**line[name], spot: value}})
+
+
+def test_bete_filtration_names_a_missing_degree():
+    with pytest.raises(DomainError, match=r"^missing or negative dimension at 1$"):
+        bete_filtration({0: 1}, {}, 0, 1)
+
+
 def test_dsquared_violation_rejected():
     dims = {0: 1, 1: 1, 2: 1}
     d = {0: mat_from_rows([[1]]), 1: mat_from_rows([[1]])}
