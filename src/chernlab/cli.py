@@ -62,7 +62,7 @@ MAX_GENUS = 1000       # genus of a built representation
 MAX_PAGES = 100        # highest spectral page printed
 MAX_MESH = 1024        # Gauss-Bonnet mesh (the refined pass uses twice this)
 MAX_SAMPLES = 10**6    # latitude samples of a transport path
-MAX_STEPS = 10**6      # geodesic steps: --steps, or 1000 per unit of --time
+MAX_STEPS = 10**6      # geodesic step budget: --steps, or 1000 per unit of --time
 
 
 @dataclass
@@ -289,7 +289,7 @@ def cmd_geometry(args) -> RunReport:
     if args.geo_command == "geodesic":
         if not (math.isfinite(args.time) and args.time > 0.0):
             raise DomainError(f"--time must be positive and finite, got {args.time}")
-        _bounded(
+        steps = _bounded(
             f"geodesic steps (--steps, or {geo_mod.STEPS_PER_UNIT} per unit of --time)",
             args.steps if args.steps is not None
             else math.ceil(geo_mod.STEPS_PER_UNIT * args.time),
@@ -297,9 +297,7 @@ def cmd_geometry(args) -> RunReport:
         )
         if args.rows < 0:
             raise DomainError(f"--rows must be at least 0, got {args.rows}")
-        traj = geo_mod.geodesic(
-            geo.connection, point, velocity, args.time, args.steps
-        )
+        traj = geo_mod.geodesic(geo.connection, point, velocity, args.time, steps)
         stride = max(1, len(traj.times) // args.rows) if args.rows else 1
         rows = [
             {
@@ -322,18 +320,12 @@ def cmd_geometry(args) -> RunReport:
             "steps": len(traj.times) - 1,
             "rejected": traj.rejected,
             "floored": traj.floored,
-            "method": "dopri5" if args.steps is None else "rk4",
         }
-        # a coarser run must tell the same story: half the RK4 steps, or
-        # a 100 times looser tolerance
-        if args.steps is None:
-            check = "looser-tolerance integration agrees"
-            coarse = geo_mod.geodesic(geo.connection, point, velocity, args.time,
-                                      tol=100 * geo_mod.GEODESIC_RTOL)
-        else:
-            check = "half-resolution integration agrees"
-            coarse = geo_mod.geodesic(geo.connection, point, velocity, args.time,
-                                      max(1, args.steps // 2))
+        # a coarser run must tell the same story: half the step budget at a
+        # 100 times looser tolerance
+        check = "coarser integration agrees"
+        coarse = geo_mod.geodesic(geo.connection, point, velocity, args.time,
+                                  max(1, steps // 2), 100 * geo_mod.GEODESIC_RTOL)
         if traj.escape_flag:
             report.check(check, coarse.escape_flag, "both runs escape")
         else:
@@ -440,7 +432,7 @@ def cmd_geometry(args) -> RunReport:
             raise DomainError(f"geometry '{args.key}' carries no metric")
         point = _parse_floats(args.point, "--point")
         conn = geo_mod.levi_civita(geo.metric, geo.chart)
-        gamma = conn.gamma(point)
+        gamma = conn.gamma(geo_mod._require_inside(conn, point))
         report.results = {
             "point": [float(v) for v in point],
             "christoffel": [[list(map(float, row)) for row in plane]
@@ -525,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated, or '-p' to aim at the origin")
     p_geo.add_argument("--time", type=float, default=1.0)
     p_geo.add_argument("--steps", type=int, default=None,
-                       help="fixed RK4 steps (default: adaptive Dormand-Prince)")
+                       help="most accepted geodesic steps; the smallest step is "
+                            "--time / --steps (default: 1000 per unit of --time)")
     p_geo.add_argument("--rows", type=int, default=20,
                        help="max trajectory rows to print (0 = all)")
     p_geo.add_argument("--vector", default="1,0")

@@ -22,22 +22,20 @@ the Nijenhuis tensor takes one Jacobian of A.  Derivatives are central
 differences with step H_DEFAULT; identity checks built on them are
 expected to hold to about FD_TOL.
 
-A geodesic carries one stacked state (u, w) of shape (2, dim).  Without a
-step count it is integrated by the Dormand-Prince 5(4) pair with error
-control at relative tolerance GEODESIC_RTOL; its step size never drops
-below 1/STEPS_PER_UNIT, except on the final step, so it takes at most as
-many accepted steps as fixed-step RK4 at STEPS_PER_UNIT.  Every attempted
-step is tested for escape.  Given a step count, a geodesic runs fixed-step
-RK4, writes every step into one preallocated trajectory array, and runs
-its escape test once per block of BLOCK_NODES steps, on the segment of
-every step of the block.  Parallel transport uses fixed-step RK4.
+A geodesic carries one stacked state (u, w) of shape (2, dim) and is
+integrated by the Dormand-Prince 5(4) pair with error control at relative
+tolerance GEODESIC_RTOL.  Its step budget, by default STEPS_PER_UNIT per
+unit of time, rounded up, sets the step floor time / steps: no step but
+the final one is shorter, so a run takes at most that many accepted
+steps.  Every attempted step is tested for escape.  Parallel transport
+uses fixed-step RK4.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
-bound, blows up, or crosses the deleted point sets escape_flag and keeps
-the last valid state.  The trajectory is cut before the first such step,
-so the steps a block computed past it change nothing.  This witnesses
-incompleteness as a numeric event; it can never prove completeness,
-which is a one-sided limitation of any finite probe.
+bound, blows up, or crosses the deleted point is halved and retried; at
+the step floor it sets escape_flag instead, and the trajectory ends at the
+last valid state.  This witnesses incompleteness as a numeric event; it
+can never prove completeness, which is a one-sided limitation of any
+finite probe.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ MetricField = Callable[[np.ndarray], np.ndarray]
 H_DEFAULT = 1e-5       # central-difference step
 FD_TOL = 1e-4          # expected accuracy of derivative-based identities
 NORM_BOUND = 1e8       # blow-up threshold for geodesic states
-STEPS_PER_UNIT = 1000  # smallest adaptive geodesic step is 1/STEPS_PER_UNIT
+STEPS_PER_UNIT = 1000  # default geodesic step budget per unit of time
 GEODESIC_RTOL = 1e-10  # adaptive geodesic tolerance; atol is GEODESIC_RTOL / 100
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
 BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
@@ -181,6 +179,8 @@ def constant_field(v: Sequence[float]) -> VectorField:
 
 def _require_inside(conn: ChartConnection, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    if p.shape[-1:] != (conn.dim,):
+        raise DomainError(f"points must have {conn.dim} coordinates")
     outside = ~conn.chart.contains(p)
     if outside.any():
         bad = p[outside][0]
@@ -372,19 +372,22 @@ def geodesic(
     steps: int | None = None,
     tol: float = GEODESIC_RTOL,
 ) -> Trajectory:
-    """Integration of u'' + Gamma(u) u' u' = 0 from (p, v) to t = time:
-    fixed-step RK4 when steps is given, else Dormand-Prince 5(4) at
-    relative tolerance tol.
+    """Integration of u'' + Gamma(u) u' u' = 0 from (p, v) to t = time by
+    Dormand-Prince 5(4) at relative tolerance tol, in at most steps
+    accepted steps (default ceil(STEPS_PER_UNIT time)): no step but the
+    final one is shorter than time / steps.
 
-    With Gamma = 0 either integrator reproduces the straight line p + t v
-    to machine accuracy.  The trajectory ends at the last state before the
-    first step that leaves the chart, crosses the deleted point or blows
-    up, and escape_flag is then set.
+    With Gamma = 0 this reproduces the straight line p + t v to machine
+    accuracy.  The trajectory ends at the last state before the first step
+    that leaves the chart, crosses the deleted point or blows up, and
+    escape_flag is then set.
     """
     if steps is not None and steps <= 0:
         raise DomainError("step count must be positive")
     if not (math.isfinite(time) and time > 0.0):
         raise DomainError(f"geodesic time must be positive and finite, got {time}")
+    if steps is None:
+        steps = math.ceil(STEPS_PER_UNIT * time)
     u = np.asarray(p, dtype=float)
     w = np.asarray(v, dtype=float)
     if u.shape != (conn.dim,) or w.shape != u.shape:
@@ -394,56 +397,16 @@ def geodesic(
     u = _require_inside(conn, u)
     # a non-finite state is already an escape, so trial steps run silent
     with np.errstate(all="ignore"):
-        if steps is None:
-            return _dopri5_geodesic(conn, u, w, time, tol)
-        return _rk4_geodesic(conn, u, w, time, steps)
-
-
-def _rk4_geodesic(
-    conn: ChartConnection, u: np.ndarray, w: np.ndarray, time: float, steps: int
-) -> Trajectory:
-    """Fixed-step RK4.  Each block of BLOCK_NODES steps runs first and is
-    tested for escape after, on every step's segment from its start to its
-    unwrapped end; the trajectory is cut before the first bad step, and
-    the steps the block ran past it are discarded."""
-    chart = conn.chart
-    dt = time / steps
-    ys = np.empty((steps + 1, 2, conn.dim))
-    ys[0] = chart.wrap(u), w
-    ends = np.empty((min(steps, BLOCK_NODES), conn.dim))  # unwrapped end points
-    y = np.array((u, w))  # the first step starts from the unwrapped p
-    done, escaped = steps, False
-    for lo in range(0, steps, BLOCK_NODES):
-        hi = stop = min(lo + BLOCK_NODES, steps)
-        for k in range(lo, hi):
-            try:
-                k1 = _geodesic_rhs(conn, y)
-                k2 = _geodesic_rhs(conn, y + 0.5 * dt * k1)
-                k3 = _geodesic_rhs(conn, y + 0.5 * dt * k2)
-                k4 = _geodesic_rhs(conn, y + dt * k3)
-            except _STEP_ERRORS:
-                stop = k
-                break
-            y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            ends[k - lo] = y[0]
-            y[0] = chart.wrap(y[0])
-            ys[k + 1] = y
-        starts = ys[lo:stop, 0].copy()
-        if lo == 0:
-            starts[:1] = u
-        end = ends[:stop - lo]
-        bad = np.flatnonzero(chart.segment_escapes(starts, end))
-        if bad.size or stop < hi:
-            done = lo + int(bad[0]) if bad.size else stop
-            escaped = True
-            break
-    times = (0.0, *(np.arange(1, done + 1) * dt).tolist())
-    return Trajectory(times, tuple(ys[:done + 1, 0]), tuple(ys[:done + 1, 1]),
-                      escaped)
+        return _dopri5_geodesic(conn, u, w, time, tol, steps)
 
 
 def _dopri5_geodesic(
-    conn: ChartConnection, u: np.ndarray, w: np.ndarray, time: float, rtol: float
+    conn: ChartConnection,
+    u: np.ndarray,
+    w: np.ndarray,
+    time: float,
+    rtol: float,
+    steps: int,
 ) -> Trajectory:
     """Dormand-Prince 5(4) with the step-size control of Hairer, Norsett
     and Wanner (Solving ODEs I, II.4).
@@ -451,14 +414,16 @@ def _dopri5_geodesic(
     The error is the RMS of err / (atol + rtol max(|y|, |y_new|)) with
     atol = rtol / 100, and the next step is h 0.9 err^(-1/5), clamped to
     [h / 5, 5 h], and not above h right after a rejection.  The step never
-    drops below h_min = 1/STEPS_PER_UNIT, except on the final step, which
-    lands exactly on time; a step at the floor that fails the error test
-    is accepted and counted as floored.  A step that escapes (its segment
-    leaves the chart, its end is not finite, or Gamma raises) is halved
-    and tried again; one that escapes at h <= h_min ends the trajectory.
+    drops below the floor h_min = time / steps, except on the final step,
+    which lands exactly on time; the steps-th accepted step is always the
+    final one, which the rounding of t could otherwise delay.  A step at
+    the floor, or the steps-th, that fails the error test is accepted and
+    counted as floored.  A step that escapes (its segment leaves the
+    chart, its end is not finite, or Gamma raises) is halved and tried
+    again; one that escapes at the floor ends the trajectory.
     """
     chart = conn.chart
-    atol, h_min = rtol / 100.0, 1.0 / STEPS_PER_UNIT
+    atol, h_min = rtol / 100.0, time / steps
     y = np.array((u, w))  # the first step starts from the unwrapped p
     times, states = [0.0], [np.array((chart.wrap(u), w))]
     k = np.empty((7,) + y.shape)  # the stages; k[0] is the derivative at y
@@ -471,9 +436,11 @@ def _dopri5_geodesic(
     except _STEP_ERRORS:
         escaped = True
     while not escaped and t < time:
-        last = h >= time - t
+        floor = len(times) == steps  # the last step the budget allows
+        last = floor or h >= time - t
         if last:
             h = time - t
+        floor = floor or h <= h_min
         try:
             for i, a in enumerate(_DOPRI_A, start=1):
                 y_new = y + h * (a @ flat_k[:i]).reshape(y.shape)
@@ -484,14 +451,14 @@ def _dopri5_geodesic(
         except _STEP_ERRORS:
             bad = True
         if bad:
-            escaped = h <= h_min
+            escaped = floor
             h, grow = max(h / 2.0, h_min), False
             rejected += not escaped
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         e = math.sqrt(float(np.mean((err / scale) ** 2)))
         factor = min(5.0, max(0.2, 0.9 * max(e, 1e-10) ** -0.2))
-        if e > 1.0 and h > h_min:
+        if e > 1.0 and not floor:
             h, grow = max(h * factor, h_min), False
             rejected += 1
             continue

@@ -1,12 +1,14 @@
 """CLI contract: exit codes, schemas, determinism of results blocks."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from corpusgen import random_double_complex, random_filtered_complex
+from test_geometry import great_circle
 from chernlab.cli import main
 from chernlab.spectral import double_complex_to_dict, filtered_complex_to_dict
 
@@ -402,6 +404,8 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
           "--samples", "20"], "between 1e-50 and 1e+50"),
         (["geodesic", "euclidean:2", "--velocity", "inf,0"], "--velocity must be finite"),
         (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
+        (["levi-civita", "sphere:1", "--point", "5,0"],
+         "point [5.0, 0.0] is outside the chart domain"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
          "time-steps-cap", "time-1001", "steps-cap", "exp-steps-cap", "steps-0", "exp-steps-0",
@@ -409,7 +413,7 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
          "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
          "sphere-nan", "sphere-radius-cap-high", "sphere-radius-cap-low",
          "sphere-radius-cap-gauss-bonnet", "sphere-radius-cap-transport",
-         "velocity-inf", "point-nan"],
+         "velocity-inf", "point-nan", "levi-civita-outside"],
 )
 def test_geometry_input_bounds_exit_2(capsys, argv, message):
     code, _, err = run(capsys, "geometry", *argv)
@@ -504,20 +508,46 @@ def test_geodesic_reports_its_steps(capsys):
     code, data, _ = run_json(capsys, *argv)
     assert code == 0
     got = data["results"]
-    assert got["method"] == "dopri5" and got["floored"] == 0
+    assert got["floored"] == 0 and "method" not in got
     assert 0 < got["steps"] < 300 and got["rejected"] >= 0
     assert got["rows"][-1]["t"] == 0.3
     assert len(got["rows"]) == got["steps"] + 1  # fewer than 2 x 20 rows: all printed
-    assert data["verification"][0]["check"] == "looser-tolerance integration agrees"
+    assert data["verification"][0]["check"] == "coarser integration agrees"
     assert data["verification"][0]["passed"]
     assert run_json(capsys, *argv)[1]["results"] == got
 
+    # --steps is the budget of the same integration: a run that never
+    # needs the floor time / steps is unchanged by it
     code, data, _ = run_json(capsys, *argv, "--steps", "300")
-    assert code == 0
-    got = data["results"]
-    assert (got["method"], got["steps"], got["rejected"], got["floored"]) == ("rk4", 300, 0, 0)
-    assert data["verification"][0]["check"] == "half-resolution integration agrees"
+    assert code == 0 and data["results"] == got
     assert data["verification"][0]["passed"]
+    # a budget the run needs: at most 10 steps, none but the last below 0.3 / 10
+    code, data, _ = run_json(capsys, *argv, "--steps", "10")
+    times = [row["t"] for row in data["results"]["rows"]]
+    assert code == 0 and len(times) - 1 == data["results"]["steps"] <= 10
+    assert all(b - a >= 0.03 - 1e-12 for a, b in zip(times[:-2], times[1:-1]))
+
+
+def test_exp_sphere_with_a_step_budget_follows_the_great_circle(capsys):
+    for p, v in [([1.0, 0.3], [0.4, 0.2]), ([2.1, -2.5], [-0.35, 0.3]),
+                 ([1.4, 1.0], [0.1, -0.55])]:
+        code, data, _ = run_json(
+            capsys, "geometry", "exp", "sphere:2.5", f"--point={p[0]},{p[1]}",
+            f"--velocity={v[0]},{v[1]}", "--steps", "400",
+        )
+        assert code == 0
+        diff = np.array(data["results"]["exp"]) - great_circle(p, v, 1.0)
+        diff[1] = math.remainder(diff[1], 2.0 * math.pi)
+        assert np.max(np.abs(diff)) <= 1e-6
+
+
+def test_an_under_resolved_geodesic_fails_the_coarser_check(capsys):
+    code, _, err = run(
+        capsys, "geometry", "geodesic", "sphere:1", "--point", "1,0",
+        "--velocity", "1,1", "--steps", "3",
+    )
+    assert code == 4
+    assert "failed checks: coarser integration agrees (endpoint drift" in err
 
 
 def test_geodesic_hopf_incompleteness_verdict(capsys):
