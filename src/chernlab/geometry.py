@@ -11,8 +11,8 @@ point is a batch of one, so every operation has one code path.  A field
 may return one constant array for every point (lambda p: np.eye(n));
 callers broadcast it.  Gauss-Bonnet evaluates its node grid in blocks of
 BLOCK_NODES nodes, and parallel transport evaluates Gamma at the RK4 nodes
-of one block of segments at a time, which bounds the size of the
-temporaries.
+of one block of segments at a time and folds that block's substep
+propagators into one matrix, which bounds the size of the temporaries.
 
 Torsion, curvature and the Nijenhuis tensor are built from their tensor
 formulas and contracted with the values of the vector fields at p.
@@ -28,7 +28,9 @@ tolerance GEODESIC_RTOL.  Its step budget, by default STEPS_PER_UNIT per
 unit of time, rounded up, sets the step floor time / steps: no step but
 the final one is shorter, so a run takes at most that many accepted
 steps.  Every attempted step is tested for escape.  Parallel transport
-uses fixed-step RK4.
+takes fixed RK4 substeps on a linear equation, so each substep is one
+propagator matrix, and a pairwise product tree multiplies them in path
+order.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
 bound, blows up, or crosses the deleted point is halved and retried; at
@@ -503,9 +505,14 @@ def parallel_transport(
     """Transport v0 along a sampled path by RK4 on v' = -Gamma(x) x' v.
 
     The path is taken piecewise linear between samples; the result is
-    linear in v0.  Gamma depends on the path alone, so for each block of
-    segments it is evaluated up front at the 2 substeps + 1 RK4 nodes of
-    every segment; only the update of v runs step by step.
+    linear in v0.  The equation is linear in v, so one RK4 substep is
+    exactly v <- Phi v with Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
+    K1 = A, K2 = M (I + h/2 K1), K3 = M (I + h/2 K2), K4 = B (I + h K3)
+    and A, M, B are -Gamma(x) x' at the substep's start, middle and end.
+    For each block of segments Gamma is evaluated at the 2 substeps + 1
+    nodes of every segment, every Phi is built by batched matmuls, and a
+    pairwise product tree (later substeps on the left) folds them into
+    one matrix, which is applied to v.
     """
     try:
         pts = np.asarray(path, dtype=float)
@@ -521,6 +528,7 @@ def parallel_transport(
     hh = 1.0 / substeps
     t = np.arange(2 * substeps + 1) * (hh / 2)
     per_block = max(1, BLOCK_NODES // len(t))
+    eye = np.eye(dim)
     for lo in range(0, len(pts) - 1, per_block):
         a = pts[lo:lo + per_block + 1]
         xdot = np.diff(a, axis=0)
@@ -528,14 +536,17 @@ def parallel_transport(
         gam = _field(conn.gamma, nodes, (dim, dim, dim))
         # transport matrices -Gamma(x) xdot at every node of every segment
         mats = -np.einsum("snkij,si->snkj", gam, xdot)
-        for seg in mats:
-            for s in range(substeps):
-                m_a, m_m, m_b = seg[2 * s], seg[2 * s + 1], seg[2 * s + 2]
-                k1 = m_a @ v
-                k2 = m_m @ (v + hh / 2 * k1)
-                k3 = m_m @ (v + hh / 2 * k2)
-                k4 = m_b @ (v + hh * k3)
-                v = v + hh / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        m_a = mats[:, 0:-1:2].reshape(-1, dim, dim)
+        m_m = mats[:, 1::2].reshape(-1, dim, dim)
+        m_b = mats[:, 2::2].reshape(-1, dim, dim)
+        k2 = m_m @ (eye + hh / 2 * m_a)
+        k3 = m_m @ (eye + hh / 2 * k2)
+        k4 = m_b @ (eye + hh * k3)
+        phi = eye + hh / 6.0 * (m_a + 2 * k2 + 2 * k3 + k4)
+        while len(phi) > 1:
+            pairs = phi[1::2] @ phi[0:-1:2]
+            phi = np.concatenate([pairs, phi[-1:]]) if len(phi) % 2 else pairs
+        v = phi[0] @ v
     return v
 
 

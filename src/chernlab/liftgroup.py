@@ -385,12 +385,17 @@ def word_path(
 ) -> Callable[[np.ndarray], Mat2]:
     """Concatenation of the paths of a word's letters.
 
-    Letter j of n moves on [j/n, (j+1)/n] along R(s * lift) P^s, s in
-    [0, 1], on top of the float product of the letters before it; exact
-    (I, 0) letters are constant and dropped first.  Each letter realises
-    its stored lift, deck shifts included, and t = 1 gives the product
-    exactly: if the word projects to the identity, the loop winds by the
-    central lift of the product over 2*pi.
+    Letter j of n, with polar parts R(lift) P, moves on [j/n, (j+1)/n]
+    on top of the float product of the letters before it: on the first
+    half it rotates along R(2s * lift), s in [0, 1/2], and on the second
+    it stretches along R(lift) P^(2s - 1), s in [1/2, 1].  Exact (I, 0)
+    letters are constant and dropped first.  Split so, the relative speed
+    of the path is bounded by |lift| + |log P|, with no factor cond(P)
+    that would let the plane point jump between neighbouring floats of t
+    for large letters.  Each letter realises its stored lift, deck shifts
+    included, and t = 1 gives the product exactly: if the word projects to
+    the identity, the loop winds by the central lift of the product over
+    2*pi.
     """
     letters = [
         e for e in elements
@@ -410,10 +415,11 @@ def word_path(
         t = np.asarray(t, dtype=float)
         k = np.minimum(np.floor(t * n), n - 1).astype(np.intp)
         s = t * n - k
-        theta = s * lift[k]
+        theta = np.minimum(2.0 * s, 1.0) * lift[k]
+        stretch = np.maximum(2.0 * s - 1.0, 0.0)
         out = (
             prefix[k] @ _rotation_stack(np.cos(theta), np.sin(theta))
-            @ ((q[k] * np.exp(s[..., None] * logw[k])[..., None, :]) @ qt[k])
+            @ ((q[k] * np.exp(stretch[..., None] * logw[k])[..., None, :]) @ qt[k])
         )
         # endpoints are returned exactly, so a word that multiplies to the
         # identity closes bit-exactly instead of up to eigh roundoff

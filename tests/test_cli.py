@@ -143,13 +143,17 @@ def test_milnor_disagreement_exits_4(rep_file, capsys, monkeypatch):
     assert "[FAIL] dual-method agreement" in out
 
 
-def test_milnor_oracle_past_the_sample_cap_exits_3(tmp_path, capsys):
+def test_milnor_oracle_past_the_sample_cap_exits_3(tmp_path, capsys, monkeypatch):
+    import chernlab.liftgroup as liftgroup_mod
+
+    # build 26 25 needs 15 619 loop samples, within the real cap of 2**15
+    monkeypatch.setattr(liftgroup_mod, "MAX_LOOP_SAMPLES", 2**13)
     path = tmp_path / "rep2625.json"
     code, _, _ = run(capsys, "build", "26", "25", "--out", str(path))
     assert code == 0
     code, _, err = run(capsys, "milnor", str(path), "--oracle")
     _assert_one_line_error(code, err, 3)
-    assert "MAX_LOOP_SAMPLES = 32768" in err
+    assert "MAX_LOOP_SAMPLES = 8192" in err
 
 
 def test_build_writes_schema(tmp_path, capsys):

@@ -921,6 +921,62 @@ def test_transport_matches_segment_by_segment_rk4(substeps):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def wiggle_path(segments):
+    return [
+        np.array([1.0 + 0.3 * math.sin(3 * s), s])
+        for s in np.linspace(0, 6, segments + 1)
+    ]
+
+
+def helix_path(segments):
+    return [
+        np.array([math.cos(s), math.sin(s), 0.3 * s])
+        for s in np.linspace(0, 4, segments + 1)
+    ]
+
+
+def segment_counts(substeps):
+    """One segment, and the counts around one and two block edges."""
+    per_block = ge.BLOCK_NODES // (2 * substeps + 1)
+    return [1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_transport_keeps_path_order_across_block_edges(substeps):
+    conn = analytic_sphere_connection()
+    v = np.array([0.4, -0.3])
+    for segments in segment_counts(substeps):
+        path = wiggle_path(segments)
+        got = ge.parallel_transport(conn, path, v, substeps)
+        want = reference_transport(conn, path, v, substeps)
+        assert np.max(np.abs(got - want)) <= 1e-12, segments
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+def test_transport_with_non_commuting_constant_gamma(substeps):
+    gamma = np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3, 3))
+    conn = ge.constant_connection(gamma)
+    slices = [gamma[:, i, :] for i in range(3)]
+    assert np.abs(slices[0] @ slices[1] - slices[1] @ slices[0]).max() > 0.1
+    v = np.array([0.2, -0.7, 0.5])
+    for segments in segment_counts(substeps):
+        path = helix_path(segments)
+        got = ge.parallel_transport(conn, path, v, substeps)
+        want = reference_transport(conn, path, v, substeps)
+        assert np.max(np.abs(got - want)) <= 1e-12, segments
+        if segments > 1:
+            # the same substep propagators multiplied in reverse order
+            props = [
+                np.column_stack([
+                    reference_transport(conn, path[i:i + 2], e, substeps)
+                    for e in np.eye(3)
+                ])
+                for i in range(segments)
+            ]
+            reversed_v = np.linalg.multi_dot(props + [v[:, None]])[:, 0]
+            assert np.max(np.abs(reversed_v - want)) > 1e-3, segments
+
+
 def test_latitude_holonomy_is_a_rotation_with_stable_angle():
     conn = analytic_sphere_connection()
     coarse = holonomy_angle(conn, 16000)

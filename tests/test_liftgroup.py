@@ -459,9 +459,9 @@ def test_from_path_stops_at_a_nan_without_refining():
 
 def test_from_path_caps_the_sample_count(monkeypatch):
     path = mi.commutator_loop_path(mi.build_representation(3, 2))
-    assert len(lg.SampledLoop.from_path(path)) == 783
-    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 782)
-    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 782"):
+    assert len(lg.SampledLoop.from_path(path)) == 537
+    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 536)
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 536"):
         lg.SampledLoop.from_path(path)
 
 

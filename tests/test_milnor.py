@@ -72,10 +72,12 @@ def test_build_2_1_degree_one_by_both_methods():
     assert mi.winding_number(rep) == 1
 
 
-def test_oracle_past_the_sample_cap_raises_quickly():
+def test_oracle_past_the_sample_cap_raises_quickly(monkeypatch):
+    # build 26 25 needs 15 619 loop samples, within the real cap of 2**15
+    monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 2**13)
     rep = mi.build_representation(26, 25)
     start = time.perf_counter()
-    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 32768"):
+    with pytest.raises(SubdivisionError, match="MAX_LOOP_SAMPLES = 8192"):
         mi.winding_number(rep)
     assert time.perf_counter() - start < 2.0
 
@@ -288,6 +290,14 @@ def test_every_degree_up_to_32_builds_exactly():
         rep = mi.build_representation(abs(d) + 1, d)
         assert mi.relation_defect(rep) == 0.0
         assert mi.milnor_number(rep) == d
+
+
+def test_oracle_agrees_on_every_degree_up_to_32():
+    """The winding oracle reads d on every |d| <= 32 that build makes,
+    within the real sample cap."""
+    for d in range(-32, 33):
+        rep = mi.build_representation(abs(d) + 1, d)
+        assert mi.winding_number(rep) == d
 
 
 def test_flip_trivial():
