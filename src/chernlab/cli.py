@@ -61,7 +61,7 @@ CONFIG_PATH = Path.home() / ".config" / "chernlab" / "config.json"
 MAX_GENUS = 1000       # genus of a built representation
 MAX_PAGES = 100        # highest spectral page printed
 MAX_MESH = 1024        # Gauss-Bonnet mesh (the refined pass uses twice this)
-MAX_SAMPLES = 10**6    # latitude samples of a transport path
+MAX_SAMPLES = 10**6    # transport path segments: --samples, or --path-file points - 1
 MAX_STEPS = 10**6      # geodesic step budget: --steps, or 1000 per unit of --time
 
 
@@ -354,6 +354,11 @@ def cmd_geometry(args) -> RunReport:
         if args.path_file:
             data, digest = _read_json(args.path_file)
             report.inputs.update(digest)
+            if isinstance(data, (list, dict, str)) and len(data) > MAX_SAMPLES + 1:
+                raise DomainError(
+                    f"--path-file has {len(data)} points, more than "
+                    f"MAX_SAMPLES + 1 = {MAX_SAMPLES + 1}"
+                )
             try:
                 path = [np.array([float(v) for v in row]) for row in data]
             except (TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """Euler-characteristic bookkeeping for products and connected sums.
 
-Atoms carry hard-coded characteristics (standard closed-manifold facts):
+Atoms are declared in one table, which gives each its parameter, least
+parameter, dimension and characteristic (standard closed-manifold facts):
 surfaces Sigma_g with 2 - 2g, spheres with 1 + (-1)^n, and the zero-chi
 spaces P = S^1 x S^3, tori, and Hopf manifolds S^{m-1} x S^1.  Products
 multiply chi; a connected sum of k closed even-dimensional pieces has
@@ -25,7 +26,9 @@ MAX_SMILLIE_DIM, are DomainErrors.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -33,80 +36,48 @@ MAX_CHI_BITS = 10_000     # bit length of an Euler characteristic
 MAX_SMILLIE_DIM = 10_000  # dimension of a smillie example
 
 
+class _Rule(NamedTuple):
+    param: str | None    # the parameter's letter in the grammar; None if none
+    least: int | None    # least admissible parameter
+    refusal: str | None  # the message for a parameter below `least`
+    dimension: Callable[[int | None], int]
+    chi: Callable[[int | None], int]
+
+
+# every atom, in the order the parser's error message lists them
+_RULES = {
+    "Sigma": _Rule("g", 0, "genus must be nonnegative",
+                   lambda g: 2, lambda g: 2 - 2 * g),
+    "Sphere": _Rule("n", 1, "sphere dimension must be positive",
+                    lambda n: n, lambda n: 1 + (-1) ** n),
+    "Torus": _Rule("n", 1, "torus dimension must be positive",
+                   lambda n: n, lambda n: 0),
+    "Hopf": _Rule("m", 1, "Hopf dimension must be positive",
+                  lambda m: m, lambda m: 0),
+    # P = S^1 x S^3, the glue piece of the flat four- and six-manifolds
+    "P": _Rule(None, None, None, lambda _: 4, lambda _: 0),
+}
+
+
 @dataclass(frozen=True)
-class Surface:
-    genus: int
+class Atom:
+    """One row of the atom table with its parameter: Atom("Sigma", 3), Atom("P")."""
+    name: str
+    arg: int | None = None
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise DomainError("genus must be nonnegative")
+        rule = _RULES.get(self.name)
+        if rule is None or (rule.param is None) != (self.arg is None):
+            raise DomainError(f"not an atom: {self}")
+        if self.arg is not None and self.arg < rule.least:
+            raise DomainError(rule.refusal)
 
     @property
     def dimension(self) -> int:
-        return 2
+        return _RULES[self.name].dimension(self.arg)
 
     def __str__(self) -> str:
-        return f"Sigma({self.genus})"
-
-
-@dataclass(frozen=True)
-class Sphere:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("sphere dimension must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.n
-
-    def __str__(self) -> str:
-        return f"Sphere({self.n})"
-
-
-@dataclass(frozen=True)
-class PSpace:
-    """P = S^1 x S^3, the glue piece of the flat four- and six-manifolds."""
-
-    @property
-    def dimension(self) -> int:
-        return 4
-
-    def __str__(self) -> str:
-        return "P"
-
-
-@dataclass(frozen=True)
-class Torus:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("torus dimension must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.n
-
-    def __str__(self) -> str:
-        return f"Torus({self.n})"
-
-
-@dataclass(frozen=True)
-class Hopf:
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError("Hopf dimension must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.m
-
-    def __str__(self) -> str:
-        return f"Hopf({self.m})"
+        return self.name if self.arg is None else f"{self.name}({self.arg})"
 
 
 @dataclass(frozen=True)
@@ -168,12 +139,8 @@ def euler_char(e) -> int:
 
     Raises DomainError as soon as a partial product or a sum exceeds
     MAX_CHI_BITS bits, so a long product of large genera stops early."""
-    if isinstance(e, Surface):
-        return 2 - 2 * e.genus
-    if isinstance(e, Sphere):
-        return 1 + (-1) ** e.n
-    if isinstance(e, (PSpace, Torus, Hopf)):
-        return 0
+    if isinstance(e, Atom):
+        return _RULES[e.name].chi(e.arg)
     if isinstance(e, Product):
         out = 1
         for f in e.factors:
@@ -187,15 +154,13 @@ def euler_char(e) -> int:
 
 def flat_four_manifold() -> ConnectedSum:
     """(Sigma_3 x Sigma_3) # P # ... # P with six copies of P; chi = 4."""
-    return ConnectedSum(
-        (Product((Surface(3), Surface(3))),) + (PSpace(),) * 6
-    )
+    return ConnectedSum((Product((Atom("Sigma", 3),) * 2),) + (Atom("P"),) * 6)
 
 
 def flat_six_manifold() -> Product:
     """((Sigma_3 x Sigma_3) # P^9) x Sigma_3; chi = 8."""
-    core = ConnectedSum((Product((Surface(3), Surface(3))),) + (PSpace(),) * 9)
-    return Product((core, Surface(3)))
+    core = ConnectedSum((Product((Atom("Sigma", 3),) * 2),) + (Atom("P"),) * 9)
+    return Product((core, Atom("Sigma", 3)))
 
 
 def smillie(dim: int):
@@ -230,11 +195,14 @@ def milnor_admissible(genus: int, degree: int) -> bool:
 
 # -- expression parser -----------------------------------------------------------
 
-_ATOMS = {"Sigma": Surface, "Sphere": Sphere, "Torus": Torus, "Hopf": Hopf}
 MAX_NESTING = 100    # parentheses deeper than this are a parse error
 MAX_DIGITS = 1000    # digits of an integer literal
 MAX_POWER = 10_000   # count of a '^' connected-sum power
 MAX_TERMS = 100_000  # atoms of the expression with every power expanded
+
+_FORMS = [name if rule.param is None else f"{name}({rule.param})"
+          for name, rule in _RULES.items()]
+_ATOM_FORMS = ", ".join(_FORMS[:-1]) + " or " + _FORMS[-1]
 
 
 class _Parser:
@@ -297,21 +265,20 @@ class _Parser:
         start = self.pos
         self.count_atoms(1)
         word = self.name()
-        if word == "P":
-            return PSpace()
-        if word in _ATOMS:
-            self.expect("(")
-            value = self.integer()
-            self.expect(")")
-            try:
-                return _ATOMS[word](value)
-            except DomainError as exc:
-                self.pos = start
-                raise self.error(str(exc)) from exc
-        self.pos = start
-        raise self.error(
-            "expected an atom: Sigma(g), Sphere(n), Torus(n), Hopf(m) or P"
-        )
+        rule = _RULES.get(word)
+        if rule is None:
+            self.pos = start
+            raise self.error(f"expected an atom: {_ATOM_FORMS}")
+        if rule.param is None:
+            return Atom(word)
+        self.expect("(")
+        value = self.integer()
+        self.expect(")")
+        try:
+            return Atom(word, value)
+        except DomainError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from exc
 
     def power(self):
         before = self.atoms

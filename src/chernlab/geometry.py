@@ -147,14 +147,11 @@ class ChartConnection:
     dim: int
     gamma: Callable[[np.ndarray], np.ndarray]
     chart: Chart
-    symmetric: bool = False
 
 
 def flat_connection(dim: int, chart: Chart | None = None) -> ChartConnection:
     zeros = np.zeros((dim, dim, dim))
-    return ChartConnection(
-        dim, lambda p: zeros, chart or free_chart(dim), symmetric=True
-    )
+    return ChartConnection(dim, lambda p: zeros, chart or free_chart(dim))
 
 
 def constant_connection(
@@ -162,10 +159,7 @@ def constant_connection(
 ) -> ChartConnection:
     gamma = np.asarray(gamma, dtype=float)
     dim = gamma.shape[0]
-    symmetric = bool(np.allclose(gamma, gamma.transpose(0, 2, 1)))
-    return ChartConnection(
-        dim, lambda p: gamma, chart or free_chart(dim), symmetric=symmetric
-    )
+    return ChartConnection(dim, lambda p: gamma, chart or free_chart(dim))
 
 
 def coordinate_field(i: int, dim: int) -> VectorField:
@@ -304,9 +298,7 @@ def levi_civita(
         flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
         return 0.5 * (ginv @ flat_c).reshape(c.shape)
 
-    return ChartConnection(
-        dim=chart.dim, gamma=gamma, chart=chart, symmetric=True
-    )
+    return ChartConnection(dim=chart.dim, gamma=gamma, chart=chart)
 
 
 @dataclass(frozen=True)
@@ -747,7 +739,6 @@ def para_structure_check(
 class Geometry:
     """A chart, its connection, and optional metric/patches, CLI-addressable."""
 
-    key: str
     chart: Chart
     connection: ChartConnection
     metric: MetricField | None = None
@@ -775,12 +766,11 @@ def parse_geometry(key: str) -> Geometry:
     if name == "euclidean":
         dim = _dim_arg(arg)
         chart = free_chart(dim)
-        return Geometry(key, chart, flat_connection(dim, chart),
-                        metric=lambda p: np.eye(dim))
+        return Geometry(chart, flat_connection(dim, chart), metric=lambda p: np.eye(dim))
     if name == "hopf":
         dim = _dim_arg(arg)
         chart = Chart(dim, hole_center=(0.0,) * dim)
-        return Geometry(key, chart, flat_connection(dim, chart))
+        return Geometry(chart, flat_connection(dim, chart))
     if name == "flat-torus":
         dim = _dim_arg(arg)
         chart = Chart(dim, periods=(1.0,) * dim)
@@ -788,7 +778,7 @@ def parse_geometry(key: str) -> Geometry:
         patches = (
             (SurfacePatch(0.0, 1.0, 0.0, 1.0, metric),) if dim == 2 else ()
         )
-        return Geometry(key, chart, flat_connection(dim, chart),
+        return Geometry(chart, flat_connection(dim, chart),
                         metric=metric, patches=patches)
     if name == "sphere":
         try:
@@ -805,7 +795,7 @@ def parse_geometry(key: str) -> Geometry:
         )
         metric = sphere_metric(radius)
         patches = (SurfacePatch(0.0, math.pi, 0.0, 2.0 * math.pi, metric),)
-        return Geometry(key, chart, levi_civita(metric, chart),
+        return Geometry(chart, levi_civita(metric, chart),
                         metric=metric, patches=patches)
     raise DomainError(f"unknown geometry '{name}'")
 

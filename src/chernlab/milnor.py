@@ -324,12 +324,12 @@ def _height(a: tuple) -> float:
 def _chain_exact(n: int) -> list:
     """n+1 exact K matrices multiplying to the matrix of n pi alpha0.
 
-    Each step replaces the element c of least height (largest |entry|,
-    ties to the lowest index) by factors g1 g2 = -c; -I is central, so the
-    product flips sign wherever c sits."""
-    chain = list(_productmil_exact(_fneg(_A0_EXACT)))
-    heights = [_height(g) for g in chain]
-    for _ in range(n - 1):
+    Starting from [A0], each of n steps replaces the element c of least
+    height (largest |entry|, ties to the lowest index) by factors
+    g1 g2 = -c; -I is central, so the product flips sign wherever c sits."""
+    chain = [_A0_EXACT]
+    heights = [_height(_A0_EXACT)]
+    for _ in range(n):
         i = heights.index(min(heights))
         chain[i:i + 1] = _productmil_exact(_fneg(chain[i]))
         heights[i:i + 1] = map(_height, chain[i:i + 2])
@@ -444,11 +444,7 @@ def build_representation(genus: int, degree: int) -> SurfaceGroupRep:
     if degree < 0:
         return flip_orientation(build_representation(genus, -degree))
 
-    if degree == 1:
-        gammas = [_A0_EXACT]
-    else:
-        gammas = _chain_exact(degree - 1)
-    gammas.append(_finv(_A0_EXACT))
+    gammas = _chain_exact(degree - 1) + [_finv(_A0_EXACT)]
 
     pairs = [_commutator_exact(_fneg(g)) for g in gammas]
     covered = [

@@ -737,6 +737,22 @@ def test_transport_ladder_stays_within_the_step_cap(tmp_path, capsys, monkeypatc
     assert "after 62 RK4 steps" in err
 
 
+def test_transport_path_file_is_capped_at_max_samples(tmp_path, capsys, monkeypatch):
+    import chernlab.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "MAX_SAMPLES", 4)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([[0.0, 0.1 * k] for k in range(6)]))
+    code, _, err = run(capsys, "geometry", "transport", "euclidean:2",
+                       "--path-file", str(path), "--vector", "1,0")
+    _assert_one_line_error(code, err, 2)
+    assert "--path-file has 6 points" in err and "MAX_SAMPLES + 1 = 5" in err
+    path.write_text(json.dumps([[0.0, 0.1 * k] for k in range(5)]))
+    code, _, _ = run(capsys, "geometry", "transport", "euclidean:2",
+                     "--path-file", str(path), "--vector", "1,0")
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "rows, vector",
     [([[0.0, 0.0], [1.0]], "1,0"), ([[0.0, 0.0], [1.0, 0.5]], "1,0,0")],

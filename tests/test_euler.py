@@ -10,20 +10,31 @@ from chernlab.errors import DomainError
 # -- atoms and the flagship values ------------------------------------------------
 
 def test_surface_chi():
-    assert eu.euler_char(eu.Surface(0)) == 2
-    assert eu.euler_char(eu.Surface(1)) == 0
-    assert eu.euler_char(eu.Surface(3)) == -4
+    assert eu.euler_char(eu.Atom("Sigma", 0)) == 2
+    assert eu.euler_char(eu.Atom("Sigma", 1)) == 0
+    assert eu.euler_char(eu.Atom("Sigma", 3)) == -4
 
 
 def test_sphere_chi():
-    assert eu.euler_char(eu.Sphere(2)) == 2
-    assert eu.euler_char(eu.Sphere(3)) == 0
+    assert eu.euler_char(eu.Atom("Sphere", 2)) == 2
+    assert eu.euler_char(eu.Atom("Sphere", 3)) == 0
 
 
 def test_zero_chi_atoms():
-    assert eu.euler_char(eu.PSpace()) == 0
-    assert eu.euler_char(eu.Torus(5)) == 0
-    assert eu.euler_char(eu.Hopf(4)) == 0
+    assert eu.euler_char(eu.Atom("P")) == 0
+    assert eu.euler_char(eu.Atom("Torus", 5)) == 0
+    assert eu.euler_char(eu.Atom("Hopf", 4)) == 0
+
+
+def test_atom_refuses_a_negative_genus():
+    with pytest.raises(DomainError, match="^genus must be nonnegative$"):
+        eu.Atom("Sigma", -1)
+
+
+@pytest.mark.parametrize("name, arg", [("P", 1), ("Sigma", None), ("Klein", 2)])
+def test_atom_refuses_a_name_or_parameter_outside_the_table(name, arg):
+    with pytest.raises(DomainError, match="^not an atom: "):
+        eu.Atom(name, arg)
 
 
 def test_flat_four_manifold_chi_is_four():
@@ -40,8 +51,8 @@ def test_flat_six_manifold_chi_is_eight():
 
 def test_connected_sum_of_p_copies():
     # chi(P # ... # P), six copies: 0 - 2 * 5 = -10
-    assert eu.euler_char(eu.ConnectedSum((eu.PSpace(),) * 6)) == -10
-    assert eu.euler_char(eu.ConnectedSum((eu.PSpace(),) * 9)) == -16
+    assert eu.euler_char(eu.ConnectedSum((eu.Atom("P"),) * 6)) == -10
+    assert eu.euler_char(eu.ConnectedSum((eu.Atom("P"),) * 9)) == -16
 
 
 # -- structural rules -------------------------------------------------------------
@@ -49,10 +60,10 @@ def test_connected_sum_of_p_copies():
 def random_even_expr(rng, dim_pool=(2, 4)):
     kind = int(rng.integers(0, 3))
     if kind == 0:
-        return eu.Surface(int(rng.integers(0, 4)))
+        return eu.Atom("Sigma", int(rng.integers(0, 4)))
     if kind == 1:
-        return eu.Sphere(2 * int(rng.integers(1, 3)))
-    return eu.PSpace()
+        return eu.Atom("Sphere", 2 * int(rng.integers(1, 3)))
+    return eu.Atom("P")
 
 
 def test_product_chi_is_multiplicative():
@@ -71,7 +82,7 @@ def test_connected_sum_grouping_does_not_change_chi():
     rng = np.random.default_rng(5)
     for _ in range(30):
         k = int(rng.integers(3, 6))
-        parts = tuple(eu.Surface(int(rng.integers(0, 4))) for _ in range(k))
+        parts = tuple(eu.Atom("Sigma", int(rng.integers(0, 4))) for _ in range(k))
         flat = eu.euler_char(eu.ConnectedSum(parts))
         split = int(rng.integers(1, k - 1))
         nested = eu.ConnectedSum(
@@ -84,9 +95,9 @@ def test_connected_sum_grouping_does_not_change_chi():
 
 def test_connected_sum_rejects_mixed_or_odd_dimensions():
     with pytest.raises(DomainError):
-        eu.ConnectedSum((eu.Surface(1), eu.PSpace()))
+        eu.ConnectedSum((eu.Atom("Sigma", 1), eu.Atom("P")))
     with pytest.raises(DomainError):
-        eu.ConnectedSum((eu.Sphere(3), eu.Sphere(3)))
+        eu.ConnectedSum((eu.Atom("Sphere", 3), eu.Atom("Sphere", 3)))
 
 
 # -- smillie ------------------------------------------------------------------------
@@ -165,6 +176,47 @@ def test_parse_precedence_power_product_sum():
     expr, chi = eu.evaluate_query("Sigma(2) * Sigma(0) # P^2")
     # chi = (-2 * 2) + 0 + 0 - 2*2 = -8
     assert chi == -8
+
+
+@pytest.mark.parametrize(
+    "text, chi, dimension, normalized",
+    [
+        ("Sigma(0)", 2, 2, "Sigma(0)"),
+        ("Sigma(3)", -4, 2, "Sigma(3)"),
+        (" Sigma ( 007 ) ", 2 - 14, 2, "Sigma(7)"),
+        ("Sphere(1)", 0, 1, "Sphere(1)"),
+        ("Sphere(4)", 2, 4, "Sphere(4)"),
+        ("Torus(1)", 0, 1, "Torus(1)"),
+        ("Torus(5)", 0, 5, "Torus(5)"),
+        ("Hopf(1)", 0, 1, "Hopf(1)"),
+        ("Hopf(4)", 0, 4, "Hopf(4)"),
+        ("P", 0, 4, "P"),
+        ("Hopf(4) * P # Sphere(8)", 2 - 2, 8, "(Hopf(4) * P) # Sphere(8)"),
+    ],
+)
+def test_each_atom_evaluates_through_the_query(text, chi, dimension, normalized):
+    expr, got = eu.evaluate_query(text)
+    assert (got, expr.dimension, str(expr)) == (chi, dimension, normalized)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("Sphere(0)", "sphere dimension must be positive", 0),
+        ("Torus(0)", "torus dimension must be positive", 0),
+        ("Hopf(0)", "Hopf dimension must be positive", 0),
+        ("P * Hopf(0)", "Hopf dimension must be positive", 4),
+        ("P(1)", "unexpected trailing input", 1),
+        ("Sigma", "expected '('", 5),
+        ("Sigma()", "expected an integer", 6),
+        ("Q(2)", "expected an atom: Sigma(g), Sphere(n), Torus(n), Hopf(m) or P", 0),
+    ],
+)
+def test_each_atom_refusal_carries_message_and_caret(text, message, position):
+    with pytest.raises(eu.ParseError) as err:
+        eu.evaluate_query(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_parse_errors_carry_position():

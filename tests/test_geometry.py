@@ -256,7 +256,6 @@ def test_tensoriality_in_function_multiples():
 def test_levi_civita_euclidean_is_flat():
     conn = ge.levi_civita(lambda p: np.eye(3), 3)
     assert np.allclose(conn.gamma(np.array([0.2, -0.5, 1.0])), 0.0, atol=1e-9)
-    assert conn.symmetric
 
 
 def test_levi_civita_sphere_symbols():
@@ -603,7 +602,7 @@ def guarded_connection(raise_beyond):
             raise DomainError("outside the field's domain")
         return zeros
 
-    return ge.ChartConnection(2, gamma, ge.Chart(2, box_hi=(1.0, 10.0)), True)
+    return ge.ChartConnection(2, gamma, ge.Chart(2, box_hi=(1.0, 10.0)))
 
 
 def test_speculative_steps_past_a_box_escape_are_discarded():
@@ -844,7 +843,7 @@ def analytic_sphere_connection():
         out[..., 1, 0, 1] = out[..., 1, 1, 0] = np.cos(theta) / np.sin(theta)
         return out
 
-    return ge.ChartConnection(2, gamma, ge.free_chart(2), symmetric=True)
+    return ge.ChartConnection(2, gamma, ge.free_chart(2))
 
 
 def test_flat_transport_is_identity():
