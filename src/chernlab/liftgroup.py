@@ -128,7 +128,6 @@ class CoveredElement:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
-        check_positive_det(m)
         drift = abs(wrap_angle(self.lift - retract(m)))
         if drift > TAU_ANGLE:
             raise DomainError(

@@ -20,10 +20,12 @@ read it as the spectral sequence of a filtration) gives the dimensions of
 every page at once.  In a basis adapted to the filtration, one column
 reduction of each d^n pairs a vector at filtration degree p with one at
 p + g; the pair lives on E_0..E_g and dies at E_{g+1}, and unpaired vectors
-make up E_inf.  `chernlab spectral` prints only dimensions, so it takes
-every page, E_inf and the stabilisation index from persistence_pairing,
-and its convergence check compares that E_inf with graded_cohomology, the
-graded pieces of F^p H computed directly from cycles and boundaries.
+make up E_inf.  Constructing a complex builds and memoizes its pairing,
+whose adapted bases are where the filtration is checked.  `chernlab
+spectral` prints only dimensions, so it takes every page, E_inf and the
+stabilisation index from persistence_pairing, and its convergence check
+compares that E_inf with graded_cohomology, the graded pieces of F^p H
+computed directly from cycles and boundaries.
 
 Everything is exact rational arithmetic; a dimension equality asserted by
 this module is an equality of integers, never a tolerance check.
@@ -100,14 +102,15 @@ class FilteredComplex:
     every p in [p_min, p_max], with F^{p_min} the full space and F^{p_max}
     zero (exhaustive and bounded).
 
-    The spectral sequence is memoized once per complex: the A_r subspaces,
-    the page entries E_r, the page differentials d_r, and the cycles,
-    boundaries and filtered cohomology of each degree are each built on
-    first use and then shared by every page, the stable page and the
-    graded cohomology.  The memo is
-    keyed by indices alone, so dims, d and filtration must not be mutated
-    after construction.  Memo writes are idempotent, so concurrent
-    per-entry page computations are safe.
+    Construction builds the persistence pairing and memoizes it; building
+    its adapted bases is what checks that the filtration decreases and is
+    a subcomplex.  The rest of the spectral sequence is memoized on first
+    use: the A_r subspaces, the page entries E_r, the page differentials
+    d_r, and the cycles, boundaries and filtered cohomology of each degree
+    are shared by every page, the stable page and the graded cohomology.
+    The memo is keyed by indices alone, so dims, d and filtration must not
+    be mutated after construction.  Memo writes are idempotent, so
+    concurrent per-entry page computations are safe.
     """
 
     n_min: int
@@ -141,26 +144,11 @@ class FilteredComplex:
             if not _is_zero(matmul(self.d[n + 1], self.d[n])):
                 raise PreconditionError(f"d^2 != 0 at degree {n}")
         for n in self.degrees():
-            full = Subspace.full(self.dims[n])
-            if self.filtration.get((self.p_min, n)) != full:
+            if self.filtration.get((self.p_min, n)) != Subspace.full(self.dims[n]):
                 raise PreconditionError(f"F^{self.p_min} C^{n} must be everything")
-            if self.filtration.get((self.p_max, n)) != Subspace.zero(
-                self.dims[n]
-            ):
+            if self.filtration.get((self.p_max, n)) != Subspace.zero(self.dims[n]):
                 raise PreconditionError(f"F^{self.p_max} C^{n} must be zero")
-            for p in range(self.p_min, self.p_max):
-                cur = self.filtration.get((p, n))
-                nxt = self.filtration.get((p + 1, n))
-                if cur is None or nxt is None:
-                    raise DomainError(f"missing filtration step ({p}, {n})")
-                if not cur.contains(nxt):
-                    raise PreconditionError(f"filtration not decreasing at ({p}, {n})")
-                if n < self.n_max and not _maps_into(
-                    self.d[n], cur, self.filt(p, n + 1)
-                ):
-                    raise PreconditionError(
-                        f"filtration is not a subcomplex at ({p}, {n})"
-                    )
+        self._memo[("pairing",)] = _build_pairing(self)
 
     def degrees(self) -> range:
         return range(self.n_min, self.n_max + 1)
@@ -398,12 +386,18 @@ class Pairing:
 
 def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
     """A basis of C^n, deepest first, extending a basis of F^{p+1} C^n to
-    one of F^p C^n for p = p_max - 1 down to p_min; and each vector's p."""
+    one of F^p C^n for each p in [p_min, p_max); and each vector's p.
+    Walking p upward, it refuses the first F^{p+1} C^n outside F^p C^n."""
     vectors, levels = [], []
-    for p in range(c.p_max - 1, c.p_min - 1, -1):
-        reps = quotient_representatives(c.filt(p, n), c.filt(p + 1, n))
-        vectors += reps
-        levels += [p] * len(reps)
+    for p in range(c.p_min, c.p_max):
+        upper, lower = c.filt(p, n), c.filt(p + 1, n)
+        upper._check_ambient(lower)
+        try:
+            reps = quotient_representatives(upper, lower)
+        except DomainError:
+            raise PreconditionError(f"filtration not decreasing at ({p}, {n})") from None
+        vectors[:0] = reps
+        levels[:0] = [p] * len(reps)
     return vectors, levels
 
 
@@ -448,11 +442,10 @@ def persistence_pairing(c: FilteredComplex) -> Pairing:
 
     Each d^n is written in adapted bases of C^n and C^{n+1}, deepest
     first, and its columns are reduced; a pivot pairs a source at level p
-    with a target at level p + gap.  A
-    negative gap means d lowers the filtration, and a gap reaching
-    stabilized_at a pair that outlives the stable page; both are bugs.
+    with a target at level p + gap.  Constructing the complex builds it,
+    checking the filtration on the way; this reads the memo.
     """
-    return _memo(c, ("pairing",), lambda: _build_pairing(c))
+    return c._memo[("pairing",)]
 
 
 def _build_pairing(c: FilteredComplex) -> Pairing:
@@ -463,12 +456,19 @@ def _build_pairing(c: FilteredComplex) -> Pairing:
         source, source_levels = bases.get(n - 1, ([], []))
         target, target_levels = bases[n]
         images = [matvec(c.diff(n - 1), v) for v in source]
-        for j, i in _reduce(_coordinates(c, n, target, images)).items():
+        columns = _coordinates(c, n, target, images)
+        # target levels descend, so a column's lowest entry has its least level
+        dropped = [
+            target_levels[low]
+            for column, level in zip(columns, source_levels)
+            if (low := _lowest(column)) is not None and target_levels[low] < level
+        ]
+        if dropped:
+            raise PreconditionError(
+                f"filtration is not a subcomplex at ({min(dropped) + 1}, {n - 1})"
+            )
+        for j, i in _reduce(columns).items():
             gap = target_levels[i] - source_levels[j]
-            if gap < 0:
-                raise InternalConsistencyError(
-                    f"d^{n - 1} lowers the filtration degree by {-gap}"
-                )
             if gap >= stable:
                 raise InternalConsistencyError(
                     f"page failed to stabilize at r = {stable}: a pair in "

@@ -244,7 +244,7 @@ def test_spectral_bad_filtration_exits_3(tmp_path, capsys):
 
 
 def test_spectral_missing_interior_step_exits_2(tmp_path, capsys):
-    # F^1 C^1 is absent; the subcomplex check at (1, 0) is the first to read it
+    # F^1 C^1 is absent; building the adapted basis of C^1 reads it
     payload = {
         "degrees": {"0": 1, "1": 1},
         "differentials": {"0": [["0"]]},
@@ -259,6 +259,24 @@ def test_spectral_missing_interior_step_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "spectral", str(path))
     _assert_one_line_error(code, err, 2)
     assert "missing filtration step (1, 1)" in err
+
+
+def test_spectral_missing_step_in_the_first_degree_exits_2(tmp_path, capsys):
+    # F^1 C^0 is absent: the error names that step, not the one before it
+    payload = {
+        "degrees": {"0": 1, "1": 1},
+        "differentials": {"0": [["0"]]},
+        "filtration": {
+            "0": {"0": [["1"]], "1": [["1"]]},
+            "1": {"1": [["1"]]},
+            "2": {"0": [], "1": []},
+        },
+    }
+    path = tmp_path / "missing_first.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "spectral", str(path))
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == "error: missing filtration step (1, 0)"
 
 
 def test_spectral_malformed_exits_2(tmp_path, capsys):
@@ -303,17 +321,6 @@ def _patch_adapted_basis(monkeypatch, patch):
     monkeypatch.setattr(
         spectral_mod, "_adapted_basis", lambda c, n: patch(n, *real(c, n))
     )
-
-
-def test_spectral_differential_invariant_exits_7(complex_file, capsys, monkeypatch):
-    # levels lowered by 100 per degree: every pair of d gets a negative gap
-    _patch_adapted_basis(
-        monkeypatch, lambda n, vecs, levels: (vecs, [p - 100 * n for p in levels])
-    )
-    code, _, err = run(capsys, "spectral", str(complex_file))
-    _assert_one_line_error(code, err, 7)
-    assert "internal invariant violated" in err
-    assert "lowers the filtration degree" in err
 
 
 def test_spectral_unstable_infinity_page_exits_7(complex_file, capsys, monkeypatch):

@@ -606,6 +606,74 @@ def test_non_subcomplex_filtration_rejected():
         )
 
 
+def test_a_step_outside_its_degree_is_a_domain_error():
+    filt = {
+        (0, 0): Subspace.full(1),
+        (1, 0): Subspace.full(2),   # a subspace of Q^2 in a degree of dimension 1
+        (2, 0): Subspace.zero(1),
+    }
+    with pytest.raises(DomainError, match=r"^subspaces live in different ambient spaces$"):
+        FilteredComplex(
+            n_min=0, n_max=0, dims={0: 1}, d={}, p_min=0, p_max=2,
+            filtration=filt,
+        )
+
+
+# Payloads with one defect each: degrees, differentials, and F^p C^n as
+# spanning vectors for p = 0, 1, ..., p_max.
+@pytest.mark.parametrize("dims, d, steps, error, message", [
+    # F^0 C^1 is zero
+    ({0: 1, 1: 1}, {0: [[0]]},
+     [{0: [[1]], 1: []}, {0: [], 1: []}],
+     PreconditionError, "F^0 C^1 must be everything"),
+    # F^2 C^1 is C^1
+    ({0: 1, 1: 1}, {0: [[0]]},
+     [{0: [[1]], 1: [[1]]}, {0: [], 1: [[1]]}, {0: [], 1: [[1]]}],
+     PreconditionError, "F^2 C^1 must be zero"),
+    # F^1 C^1 = span(e1) misses F^2 C^1 = span(e2)
+    ({0: 1, 1: 2}, {0: [[0], [0]]},
+     [{0: [[1]], 1: [[1, 0], [0, 1]]}, {0: [], 1: [[1, 0]]},
+      {0: [], 1: [[0, 1]]}, {0: [], 1: []}],
+     PreconditionError, "filtration not decreasing at (1, 1)"),
+    # d^1 sends F^2 C^1 = C^1 onto C^2, whose F^2 is zero
+    ({0: 1, 1: 1, 2: 1}, {0: [[0]], 1: [[1]]},
+     [{0: [[1]], 1: [[1]], 2: [[1]]}, {0: [], 1: [[1]], 2: [[1]]},
+      {0: [], 1: [[1]], 2: []}, {0: [], 1: [], 2: []}],
+     PreconditionError, "filtration is not a subcomplex at (2, 1)"),
+    # d^1 d^0 = 1
+    ({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]},
+     [{0: [[1]], 1: [[1]], 2: [[1]]}, {0: [], 1: [], 2: []}],
+     PreconditionError, "d^2 != 0 at degree 0"),
+])
+def test_filtration_defects_are_refused_by_name(dims, d, steps, error, message):
+    payload = {
+        "degrees": {str(n): k for n, k in dims.items()},
+        "differentials": {str(n): m for n, m in d.items()},
+        "filtration": {
+            str(p): {str(n): vecs for n, vecs in step.items()}
+            for p, step in enumerate(steps)
+        },
+    }
+    with pytest.raises(error) as caught:
+        filtered_complex_from_dict(payload)
+    assert str(caught.value) == message
+    assert caught.value.exit_code == 3
+
+
+def test_a_missing_step_is_named_by_its_key():
+    payload = {
+        "degrees": {"0": 1, "1": 1},
+        "differentials": {"0": [["0"]]},
+        "filtration": {
+            "0": {"0": [["1"]], "1": [["1"]]},
+            "1": {"1": [["1"]]},
+            "2": {"0": [], "1": []},
+        },
+    }
+    with pytest.raises(DomainError, match=r"^missing filtration step \(1, 0\)$"):
+        filtered_complex_from_dict(payload)
+
+
 # -- JSON -----------------------------------------------------------------------------
 
 def test_filtered_complex_json_round_trip():
