@@ -17,11 +17,12 @@ the seed factorisation A2 = A0 A1) and hence also as a single commutator;
 stacking those commutators realises any admissible degree.  Their chain
 splits its element of least height, so entries grow polynomially in d.
 
-The factorisations run in exact Fraction arithmetic.  productmil_decompose
-and commutator_decompose read a float target entry by entry as a binary
-rational: it is decomposed when that matrix lies exactly in pi K (trace
--5/2, det 1) and its lift in (pi/2, 3pi/2).  Anything else, a near miss
-within rounding included, is a DomainError.
+The factorisations run exactly, on 2x2 integer matrices over one common
+denominator, and each result is rounded to float once, at the end.
+productmil_decompose and commutator_decompose read a float target entry
+by entry as a binary rational: it is decomposed when that matrix lies
+exactly in pi K (trace -5/2, det 1) and its lift in (pi/2, 3pi/2).
+Anything else, a near miss within rounding included, is a DomainError.
 
 All functions are pure; representations are immutable.
 """
@@ -207,98 +208,127 @@ def _check_same_element(
 
 # -- exact rational pipeline --------------------------------------------------
 # Matrices in K have eigenvalues 2 and 1/2 (pi K: -1/2 and -2), so every
-# conjugator in the chain construction is rational.  Running the chain in
-# Fraction arithmetic keeps the surface relation exact no matter how many
-# stages are stacked; floats only appear at the CoveredElement boundary.
+# conjugator in the chain construction is rational.  An exact matrix is an
+# integer matrix over one common denominator, the 5-tuple (a, b, c, d, q)
+# for [[a, b], [c, d]] / q with q > 0 and gcd(a, b, c, d, q) = 1: one
+# canonical form, so equal matrices are equal tuples.  Running the chain
+# this way keeps the surface relation exact no matter how many stages are
+# stacked; entries are rounded to float once, at the CoveredElement
+# boundary.
 
-_F = Fraction
-_A0_EXACT = ((_F(2), _F(0)), (_F(0), _F(1, 2)))
-_A1_EXACT = ((_F(-5, 2), _F(9, 2)), (_F(-3), _F(5)))
-_K_EIGS = (_F(2), _F(1, 2))
-_PIK_EIGS = (_F(-1, 2), _F(-2))
+_A0_EXACT = (4, 0, 0, 1, 2)
+_A1_EXACT = (-5, 9, -6, 10, 2)
+_K_EIGS = ((2, 1), (1, 2))      # eigenvalues as (numerator, denominator)
+_PIK_EIGS = ((-1, 2), (-2, 1))
 
 
-def _fmul(a: tuple, b: tuple) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
+def _canonical(a: int, b: int, c: int, d: int, q: int) -> tuple:
+    if q < 0:
+        a, b, c, d, q = -a, -b, -c, -d, -q
+    g = math.gcd(a, b, c, d, q)
+    return a // g, b // g, c // g, d // g, q // g
+
+
+def _fmul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d, q = x
+    e, f, g, h, r = y
+    return _canonical(
+        a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, q * r
     )
 
 
-def _fdet(a: tuple) -> Fraction:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+def _fdet(x: tuple) -> int:
+    """ad - bc: the determinant times q^2, so it has the determinant's sign."""
+    a, b, c, d, _ = x
+    return a * d - b * c
 
 
-def _finv(a: tuple) -> tuple:
-    d = _fdet(a)
-    return ((a[1][1] / d, -a[0][1] / d), (-a[1][0] / d, a[0][0] / d))
+def _finv(x: tuple) -> tuple:
+    a, b, c, d, q = x
+    return _canonical(d * q, -b * q, -c * q, a * q, _fdet(x))
 
 
-def _fneg(a: tuple) -> tuple:
-    return tuple(tuple(-v for v in row) for row in a)
+def _fneg(x: tuple) -> tuple:
+    a, b, c, d, q = x
+    return -a, -b, -c, -d, q
 
 
 def _fconj(s: tuple, m: tuple) -> tuple:
     return _fmul(_fmul(s, m), _finv(s))
 
 
-def _ffloat(a: tuple) -> Mat2:
-    """The float matrix of an exact one: the exact pipeline's one float boundary."""
-    if any(abs(v) > MAX_FLOAT_ENTRY for row in a for v in row):
+def _trace_det(x: tuple) -> tuple:
+    """Trace and determinant of an exact matrix, as Fractions."""
+    q = x[4]
+    return Fraction(x[0] + x[3], q), Fraction(_fdet(x), q * q)
+
+
+def _ffloat(x: tuple) -> Mat2:
+    """The float matrix of an exact one: the exact pipeline's one float
+    boundary.  int / int true division is correctly rounded."""
+    a, b, c, d, q = x
+    if any(abs(v) > MAX_FLOAT_ENTRY * q for v in (a, b, c, d)):
         raise InstabilityError(
             "exact entry exceeds MAX_FLOAT_ENTRY = 1e150; float products overflow"
         )
-    return np.array([[float(v) for v in row] for row in a])
+    return np.array([[a / q, b / q], [c / q, d / q]])
 
 
 def _fexact(m: Mat2) -> tuple:
     """The binary-rational value of a float matrix, entry by entry."""
-    return tuple(tuple(Fraction(float(v)) for v in row) for row in m)
+    ratios = [float(v).as_integer_ratio() for v in np.ravel(m)]
+    q = math.lcm(*(den for _, den in ratios))
+    return _canonical(*(num * (q // den) for num, den in ratios), q)
 
 
 def _primitive(vec: tuple) -> tuple:
-    """Scale a rational vector to a primitive integer vector, first
-    nonzero entry positive."""
-    denom = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(_F(v) for v in ints)
+    """Scale a nonzero integer vector to a primitive one, first nonzero
+    entry positive."""
+    g = math.gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
-def _f_eigenvector(m: tuple, lam: Fraction) -> tuple:
-    v1 = (m[0][1], lam - m[0][0])
-    v2 = (lam - m[1][1], m[1][0])
+def _f_eigenvector(m: tuple, lam: tuple) -> tuple:
+    """Primitive integer eigenvector of m for the eigenvalue num / den."""
+    a, b, c, d, q = m
+    num, den = lam
+    v1 = (b * den, num * q - a * den)
+    v2 = (num * q - d * den, c * den)
     v = v1 if any(v1) else v2
     if not any(v):
         raise DomainError("matrix is a multiple of the identity")
     return _primitive(v)
 
 
-def _f_conjugator(m: tuple, n: tuple, eigs: tuple) -> tuple:
-    """Primitive integer S with det(S) > 0 and S m S^-1 = n, exactly."""
-    vm = [_f_eigenvector(m, lam) for lam in eigs]
-    vn = [_f_eigenvector(n, lam) for lam in eigs]
-    for _ in range(2):
-        cols_m = ((vm[0][0], vm[1][0]), (vm[0][1], vm[1][1]))
-        cols_n = ((vn[0][0], vn[1][0]), (vn[0][1], vn[1][1]))
-        s = _fmul(cols_n, _finv(cols_m))
-        if _fdet(s) > 0:
-            rows = _primitive(tuple(v for row in s for v in row))
-            return (rows[0], rows[1]), (rows[2], rows[3])
-        vn[0] = tuple(-v for v in vn[0])
-    raise InternalConsistencyError("exact conjugator has nonpositive det")
+def _f_conjugator(vm: list, vn: list) -> tuple:
+    """Primitive integer S with det(S) > 0 and S m S^-1 = n, exactly, from
+    eigenvectors vm of m and vn of n for the same eigenvalues: S is
+    (vn columns) adj(vm columns) up to scale, with vn[0] flipped if needed."""
+    (x0, y0), (x1, y1) = vm
+    (u0, w0), (u1, w1) = vn
+    sign = (x0 * y1 - x1 * y0) * (u0 * w1 - u1 * w0)
+    if sign == 0:
+        raise InternalConsistencyError("exact conjugator has nonpositive det")
+    if sign < 0:
+        u0, w0 = -u0, -w0
+    return _primitive((
+        u0 * y1 - u1 * y0, u1 * x0 - u0 * x1,
+        w0 * y1 - w1 * y0, w1 * x0 - w0 * x1,
+    )) + (1,)
+
+
+def _eigenbasis(m: tuple, eigs: tuple) -> list:
+    return [_f_eigenvector(m, lam) for lam in eigs]
+
+
+_SEED_EIGENBASIS = _eigenbasis(_fmul(_A0_EXACT, _A1_EXACT), _PIK_EIGS)
 
 
 def _productmil_exact(target: tuple) -> tuple:
     """Exact factorisation of a pi K matrix as a product of two K matrices."""
-    s = _f_conjugator(_fmul(_A0_EXACT, _A1_EXACT), target, _PIK_EIGS)
+    s = _f_conjugator(_SEED_EIGENBASIS, _eigenbasis(target, _PIK_EIGS))
     m1 = _fconj(s, _A0_EXACT)
     m2 = _fconj(s, _A1_EXACT)
     if _fmul(m1, m2) != target:
@@ -309,16 +339,17 @@ def _productmil_exact(target: tuple) -> tuple:
 def _commutator_exact(target: tuple) -> tuple:
     """Exact (b1, b2) with b1 b2 b1^-1 b2^-1 equal to the pi K target."""
     b1, b3 = _productmil_exact(target)
-    s = _f_conjugator(_finv(b1), b3, _K_EIGS)
+    # the eigenvectors of b1^-1 for 2 and 1/2 are those of b1 for 1/2 and 2
+    s = _f_conjugator(_eigenbasis(b1, _K_EIGS[::-1]), _eigenbasis(b3, _K_EIGS))
     comm = _fmul(_fmul(_fmul(b1, s), _finv(b1)), _finv(s))
     if comm != target:
         raise InternalConsistencyError("exact commutator drifted")
     return b1, s
 
 
-def _height(a: tuple) -> float:
+def _height(x: tuple) -> float:
     """The largest |entry| of an exact matrix, as a float."""
-    return float(max(abs(v) for row in a for v in row))
+    return max(abs(v) for v in x[:4]) / x[4]
 
 
 def _chain_exact(n: int) -> list:
@@ -333,7 +364,7 @@ def _chain_exact(n: int) -> list:
         i = heights.index(min(heights))
         chain[i:i + 1] = _productmil_exact(_fneg(chain[i]))
         heights[i:i + 1] = map(_height, chain[i:i + 2])
-    acc = ((_F(1), _F(0)), (_F(0), _F(1)))
+    acc = (1, 0, 0, 1, 1)
     for g in chain:
         acc = _fmul(acc, g)
     if acc != (_A0_EXACT if n % 2 == 0 else _fneg(_A0_EXACT)):
@@ -354,10 +385,9 @@ def _cover_exact(m: tuple, plain_class: bool = False) -> CoveredElement:
         elem = None
     if elem is not None and (not plain_class or _in_plain_class(elem)):
         return elem
-    det = _fdet(m)
-    if det <= 0:
+    if _fdet(m) <= 0:
         raise InternalConsistencyError("exact matrix has nonpositive det")
-    if plain_class and (m[0][0] + m[1][1], det) != (K_TAG.trace, K_TAG.det):
+    if plain_class and _trace_det(m) != (K_TAG.trace, K_TAG.det):
         raise InternalConsistencyError("exact matrix left the K class")
     raise InstabilityError(
         "float rounding of an exact matrix fails its GL+ or K check; "
@@ -371,7 +401,7 @@ def _exact_shifted_class(x: CoveredElement) -> tuple:
     The float matrix must lie in pi K as a binary rational: trace exactly
     -5/2 and det exactly 1.  No rational conjugator reaches a near miss."""
     m = _fexact(x.matrix)
-    if m[0][0] + m[1][1] != PIK_TAG.trace or _fdet(m) != PIK_TAG.det:
+    if _trace_det(m) != (PIK_TAG.trace, PIK_TAG.det):
         raise DomainError(
             "matrix is not exactly in pi K (expected trace -5/2 and det 1)"
         )
@@ -475,10 +505,10 @@ def flip_orientation(rep: SurfaceGroupRep) -> SurfaceGroupRep:
 def conjugate_representation(rep: SurfaceGroupRep, s: Mat2) -> SurfaceGroupRep:
     """Conjugate every generator by s (det s > 0); delta is unchanged.
 
-    Float entries are exact rationals, so the conjugation is carried out in
-    Fraction arithmetic and rounded once at the end; chained float products
-    would otherwise push large-entry representations past the relation
-    tolerance.
+    Float entries are binary rationals, so the conjugation is carried out
+    exactly, on integer matrices over one common denominator, and rounded
+    once at the end; chained float products would otherwise push
+    large-entry representations past the relation tolerance.
     """
     s = np.asarray(s, dtype=float)
     check_positive_det(s)

@@ -1,5 +1,7 @@
 """Milnor numbers: seed matrices, decompositions, realization, invariants."""
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -255,20 +257,126 @@ def test_build_rejects_genus_below_one_before_admissibility(genus):
 
 
 def test_float_rounding_of_an_exact_matrix():
-    n = Fraction(2**60)
-    s = ((n + 1, n), (Fraction(1), Fraction(1)))  # det 1
+    # exact matrices are (a, b, c, d, q) for [[a, b], [c, d]] / q
+    n = 2**60
+    s = (n + 1, n, 1, 1, 1)  # det 1
     big_k = mi._fconj(s, mi._A0_EXACT)  # exactly in K, entries near 1e36
-    assert big_k[0][0] + big_k[1][1] == Fraction(5, 2) and mi._fdet(big_k) == 1
+    a, _, _, d, q = big_k
+    assert Fraction(a + d, q) == Fraction(5, 2) and mi._fdet(big_k) == q * q
     with pytest.raises(InstabilityError, match="largest entry"):
         mi._cover_exact(big_k, plain_class=True)
     # an exact matrix that breaks the invariant itself is a bug
-    off_k = ((Fraction(3), Fraction(0)), (Fraction(0), Fraction(1, 3)))
+    off_k = (9, 0, 0, 1, 3)
     with pytest.raises(InternalConsistencyError, match="left the K class"):
         mi._cover_exact(off_k, plain_class=True)
-    singular = ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)))
+    singular = (1, 2, 1, 2, 1)
     with pytest.raises(InternalConsistencyError, match="nonpositive det"):
         mi._cover_exact(singular)
     assert mi._cover_exact(off_k).lift == 0.0
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_float_rounding_refuses_entries_past_max_float_entry(q):
+    """The bound compares |entry| * q with MAX_FLOAT_ENTRY exactly: an
+    entry at the bound rounds, one past it is refused."""
+    bound = mi.MAX_FLOAT_ENTRY * q
+    assert mi._ffloat((bound, 0, 0, 1, q))[0, 0] == float(mi.MAX_FLOAT_ENTRY)
+    assert mi._ffloat((-int(1e150) * q, 0, 0, 1, q))[0, 0] == -1e150
+    with pytest.raises(InstabilityError, match="MAX_FLOAT_ENTRY = 1e150"):
+        mi._ffloat((0, 0, bound + 1, 1, q))
+
+
+def _as_fractions(m):
+    """An exact matrix (a, b, c, d, q) as Fraction rows."""
+    a, b, c, d, q = m
+    return ((Fraction(a, q), Fraction(b, q)), (Fraction(c, q), Fraction(d, q)))
+
+
+def _mul(x, y):
+    return tuple(
+        tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2))
+        for i in range(2)
+    )
+
+
+def _det(x):
+    return x[0][0] * x[1][1] - x[0][1] * x[1][0]
+
+
+def _inv(x):
+    det = _det(x)
+    return ((x[1][1] / det, -x[0][1] / det), (-x[1][0] / det, x[0][0] / det))
+
+
+def _neg(x):
+    return tuple(tuple(-v for v in row) for row in x)
+
+
+def _in_k(x):
+    return x[0][0] + x[1][1] == Fraction(5, 2) and _det(x) == 1
+
+
+def test_exact_pipeline_is_exact_in_independent_fraction_arithmetic():
+    """For every chain length n <= 33: the chain is in K and multiplies to
+    (-1)^n A0, and every commutator pair that build_representation makes
+    from it (and from A0^-1) has b1 s b1^-1 s^-1 = -gamma exactly, with s
+    a primitive integer matrix of positive det."""
+    a0 = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    gammas = {(1, 0, 0, 4, 2)}  # A0^-1 = diag(1/2, 2)
+    for n in range(1, 34):
+        chain = mi._chain_exact(n)
+        assert len(chain) == n + 1
+        acc = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        for g in chain:
+            assert _in_k(_as_fractions(g))
+            acc = _mul(acc, _as_fractions(g))
+        assert acc == (a0 if n % 2 == 0 else _neg(a0))
+        gammas.update(chain)
+    for gamma in sorted(gammas):
+        b1, s = mi._commutator_exact(mi._fneg(gamma))
+        b1, s = _as_fractions(b1), _as_fractions(s)
+        assert _in_k(b1)
+        comm = _mul(_mul(_mul(b1, s), _inv(b1)), _inv(s))
+        assert comm == _neg(_as_fractions(gamma))
+        entries = [v for row in s for v in row]
+        assert all(v.denominator == 1 for v in entries)
+        assert math.gcd(*(int(v) for v in entries)) == 1
+        assert _det(s) > 0
+
+
+def _rep_digest(rep):
+    return hashlib.sha256(json.dumps(mi.rep_to_dict(rep)).encode()).hexdigest()
+
+
+def test_build_outputs_are_pinned():
+    """Every |d| < g <= 7 and (34, 33) build to the same floats, bit for
+    bit, as the Fraction-entry pipeline they replaced; (35, 34) keeps its
+    float-conditioning error."""
+    h = hashlib.sha256()
+    cases = [(g, d) for g in range(1, 8) for d in range(-(g - 1), g)]
+    for g, d in cases + [(34, 33)]:
+        h.update(json.dumps(mi.rep_to_dict(mi.build_representation(g, d))).encode())
+    assert h.hexdigest() == (
+        "4661c3545aacff17eef9612da12776213176293990066097b4c9adac8b61af3f"
+    )
+    with pytest.raises(InstabilityError) as info:
+        mi.build_representation(35, 34)
+    assert str(info.value) == (
+        "float product of two GL+ matrices left GL+ (determinant -9660168.5 "
+        "is not positive); largest entry 7.24939e+07"
+    )
+
+
+def test_conjugation_by_a_dyadic_matrix_is_pinned():
+    rep = mi.build_representation(7, 6)
+    crep = mi.conjugate_representation(rep, np.array([[1.5, 0.25], [2.0, 1.0]]))
+    assert _rep_digest(crep) == (
+        "994beb9ba0814fd26d24b108eadcfb4fa31612b433789159879b8e217adb975e"
+    )
+    assert mi.rep_to_dict(crep)["A"][0] == [-5058.25, 9244.6875, -2769.0, 5060.75]
+    # det 5/4: the exact conjugates have fifths, which no float holds
+    with pytest.raises(PreconditionError, match=r"defect 8\.104e-05 > 1e-08"):
+        mi.conjugate_representation(rep, np.array([[1.5, 0.25], [1.0, 1.0]]))
 
 
 def test_realization_table():
