@@ -20,6 +20,12 @@ above pi/2 could make the nearest one wrong.
 
 Deck transformations are central and act by (M, u) -> (R(n*pi) M, u + n*pi).
 
+A single matrix is checked, retracted and inverted on its four entries,
+read once as Python floats: the same IEEE operations numpy would apply
+elementwise, without its per-call overhead on 2x2 arrays.  A determinant
+that is not > 0 is refused, including the nan of inf - inf when the
+products of huge entries overflow.
+
 Paths are batched: word_path, the one path constructor, maps t of any
 shape (...) to matrices of shape (..., 2, 2), elementwise equal to
 evaluation at each scalar t; a scalar t gives one 2x2 matrix.  The loop
@@ -54,7 +60,6 @@ _PATH_BLOCK = 256      # values of t per batched path call in from_path
 _TWO_PI = 2.0 * math.pi
 
 IDENTITY: Mat2 = np.eye(2)
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def rotation(angle: float) -> Mat2:
@@ -76,40 +81,52 @@ def det2(m: Mat2) -> float:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def inv2(m: Mat2) -> Mat2:
-    """Inverse of a 2x2 matrix, or of each in a stack, by the adjugate
-    formula."""
+def _entries(m: Mat2) -> tuple[float, float, float, float]:
+    """The entries a, b, c, d of one 2x2 matrix [[a, b], [c, d]], as Python
+    floats."""
     m = np.asarray(m, dtype=float)
-    d = np.asarray(det2(m))
-    if np.count_nonzero(d) < d.size:
+    if m.shape != (2, 2):
+        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
+    (a, b), (c, d) = m.tolist()
+    return a, b, c, d
+
+
+def _gl_plus_entries(m: Mat2) -> tuple[float, float, float, float]:
+    """The entries of m, once m passes the GL+(2, R) checks."""
+    a, b, c, d = _entries(m)
+    if not (math.isfinite(a) and math.isfinite(b)
+            and math.isfinite(c) and math.isfinite(d)):
+        raise DomainError("matrix has non-finite entries")
+    det = a * d - b * c
+    if not det > 0.0:  # a nan det (inf - inf) is refused too
+        raise DomainError(f"determinant {det} is not positive")
+    # automatic given det > 0, but asserted anyway
+    x, y = a + d, b - c
+    if x * x + y * y <= 0.0:
+        raise DomainError("degenerate rotation part")
+    return a, b, c, d
+
+
+def inv2(m: Mat2) -> Mat2:
+    """Inverse of one 2x2 matrix, by the adjugate formula."""
+    a, b, c, d = _entries(m)
+    det = a * d - b * c
+    if det == 0.0:
         raise DomainError("matrix is singular")
-    adj = np.swapaxes(m[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
-    return adj / d[..., None, None]
+    if not math.isfinite(det):
+        raise DomainError(f"determinant {det} is not finite")
+    return np.array([[d / det, -b / det], [-c / det, a / det]])
 
 
 def check_positive_det(m: Mat2) -> None:
     """Assert membership in GL+(2, R)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix has non-finite entries")
-    if det2(m) <= 0.0:
-        raise DomainError(f"determinant {det2(m)} is not positive")
-    # automatic given det > 0, but asserted anyway
-    x = m[0, 0] + m[1, 1]
-    y = m[0, 1] - m[1, 0]
-    if x * x + y * y <= 0.0:
-        raise DomainError("degenerate rotation part")
+    _gl_plus_entries(m)
 
 
 def retract(m: Mat2) -> float:
     """Rotation angle of the polar factorisation, in (-pi, pi]."""
-    m = np.asarray(m, dtype=float)
-    check_positive_det(m)
-    x = m[0, 0] + m[1, 1]
-    y = m[0, 1] - m[1, 0]
-    return math.atan2(y, x)
+    a, b, c, d = _gl_plus_entries(m)
+    return math.atan2(b - c, a + d)
 
 
 def polar_parts(m: Mat2) -> tuple[float, Mat2]:

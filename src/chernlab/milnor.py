@@ -51,7 +51,6 @@ from .liftgroup import (
     TAU_WINDING,
     check_positive_det,
     deck_shift,
-    det2,
     inv2,
     lift_commutator,
     lift_inv,
@@ -82,9 +81,10 @@ class ConjClassTag:
     shifted: bool
 
     def matches(self, m: Mat2, tol: float = TAU_CLASS) -> bool:
+        (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
         return (
-            abs(float(m[0, 0] + m[1, 1]) - float(self.trace)) <= tol
-            and abs(det2(m) - float(self.det)) <= tol
+            abs((a + d) - float(self.trace)) <= tol
+            and abs((a * d - b * c) - float(self.det)) <= tol
         )
 
 
@@ -115,6 +115,11 @@ class SurfaceGroupRep:
         object.__setattr__(self, "A", tuple(frozen_a))
         object.__setattr__(self, "B", tuple(frozen_b))
         defect = relation_defect(self)
+        if not math.isfinite(defect):
+            raise InstabilityError(
+                "non-finite relation product prod [A_i, B_i]: its float "
+                "entries overflow"
+            )
         if defect > self.tolerance:
             raise PreconditionError(
                 f"surface relation violated: defect {defect:.3e} > "
@@ -125,8 +130,10 @@ class SurfaceGroupRep:
 def relation_defect(rep: SurfaceGroupRep) -> float:
     """Infinity-norm distance of prod [A_i, B_i] from the identity."""
     acc = IDENTITY
-    for a, b in zip(rep.A, rep.B):
-        acc = acc @ a @ b @ inv2(a) @ inv2(b)
+    # an overflowing product gives a non-finite defect, which the caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(rep.A, rep.B):
+            acc = acc @ a @ b @ inv2(a) @ inv2(b)
     return float(np.max(np.abs(acc - IDENTITY)))
 
 

@@ -79,6 +79,22 @@ def test_milnor_relation_violation_exits_3(tmp_path, capsys):
     assert "relation" in err
 
 
+@pytest.mark.parametrize("entries, code, message", [
+    # singular, with the float det inf - inf = nan
+    ([1e200, 1e200, 1e200, 1e200], 2, "determinant nan is not positive"),
+    # det 1, but the relation product overflows
+    ([1e160, 1e160, 0.0, 1e-160], 3, "non-finite relation product"),
+])
+def test_milnor_nan_determinant_or_defect_is_refused(tmp_path, capsys, entries, code, message):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"genus": 1, "A": [entries], "B": [entries]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(capsys, "milnor", str(path))
+    _assert_one_line_error(got, err, code)
+    assert message in err and not caught
+
+
 def test_milnor_tolerance_flag_relaxes_relation(tmp_path, capsys):
     # rotation pair with a relation defect around 1e-7
     a = [float(v) for v in

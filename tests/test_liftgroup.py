@@ -61,6 +61,15 @@ def random_element(rng):
     return lg.deck_shift(x, int(rng.integers(-2, 3)) * 2)
 
 
+def inv_stack(m):
+    """Adjugate inverse of each 2x2 matrix in a stack (..., 2, 2)."""
+    det = lg.det2(m)
+    if np.count_nonzero(det) < det.size:
+        raise DomainError("matrix is singular")
+    adjugate = np.swapaxes(m[..., ::-1, ::-1], -1, -2) * [[1.0, -1.0], [-1.0, 1.0]]
+    return adjugate / det[..., None, None]
+
+
 def pointwise_word_path(elements):
     """The pointwise product of the letters' paths t -> R(t * lift) P^t,
     the loop constructor before word_path concatenated its letters; t = 0
@@ -100,7 +109,7 @@ def pointwise_commutator_path(rep):
         acc = np.broadcast_to(np.eye(2), t.shape + (2, 2))
         for pa, pb in pairs:
             at, bt = pa(t), pb(t)
-            acc = acc @ at @ bt @ lg.inv2(at) @ lg.inv2(bt)
+            acc = acc @ at @ bt @ inv_stack(at) @ inv_stack(bt)
         return acc
 
     return path
@@ -145,6 +154,83 @@ def test_retract_never_divides_by_zero():
         y = m[0, 1] - m[1, 0]
         assert x * x + y * y > 0.0
         lg.retract(m)
+
+
+# -- pinned GL+ checks --------------------------------------------------------
+
+HUGE = np.full((2, 2), 1e200)  # singular; its float det is inf - inf = nan
+# det 1, but the relation product overflows to a nan defect
+NAN_RELATION = np.array([[1e160, 1e160], [0.0, 1e-160]])
+
+
+@pytest.mark.parametrize("call, m, error, message", [
+    (lg.check_positive_det, np.eye(3), DomainError,
+     r"^expected a 2x2 matrix, got shape \(3, 3\)$"),
+    (lg.retract, np.ones(4), DomainError,
+     r"^expected a 2x2 matrix, got shape \(4,\)$"),
+    (lg.check_positive_det, [[np.nan, 0.0], [0.0, 1.0]], DomainError,
+     r"^matrix has non-finite entries$"),
+    (lg.retract, [[1.0, np.inf], [0.0, 1.0]], DomainError,
+     r"^matrix has non-finite entries$"),
+    (lg.check_positive_det, [[1.0, 0.0], [0.0, -2.0]], DomainError,
+     r"^determinant -2\.0 is not positive$"),
+    (lg.retract, [[1.0, 1.0], [1.0, 1.0]], DomainError,
+     r"^determinant 0\.0 is not positive$"),
+    (lg.inv2, [[1.0, 2.0], [2.0, 4.0]], DomainError, r"^matrix is singular$"),
+    (lg.check_positive_det, HUGE, DomainError,
+     r"^determinant nan is not positive$"),
+    (lg.retract, HUGE, DomainError, r"^determinant nan is not positive$"),
+    (lg.inv2, HUGE, DomainError, r"determinant nan"),
+    (lambda m: mi.SurfaceGroupRep(1, (m,), (m,)), NAN_RELATION,
+     InstabilityError, r"non-finite relation product"),
+])
+def test_gl_plus_refusals_are_pinned(call, m, error, message):
+    with pytest.raises(error, match=message):
+        call(np.asarray(m, dtype=float))
+
+
+def _random_gl_plus(rng, exponents):
+    """The matrices 10^k R, one per integer k in exponents, with R uniform
+    in [-2, 2] at det R > 0.05."""
+    out = []
+    for k in exponents:
+        while True:
+            r = rng.uniform(-2.0, 2.0, size=(2, 2))
+            if r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0] > 0.05:
+                break
+        out.append(10.0 ** int(k) * r)
+    return np.array(out)
+
+
+def _reference_retract(m):
+    # numpy float64 scalar arithmetic, then math.atan2
+    return math.atan2(m[0, 1] - m[1, 0], m[0, 0] + m[1, 1])
+
+
+def test_scalar_gl_plus_arithmetic_matches_the_numpy_formulas_bit_for_bit():
+    rng = np.random.default_rng(20)
+    ms = _random_gl_plus(rng, np.append(rng.integers(-150, 151, 9_998), [-150, 150]))
+    for m, inverse in zip(ms, inv_stack(ms)):
+        lg.check_positive_det(m)
+        assert lg.retract(m) == _reference_retract(m)
+        assert lg.inv2(m).tobytes() == inverse.tobytes()
+
+    # factor scales 10^j and 10^k with |j|, |k|, |j + k| <= 150, so each
+    # product's entries stay within 1e+-150 as well
+    j = rng.integers(-150, 151, 10_000)
+    k = rng.integers(np.maximum(-150, -150 - j), np.minimum(150, 150 - j) + 1)
+    shifts = rng.integers(-3, 4, size=(10_000, 2))
+    for xm, ym, (i, n) in zip(_random_gl_plus(rng, j), _random_gl_plus(rng, k), shifts):
+        x = lg.deck_shift(lg.principal_lift(xm), int(i))
+        y = lg.deck_shift(lg.principal_lift(ym), int(n))
+        product = x.matrix @ y.matrix
+        base = _reference_retract(product)
+        target = x.lift + y.lift
+        u = base + 2.0 * math.pi * round((target - base) / (2.0 * math.pi))
+        lift = target if abs(u - target) <= lg.TAU_ANGLE else u
+        out = lg.lift_mul(x, y)
+        assert out.matrix.tobytes() == product.tobytes()
+        assert out.lift == lift
 
 
 # -- lift_mul -----------------------------------------------------------------
@@ -686,11 +772,16 @@ def test_word_path_rejects_a_polar_factor_that_is_not_positive_definite(
         lg.word_path([lg.principal_lift(A1)])
 
 
-def test_batched_inverse_keeps_the_singular_check():
-    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+def test_inverse_keeps_the_singular_check():
     with pytest.raises(DomainError, match="singular"):
-        lg.inv2(stack)
-    assert np.array_equal(lg.inv2(stack[:1] * 2.0), stack[:1] / 2.0)
+        lg.inv2(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert np.array_equal(lg.inv2(np.eye(2) * 2.0), np.eye(2) / 2.0)
+
+
+def test_inverse_refuses_an_overflowed_determinant():
+    # d / det with det = inf would give the zero matrix
+    with pytest.raises(DomainError, match="determinant inf is not finite"):
+        lg.inv2(np.eye(2) * 1e200)
 
 
 # -- type invariants ----------------------------------------------------------
