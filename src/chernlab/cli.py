@@ -45,8 +45,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import euler as euler_mod
 from . import geometry as geo_mod
 from . import milnor as milnor_mod
@@ -158,7 +156,9 @@ def _read_json(path: str) -> tuple[dict, dict]:
     return data, {"file": path, "sha256": digest}
 
 
-def _parse_floats(text: str, what: str) -> np.ndarray:
+def _parse_floats(text: str, what: str) -> "numpy.ndarray":
+    import numpy as np
+
     try:
         values = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
@@ -181,7 +181,7 @@ def cmd_milnor(args) -> RunReport:
     tolerance = _setting("tolerance", args.tolerance, float, milnor_mod.TAU_REL)
     report = RunReport("milnor", digest)
     rep = milnor_mod.rep_from_dict(data, tolerance=tolerance)
-    defect = milnor_mod.relation_defect(rep)
+    defect = rep.defect
     delta = milnor_mod.milnor_number(rep)
     report.results = {
         "genus": rep.genus,
@@ -222,7 +222,7 @@ def cmd_build(args) -> RunReport:
     report.results = {
         "written": args.out,
         "milnor_number": delta,
-        "relation_defect": f"{milnor_mod.relation_defect(rep):.3e}",
+        "relation_defect": f"{rep.defect:.3e}",
     }
     report.check("degree realised", delta == args.degree,
                  f"requested {args.degree}, got {delta}")
@@ -274,6 +274,8 @@ def cmd_spectral(args) -> RunReport:
 
 
 def cmd_geometry(args) -> RunReport:
+    import numpy as np
+
     geo = geo_mod.parse_geometry(args.key)
     report = RunReport(f"geometry {args.geo_command}", {"key": args.key})
 

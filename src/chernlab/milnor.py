@@ -30,7 +30,7 @@ All functions are pure; representations are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -94,12 +94,17 @@ PIK_TAG = ConjClassTag(Fraction(-5, 2), Fraction(1), shifted=True)
 
 @dataclass(frozen=True, eq=False)
 class SurfaceGroupRep:
-    """Genus plus generator matrices satisfying the surface relation."""
+    """Genus plus generator matrices satisfying the surface relation.
+
+    defect is relation_defect of the rep, computed once while the rep is
+    validated.
+    """
 
     genus: int
     A: tuple
     B: tuple
     tolerance: float = TAU_REL
+    defect: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.genus < 1:
@@ -125,6 +130,7 @@ class SurfaceGroupRep:
                 f"surface relation violated: defect {defect:.3e} > "
                 f"{self.tolerance}"
             )
+        object.__setattr__(self, "defect", defect)
 
 
 def relation_defect(rep: SurfaceGroupRep) -> float:

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corpusgen import random_double_complex, random_filtered_complex
 from test_geometry import great_circle
+import chernlab
 from chernlab.cli import main
 from chernlab.spectral import double_complex_to_dict, filtered_complex_to_dict
 
@@ -186,6 +191,26 @@ def test_milnor_results_block_is_deterministic(rep_file, capsys):
     _, second, _ = run_json(capsys, "milnor", str(rep_file))
     assert first["results"] == second["results"]
     assert first["inputs"] == second["inputs"]
+
+
+def test_build_and_milnor_compute_the_relation_defect_once_per_rep(
+    tmp_path, capsys, monkeypatch
+):
+    import chernlab.milnor as milnor_mod
+
+    reps = []
+    relation_defect = milnor_mod.relation_defect
+
+    def counted(rep):
+        reps.append(rep)
+        return relation_defect(rep)
+
+    monkeypatch.setattr(milnor_mod, "relation_defect", counted)
+    path = str(tmp_path / "rep.json")
+    for argv in (["build", "3", "2", "--out", path], ["milnor", path, "--oracle"]):
+        reps.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(reps) == 1, argv
 
 
 # -- spectral ---------------------------------------------------------------------
@@ -391,6 +416,37 @@ def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
     )
     _assert_one_line_error(code, err, 3)
     assert "quadrature nodes were singular" in err
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    ([], False),
+    (["euler", "Sigma(2)"], False),
+    (["spectral", "COMPLEX"], False),
+    (["geometry", "levi-civita", "sphere:1", "--point", "1,0"], True),
+], ids=["import", "euler", "spectral", "geometry"])
+def test_cold_start_imports_numpy_only_for_commands_that_use_it(
+    complex_file, argv, numpy_loaded
+):
+    argv = [str(complex_file) if a == "COMPLEX" else a for a in argv]
+    script = (
+        "import json, sys\n"
+        "from chernlab.cli import main\n"
+        f"argv = {argv!r}\n"
+        "code = main(argv) if argv else 0\n"
+        "loaded = [n for n in sys.modules if n.startswith('chernlab.')]\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(chernlab.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    code, loaded, numpy_seen = json.loads(child.stdout.splitlines()[-1])
+    assert code == 0
+    assert numpy_seen is numpy_loaded
+    # perfbench's Tracer.install indexes sys.modules["chernlab.<engine>"]
+    # for every module it wraps, so importing the cli must register them all
+    engines = ("euler", "geometry", "liftgroup", "milnor", "spectral", "subspaces")
+    assert {f"chernlab.{name}" for name in engines} <= set(loaded)
 
 
 # -- geometry -----------------------------------------------------------------------
