@@ -60,6 +60,7 @@ STEPS_PER_UNIT = 1000  # default geodesic step budget per unit of time
 GEODESIC_RTOL = 1e-10  # adaptive geodesic tolerance; atol is GEODESIC_RTOL / 100
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
 BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
+SKIP_BUDGET = 0.01     # share of quadrature nodes gauss_bonnet may skip
 MAX_CHART_DIM = 64     # dimension m of euclidean:m, hopf:m and flat-torus:m
 MIN_RADIUS, MAX_RADIUS = 1e-50, 1e50  # sphere:r; r^4 stays within the float range
 
@@ -612,12 +613,11 @@ def gauss_bonnet(
     patches: Sequence[SurfacePatch],
     mesh_n: int,
     h: float = H_DEFAULT,
-    skip_budget: float = 0.01,
 ) -> float:
     """Midpoint-rule quadrature of K dA / (2 pi) over the patches.
 
-    Nodes where the metric degenerates are skipped with a warning budget of
-    1 percent; exceeding the budget is an error.  The node grid is
+    Nodes where the metric degenerates are skipped, up to SKIP_BUDGET of
+    all nodes; exceeding the budget is an error.  The node grid is
     evaluated in blocks of BLOCK_NODES nodes; a block that raises
     DomainError is evaluated again node by node.
     """
@@ -650,7 +650,7 @@ def gauss_bonnet(
             for weights, bad in parts:
                 total += float(np.sum(weights * du * dv))
                 skipped += bad
-    if nodes and skipped > skip_budget * nodes:
+    if nodes and skipped > SKIP_BUDGET * nodes:
         raise QuadratureError(
             f"{skipped} of {nodes} quadrature nodes were singular"
         )

@@ -20,6 +20,12 @@ above pi/2 could make the nearest one wrong.
 
 Deck transformations are central and act by (M, u) -> (R(n*pi) M, u + n*pi).
 
+Each element is checked once.  principal_lift and lift_mul are valid by
+construction: one retract of their own fresh array, stored frozen with a
+lift chosen from that angle.  The public constructor copies and checks
+every other (matrix, lift): outside input, lift_inv (inv2 can overflow),
+deck_shift and lift_mul_rotation (lifts off the retract by atan2 rounding).
+
 A single matrix is checked, retracted and inverted on its four entries,
 read once as Python floats: the same IEEE operations numpy would apply
 elementwise, without its per-call overhead on 2x2 arrays.  A determinant
@@ -32,7 +38,7 @@ evaluation at each scalar t; a scalar t gives one 2x2 matrix.  The loop
 of a word concatenates its letters' paths.  SampledLoop.from_path
 refines the winding oracle's loop one level at a time, evaluating the
 midpoints of all pending intervals in blocks of at most 256 values of t,
-and gives up past MAX_LOOP_SAMPLES samples or max_depth levels.
+and gives up past MAX_LOOP_SAMPLES samples or MAX_LOOP_DEPTH levels.
 
 All values are immutable and all operations are pure functions.
 """
@@ -54,6 +60,7 @@ TAU_ANGLE = 1e-9       # rotation-consistency tolerance for stored lifts
 TAU_WINDING = 1e-3     # max residue when rounding a winding to an integer
 CLOSURE_TOL = 1e-6     # endpoint tolerance for sampled loops
 MAX_LOOP_SAMPLES = 2**15  # samples of one loop before refinement gives up
+MAX_LOOP_DEPTH = 60       # bisection levels before refinement gives up
 
 _PATH_BLOCK = 256      # values of t per batched path call in from_path
 
@@ -118,11 +125,6 @@ def inv2(m: Mat2) -> Mat2:
     return np.array([[d / det, -b / det], [-c / det, a / det]])
 
 
-def check_positive_det(m: Mat2) -> None:
-    """Assert membership in GL+(2, R)."""
-    _gl_plus_entries(m)
-
-
 def retract(m: Mat2) -> float:
     """Rotation angle of the polar factorisation, in (-pi, pi]."""
     a, b, c, d = _gl_plus_entries(m)
@@ -153,6 +155,16 @@ class CoveredElement:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _checked(cls, m: Mat2, lift: float) -> "CoveredElement":
+        """(m, lift) stored as is, m frozen in place: m is a fresh float
+        array that passed retract, and lift is congruent to its angle."""
+        m.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "matrix", m)
+        object.__setattr__(x, "lift", lift)
+        return x
+
     def __repr__(self) -> str:
         e = self.matrix.ravel()
         return (
@@ -165,22 +177,9 @@ COVER_IDENTITY = CoveredElement(IDENTITY, 0.0)
 
 
 def principal_lift(m: Mat2) -> CoveredElement:
-    """The lift of m with angle in (-pi, pi]."""
-    return CoveredElement(np.asarray(m, dtype=float), retract(m))
-
-
-def _product_retract(a: Mat2, b: Mat2) -> tuple[Mat2, float]:
-    """a @ b and its retract angle, for a and b in GL+(2, R).  A float
-    product that leaves GL+ lost its determinant to rounding: an
-    InstabilityError, not bad input."""
-    product = a @ b
-    try:
-        return product, retract(product)
-    except DomainError as exc:
-        raise InstabilityError(
-            f"float product of two GL+ matrices left GL+ ({exc}); largest "
-            f"entry {np.max(np.abs(product)):.6g}"
-        ) from exc
+    """The lift of m with angle in (-pi, pi]; m is copied, not frozen."""
+    m = np.array(m, dtype=float)
+    return CoveredElement._checked(m, retract(m))
 
 
 def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
@@ -190,16 +189,24 @@ def lift_mul(x: CoveredElement, y: CoveredElement) -> CoveredElement:
     x.lift + y.lift.  With X = R(alpha) P and Y = R(beta) Q in polar form,
     XY = R(alpha + beta) P'Q where P' = R(-beta) P R(beta); P' and Q are
     SPD, so tr(P'Q) > 0 and the defect lies in (-pi/2, pi/2), while the
-    candidate lifts are 2*pi apart.
+    candidate lifts are 2*pi apart.  A float product that leaves GL+ lost
+    its determinant to rounding: an InstabilityError, not bad input.
     """
-    product, base = _product_retract(x.matrix, y.matrix)
+    product = x.matrix @ y.matrix
+    try:
+        base = retract(product)
+    except DomainError as exc:
+        raise InstabilityError(
+            f"float product of two GL+ matrices left GL+ ({exc}); largest "
+            f"entry {np.max(np.abs(product)):.6g}"
+        ) from exc
     target = x.lift + y.lift
     u = base + _TWO_PI * round((target - base) / _TWO_PI)
     if abs(u - target) <= TAU_ANGLE:
         # zero-defect product (rotations, inverses, deck shifts): keep the
         # lift arithmetic exact instead of reintroducing atan2 rounding
-        return CoveredElement(product, target)
-    return CoveredElement(product, u)
+        u = target
+    return CoveredElement._checked(product, u)
 
 
 def lift_inv(x: CoveredElement) -> CoveredElement:
@@ -330,7 +337,6 @@ class SampledLoop:
         cls,
         path: Callable[[np.ndarray], Mat2],
         initial_samples: int = 64,
-        max_depth: int = 60,
     ) -> "SampledLoop":
         """Sample a batched path on [0, 1], refining one level at a time.
 
@@ -348,7 +354,7 @@ class SampledLoop:
         same dyadic intervals gives the sample set of a depth-first
         bisection; samples are stored sorted by t and retracted to SO(2).
         SubdivisionError: at the first non-finite path value, when an
-        interval still fails at level max_depth, or when the loop would
+        interval still fails at level MAX_LOOP_DEPTH, or when the loop would
         exceed MAX_LOOP_SAMPLES samples.
         """
         if initial_samples < 2:
@@ -370,7 +376,7 @@ class SampledLoop:
             bad = ~(polyline <= 0.4 * margin)
             if not bad.any():
                 break
-            if depth >= max_depth:
+            if depth >= MAX_LOOP_DEPTH:
                 raise SubdivisionError("loop refinement exceeded max depth")
             count = _within_sample_cap(count + 2 * np.count_nonzero(bad))
             depth += 1

@@ -49,7 +49,6 @@ from .liftgroup import (
     IDENTITY,
     Mat2,
     TAU_WINDING,
-    check_positive_det,
     deck_shift,
     inv2,
     lift_commutator,
@@ -58,6 +57,7 @@ from .liftgroup import (
     lift_mul,
     principal_lift,
     product_lift,
+    retract,
     SampledLoop,
     word_path,
 )
@@ -78,7 +78,6 @@ class ConjClassTag:
 
     trace: Fraction
     det: Fraction
-    shifted: bool
 
     def matches(self, m: Mat2, tol: float = TAU_CLASS) -> bool:
         (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
@@ -88,8 +87,8 @@ class ConjClassTag:
         )
 
 
-K_TAG = ConjClassTag(Fraction(5, 2), Fraction(1), shifted=False)
-PIK_TAG = ConjClassTag(Fraction(-5, 2), Fraction(1), shifted=True)
+K_TAG = ConjClassTag(Fraction(5, 2), Fraction(1))
+PIK_TAG = ConjClassTag(Fraction(-5, 2), Fraction(1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +113,7 @@ class SurfaceGroupRep:
         frozen_a, frozen_b = [], []
         for m in list(self.A) + list(self.B):
             m = np.array(m, dtype=float)
-            check_positive_det(m)
+            retract(m)  # the GL+ check
             m.flags.writeable = False
             (frozen_a if len(frozen_a) < self.genus else frozen_b).append(m)
         object.__setattr__(self, "A", tuple(frozen_a))
@@ -182,16 +181,13 @@ def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
     return word_path(letters)
 
 
-def winding_number(rep: SurfaceGroupRep, initial_samples: int = 64) -> int:
+def winding_number(rep: SurfaceGroupRep) -> int:
     """Path-sampling route to delta: winding of the commutator loop.
 
     Independent of the lift arithmetic in milnor_number; the two must agree
     on every valid representation.
     """
-    loop = SampledLoop.from_path(
-        commutator_loop_path(rep), initial_samples=initial_samples
-    )
-    return lift_loop(loop)
+    return lift_loop(SampledLoop.from_path(commutator_loop_path(rep)))
 
 
 # -- class windows ------------------------------------------------------------
@@ -524,7 +520,7 @@ def conjugate_representation(rep: SurfaceGroupRep, s: Mat2) -> SurfaceGroupRep:
     large-entry representations past the relation tolerance.
     """
     s = np.asarray(s, dtype=float)
-    check_positive_det(s)
+    retract(s)  # the GL+ check
     s_exact = _fexact(s)
 
     def conj(m: Mat2) -> Mat2:

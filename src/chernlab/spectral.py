@@ -677,12 +677,8 @@ def bete_filtration(
 
 # -- JSON schemas --------------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _matrix_to_lists(m: Matrix) -> list:
-    return [[_frac_str(v) for v in row] for row in m]
+    return [[str(v) for v in row] for row in m]
 
 
 # What reading a payload of the wrong shape raises: a missing key, a list
@@ -717,7 +713,7 @@ def filtered_complex_to_dict(c: FilteredComplex) -> dict:
         "filtration": {
             str(p): {
                 str(n): [
-                    [_frac_str(v) for v in vec]
+                    [str(v) for v in vec]
                     for vec in c.filt(p, n).vectors
                 ]
                 for n in c.degrees()

@@ -1112,7 +1112,7 @@ def test_blocked_gauss_bonnet_matches_node_by_node(key, mesh):
     assert abs(got - reference_gauss_bonnet(patches, mesh)) <= 1e-12
 
 
-def test_gauss_bonnet_skips_only_the_bad_nodes_of_a_block():
+def test_gauss_bonnet_skips_only_the_bad_nodes_of_a_block(monkeypatch):
     metric = ge.sphere_metric(1.0)
     calls = []
 
@@ -1134,7 +1134,8 @@ def test_gauss_bonnet_skips_only_the_bad_nodes_of_a_block():
     assert (1, 2) in calls
     # the skipped row would have added K dA / (2 pi) = du = pi / 15
     whole = ge.gauss_bonnet(ge.parse_geometry("sphere:1").patches, 15)
-    assert ge.gauss_bonnet([patch], 15, skip_budget=0.1) == pytest.approx(
+    monkeypatch.setattr(ge, "SKIP_BUDGET", 0.1)
+    assert ge.gauss_bonnet([patch], 15) == pytest.approx(
         whole - math.pi / 15, abs=1e-5
     )
 

@@ -164,20 +164,20 @@ NAN_RELATION = np.array([[1e160, 1e160], [0.0, 1e-160]])
 
 
 @pytest.mark.parametrize("call, m, error, message", [
-    (lg.check_positive_det, np.eye(3), DomainError,
+    (lg.retract, np.eye(3), DomainError,
      r"^expected a 2x2 matrix, got shape \(3, 3\)$"),
     (lg.retract, np.ones(4), DomainError,
      r"^expected a 2x2 matrix, got shape \(4,\)$"),
-    (lg.check_positive_det, [[np.nan, 0.0], [0.0, 1.0]], DomainError,
+    (lg.retract, [[np.nan, 0.0], [0.0, 1.0]], DomainError,
      r"^matrix has non-finite entries$"),
     (lg.retract, [[1.0, np.inf], [0.0, 1.0]], DomainError,
      r"^matrix has non-finite entries$"),
-    (lg.check_positive_det, [[1.0, 0.0], [0.0, -2.0]], DomainError,
+    (lg.retract, [[1.0, 0.0], [0.0, -2.0]], DomainError,
      r"^determinant -2\.0 is not positive$"),
     (lg.retract, [[1.0, 1.0], [1.0, 1.0]], DomainError,
      r"^determinant 0\.0 is not positive$"),
     (lg.inv2, [[1.0, 2.0], [2.0, 4.0]], DomainError, r"^matrix is singular$"),
-    (lg.check_positive_det, HUGE, DomainError,
+    (lg.retract, HUGE, DomainError,
      r"^determinant nan is not positive$"),
     (lg.retract, HUGE, DomainError, r"^determinant nan is not positive$"),
     (lg.inv2, HUGE, DomainError, r"determinant nan"),
@@ -211,7 +211,6 @@ def test_scalar_gl_plus_arithmetic_matches_the_numpy_formulas_bit_for_bit():
     rng = np.random.default_rng(20)
     ms = _random_gl_plus(rng, np.append(rng.integers(-150, 151, 9_998), [-150, 150]))
     for m, inverse in zip(ms, inv_stack(ms)):
-        lg.check_positive_det(m)
         assert lg.retract(m) == _reference_retract(m)
         assert lg.inv2(m).tobytes() == inverse.tobytes()
 
@@ -799,3 +798,51 @@ def test_covered_element_matrix_is_immutable():
     x = lg.principal_lift(A0)
     with pytest.raises(ValueError):
         x.matrix[0, 0] = 5.0
+
+
+def test_each_construction_runs_one_gl_plus_check(monkeypatch):
+    calls = []
+    check = lg._gl_plus_entries
+
+    def counted(m):
+        calls.append(m)
+        return check(m)
+
+    monkeypatch.setattr(lg, "_gl_plus_entries", counted)
+    x, y = lg.principal_lift(A0), lg.principal_lift(A1)
+    lift = lg.retract(A1) + 2 * math.pi
+    for make in (
+        lambda: lg.principal_lift(A2),
+        lambda: lg.lift_mul(x, y),
+        lambda: lg.CoveredElement(A1, lift),
+    ):
+        calls.clear()
+        make()
+        assert len(calls) == 1
+
+
+def test_elements_built_without_the_public_check_pass_it(monkeypatch):
+    # lift_mul and principal_lift store their elements unchecked; every one
+    # made while building and measuring a representation must pass the check
+    made = []
+    store = lg.CoveredElement._checked
+
+    def collect(m, lift):
+        made.append(store(m, lift))
+        return made[-1]
+
+    monkeypatch.setattr(lg.CoveredElement, "_checked", collect)
+    rep = mi.build_representation(7, 6)
+    assert mi.milnor_number(rep) == 6
+    assert made
+    for e in made:
+        assert not e.matrix.flags.writeable
+        lg.CoveredElement(e.matrix, e.lift)  # raises if the lift is off
+
+
+def test_principal_lift_neither_freezes_nor_aliases_its_argument():
+    m = A1.copy()
+    x = lg.principal_lift(m)
+    assert m.flags.writeable and not np.shares_memory(x.matrix, m)
+    m[0, 0] = 7.0
+    assert x.matrix[0, 0] == A1[0, 0]

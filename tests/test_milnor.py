@@ -43,7 +43,7 @@ def test_class_tags():
     assert mi.K_TAG.matches(mi.A1)
     assert mi.PIK_TAG.matches(mi.A2)
     assert float(mi.K_TAG.trace) == 2.5 and float(mi.K_TAG.det) == 1.0
-    assert float(mi.PIK_TAG.trace) == -2.5 and not mi.K_TAG.shifted
+    assert float(mi.PIK_TAG.trace) == -2.5
 
 
 def test_seed_lift_lands_in_shifted_window():
