@@ -148,7 +148,10 @@ def _read_json(path: str) -> tuple[dict, dict]:
     digest = hashlib.sha256(raw).hexdigest()[:16]
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError and UnicodeDecodeError: an integer literal
+        # past the interpreter's int-string digit limit, or nesting past
+        # its recursion limit
         position = ""
         if isinstance(exc, json.JSONDecodeError):
             position = f" at line {exc.lineno} column {exc.colno}"

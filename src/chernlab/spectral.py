@@ -25,7 +25,8 @@ whose adapted bases are where the filtration is checked.  `chernlab
 spectral` prints only dimensions, so it takes every page, E_inf and the
 stabilisation index from persistence_pairing, and its convergence check
 compares that E_inf with graded_cohomology, the graded pieces of F^p H
-computed directly from cycles and boundaries.
+read directly from rref ranks of cycles and boundaries, with no subspace
+built.
 
 Everything is exact rational arithmetic; a dimension equality asserted by
 this module is an equality of integers, never a tolerance check.
@@ -60,13 +61,13 @@ from .subspaces import (
     Subspace,
     identity_matrix,
     image,
-    kernel,
     mat_from_rows,
     matmul,
     matvec,
     quotient_coordinates,
     quotient_dim,
     quotient_representatives,
+    rref,
     subspace_intersect,
     subspace_preimage,
     subspace_sum,
@@ -105,9 +106,10 @@ class FilteredComplex:
     Construction builds the persistence pairing and memoizes it; building
     its adapted bases is what checks that the filtration decreases and is
     a subcomplex.  The rest of the spectral sequence is memoized on first
-    use: the A_r subspaces, the page entries E_r, the page differentials
-    d_r, and the cycles, boundaries and filtered cohomology of each degree
-    are shared by every page, the stable page and the graded cohomology.
+    use: the A_r subspaces, the page entries E_r and the page differentials
+    d_r are shared by every page and the stable page, and the rank of each
+    d^n and the dimension of each F^p H^n by the cohomology and the graded
+    cohomology.
     The memo is keyed by indices alone, so dims, d and filtration must not
     be mutated after construction.  Memo writes are idempotent, so
     concurrent per-entry page computations are safe.
@@ -325,38 +327,47 @@ def infinity_page(c: FilteredComplex) -> Page:
     )
 
 
-def _cycles(c: FilteredComplex, n: int) -> Subspace:
-    return _memo(c, ("Z", n), lambda: kernel(c.diff(n), c.dim(n)))
+def _rank_d(c: FilteredComplex, n: int) -> int:
+    """rank d^n, which is dim B^{n+1} and dim C^n - dim Z^n."""
+    return _memo(c, ("rank", n), lambda: len(rref(c.diff(n))[1]))
 
 
-def _boundaries(c: FilteredComplex, n: int) -> Subspace:
-    return _memo(c, ("B", n), lambda: image(
-        c.diff(n - 1), Subspace.full(c.dim(n - 1))
-    ))
+def _filtered_cohomology_dim(c: FilteredComplex, p: int, n: int) -> int:
+    """dim F^p H^n, the image of F^p C^n cap Z^n in H^n.
 
+    With B in Z, dim(F cap Z) = dim F - rank d|F and dim(F cap B) =
+    dim F + dim B - dim(F + B), so the image has dimension
+    rank(F + B) - rank B - rank d(F), three ranks of one rref each.
+    """
+    def build() -> int:
+        f = c.filt(p, n)
+        if not f.vectors:
+            return 0
+        if f.is_full:
+            return cohomology_dim(c, n)
+        # B^n is spanned by the columns of d^{n-1}
+        f_plus_b = len(rref(f.vectors + tuple(zip(*c.diff(n - 1))))[1])
+        d_f = len(rref([matvec(c.diff(n), v) for v in f.vectors])[1])
+        return f_plus_b - _rank_d(c, n - 1) - d_f
 
-def _filtered_cohomology(c: FilteredComplex, p: int, n: int) -> Subspace:
-    """F^p H^n lifted to C^n: (F^p C^n cap Z^n) + B^n."""
-    return _memo(c, ("H", c.level(p), n), lambda: subspace_sum(
-        subspace_intersect(c.filt(p, n), _cycles(c, n)), _boundaries(c, n)
-    ))
+    return _memo(c, ("H", c.level(p), n), build)
 
 
 def cohomology_dim(c: FilteredComplex, n: int) -> int:
-    """dim H^n(C) = dim ker d^n - dim im d^{n-1}."""
-    return _cycles(c, n).dim - _boundaries(c, n).dim
+    """dim H^n(C) = dim C^n - rank d^n - rank d^{n-1}."""
+    return c.dim(n) - _rank_d(c, n) - _rank_d(c, n - 1)
 
 
 def graded_cohomology(c: FilteredComplex, p: int, q: int) -> int:
     """dim of F^p H^{p+q} / F^{p+1} H^{p+q} with the image filtration.
 
-    Computed directly from cycles and boundaries, independently of the page
-    machinery; the convergence theorem says it equals dim E_inf[p, q].
+    Computed from rref ranks, independently of the page machinery and the
+    pairing; the convergence theorem says it equals dim E_inf[p, q].
     """
     n = p + q
     return (
-        _filtered_cohomology(c, p, n).dim
-        - _filtered_cohomology(c, p + 1, n).dim
+        _filtered_cohomology_dim(c, p, n)
+        - _filtered_cohomology_dim(c, p + 1, n)
     )
 
 

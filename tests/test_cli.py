@@ -64,6 +64,23 @@ def test_milnor_malformed_json_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("command", ["spectral", "milnor"])
+@pytest.mark.parametrize(
+    "text",
+    ['{"genus": 1, "A": [[' + "1" * 5000 + ', 0, 0, 1]], "B": [[1, 0, 0, 1]]}',
+     "[" * 100_000],
+    ids=["5000-digit-integer", "deep-nesting"],
+)
+def test_json_past_the_interpreter_limits_exits_2(tmp_path, capsys, command, text):
+    """json.loads raises a plain ValueError for an integer literal past the
+    int-string digit limit, and RecursionError for deep nesting."""
+    path = tmp_path / "limits.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, str(path))
+    _assert_one_line_error(code, err, 2)
+    assert f"JSON parse error in {path}" in err
+
+
 def test_milnor_bad_payload_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"genus": 2, "A": [[1, 0, 0, 1]], "B": []}))
@@ -403,6 +420,42 @@ def test_spectral_cli_reads_pages_from_the_pairing(tmp_path, capsys, monkeypatch
     assert data["verification"][0]["passed"]
 
 
+@pytest.mark.parametrize("double", [None, "vertical"])
+def test_spectral_convergence_check_builds_no_subspace(
+    tmp_path, capsys, monkeypatch, double
+):
+    """The check reads graded cohomology from rref ranks: no kernel, image,
+    sum or intersection of subspaces is built on the CLI path."""
+    import chernlab.subspaces as subspaces_mod
+
+    rng = np.random.default_rng(79)
+    if double:
+        payload = double_complex_to_dict(random_double_complex(rng))
+        flags = ["--double", double]
+    else:
+        payload = filtered_complex_to_dict(random_filtered_complex(rng))
+        flags = []
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(payload))
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n.startswith("chernlab")]
+    for name in ("subspace_intersect", "subspace_sum", "kernel", "kernel_basis", "image"):
+        real = getattr(subspaces_mod, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    code, data, err = run_json(capsys, "spectral", str(path), *flags)
+    assert code == 0, err
+    assert data["verification"][0]["passed"]
+    assert any(data["results"]["cohomology"].values())
+    assert calls == []
+
+
 def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
     import chernlab.geometry as geo_mod
     from chernlab.errors import DomainError
@@ -724,8 +777,9 @@ def test_config_file_is_overridden_by_flag(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "text, message",
     [('{"mesh": ', "JSON parse error in"), ('{"mesh": "abc"}', "bad mesh in"),
-     ('{"mesh": null}', "bad mesh in"), ("[8]", "must hold a JSON object")],
-    ids=["truncated", "not-a-number", "null", "not-an-object"],
+     ('{"mesh": null}', "bad mesh in"), ("[8]", "must hold a JSON object"),
+     ('{"mesh": 1' + "0" * 5000 + "}", "JSON parse error in")],
+    ids=["truncated", "not-a-number", "null", "not-an-object", "huge-integer"],
 )
 def test_malformed_config_file_exits_2(tmp_path, capsys, monkeypatch, text, message):
     import chernlab.cli as cli_mod

@@ -27,7 +27,15 @@ from chernlab.spectral import (
     page_entry,
     persistence_pairing,
 )
-from chernlab.subspaces import Subspace, mat_from_rows, matmul
+from chernlab.subspaces import (
+    Subspace,
+    image,
+    kernel,
+    mat_from_rows,
+    matmul,
+    subspace_intersect,
+    subspace_sum,
+)
 
 F = Fraction
 
@@ -203,6 +211,42 @@ def test_graded_cohomology_trivial_filtration():
     )
     assert graded_cohomology(c, 0, 0) == cohomology_dim(c, 0) == 1
     assert graded_cohomology(c, 0, 1) == cohomology_dim(c, 1) == 0
+
+
+# -- graded cohomology against the subspace formula, kept as a reference -------
+
+def _reference_lifted_cohomology(c, n):
+    """Z^n, B^n and F^p H^n lifted to C^n as the subspace (F^p C^n cap Z^n)
+    + B^n for each p_min <= p <= p_max: the formula that graded_cohomology
+    computed before it read the same dimensions from ranks."""
+    cycles = kernel(c.diff(n), c.dim(n))
+    boundaries = image(c.diff(n - 1), Subspace.full(c.dim(n - 1)))
+    lifted = {
+        p: subspace_sum(subspace_intersect(c.filt(p, n), cycles), boundaries)
+        for p in c.filtration_degrees()
+    }
+    return cycles, boundaries, lifted
+
+
+def _reference_corpus():
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        yield random_filtered_complex(rng)
+    for _ in range(10):
+        dc = random_double_complex(rng)
+        yield from_double_complex(dc, "vertical")
+        yield from_double_complex(dc, "horizontal")
+
+
+def test_rank_formulas_match_the_subspace_reference():
+    for c in _reference_corpus():
+        for n in c.degrees():
+            cycles, boundaries, lifted = _reference_lifted_cohomology(c, n)
+            assert cohomology_dim(c, n) == cycles.dim - boundaries.dim
+            # one step past each end checks the clamping too
+            for p in range(c.p_min - 1, c.p_max + 1):
+                expected = lifted[c.level(p)].dim - lifted[c.level(p + 1)].dim
+                assert graded_cohomology(c, p, n - p) == expected
 
 
 # -- persistence pairing --------------------------------------------------------------
