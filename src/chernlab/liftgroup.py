@@ -25,6 +25,8 @@ construction: one retract of their own fresh array, stored frozen with a
 lift chosen from that angle.  The public constructor copies and checks
 every other (matrix, lift): outside input, lift_inv (inv2 can overflow),
 deck_shift and lift_mul_rotation (lifts off the retract by atan2 rounding).
+Likewise SampledLoop.from_path stores the rotations it refines as they
+are and checks only that the loop closes; other samples get every check.
 
 A single matrix is checked, retracted and inverted on its four entries,
 read once as Python floats: the same IEEE operations numpy would apply
@@ -292,6 +294,11 @@ def _within_sample_cap(count: int) -> int:
     return count
 
 
+def _check_closed(s: np.ndarray) -> None:
+    if np.max(np.abs(s[[0, -1]] - IDENTITY)) > CLOSURE_TOL:
+        raise DomainError("loop endpoints must be the identity")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledLoop:
     """Closed loop of matrices starting and ending at the identity.
@@ -319,8 +326,7 @@ class SampledLoop:
         if np.any(det <= 0.0):
             i = int(np.argmax(det <= 0.0))
             raise DomainError(f"determinant {det[i]} of sample {i} is not positive")
-        if np.max(np.abs(s[[0, -1]] - IDENTITY)) > CLOSURE_TOL:
-            raise DomainError("loop endpoints must be the identity")
+        _check_closed(s)
         if np.any(np.abs(_wrapped_gaps(s)) >= math.pi / 2.0):
             raise DomainError(
                 "consecutive samples are more than pi/2 apart; "
@@ -328,6 +334,18 @@ class SampledLoop:
             )
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
+
+    @classmethod
+    def _checked(cls, s: np.ndarray) -> "SampledLoop":
+        """s stored as is, frozen in place: s is a fresh stack of at least
+        two rotations, finite with determinant 1, whose angle gaps the
+        refinement of from_path keeps below arcsin 0.4 < pi/2.  Only the
+        closure is checked, since the sample at t = 1 is a float product."""
+        _check_closed(s)
+        s.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "samples", s)
+        return x
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -388,7 +406,7 @@ class SampledLoop:
         n = np.hypot(x, y)
         if np.any(n == 0.0) or not np.all(np.isfinite(n)):
             raise SubdivisionError("degenerate rotation part on the loop")
-        return cls(_rotation_stack(x / n, y / n))
+        return cls._checked(_rotation_stack(x / n, y / n))
 
 
 def lift_loop(loop: SampledLoop) -> int:

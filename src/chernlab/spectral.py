@@ -25,11 +25,13 @@ whose adapted bases are where the filtration is checked.  `chernlab
 spectral` prints only dimensions, so it takes every page, E_inf and the
 stabilisation index from persistence_pairing, and its convergence check
 compares that E_inf with graded_cohomology, the graded pieces of F^p H
-read directly from rref ranks of cycles and boundaries, with no subspace
-built.
+read directly from ranks of cycles and boundaries, with no subspace built.
 
-Everything is exact rational arithmetic; a dimension equality asserted by
-this module is an equality of integers, never a tolerance check.
+Everything is exact arithmetic; a dimension equality asserted by this
+module is an equality of integers, never a tolerance check.  Ranks, the
+pairing's coordinates and its column reduction run on integer vectors,
+fraction-free (see subspaces); subspaces and page matrices keep Fraction
+entries.
 
 Index conventions follow the source text exactly.  In particular, for the
 vertical filtration of a first-quadrant double complex the zeroth page is
@@ -45,8 +47,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import zip_longest
+from math import gcd
 from typing import Callable, Literal
 
 from .errors import (
@@ -59,6 +62,8 @@ from .subspaces import (
     Matrix,
     ZERO,
     Subspace,
+    _integer_coordinates,
+    _primitive,
     identity_matrix,
     image,
     mat_from_rows,
@@ -67,7 +72,7 @@ from .subspaces import (
     quotient_coordinates,
     quotient_dim,
     quotient_representatives,
-    rref,
+    rank,
     subspace_intersect,
     subspace_preimage,
     subspace_sum,
@@ -329,7 +334,7 @@ def infinity_page(c: FilteredComplex) -> Page:
 
 def _rank_d(c: FilteredComplex, n: int) -> int:
     """rank d^n, which is dim B^{n+1} and dim C^n - dim Z^n."""
-    return _memo(c, ("rank", n), lambda: len(rref(c.diff(n))[1]))
+    return _memo(c, ("rank", n), lambda: rank(c.diff(n)))
 
 
 def _filtered_cohomology_dim(c: FilteredComplex, p: int, n: int) -> int:
@@ -337,7 +342,7 @@ def _filtered_cohomology_dim(c: FilteredComplex, p: int, n: int) -> int:
 
     With B in Z, dim(F cap Z) = dim F - rank d|F and dim(F cap B) =
     dim F + dim B - dim(F + B), so the image has dimension
-    rank(F + B) - rank B - rank d(F), three ranks of one rref each.
+    rank(F + B) - rank B - rank d(F), three ranks of one elimination each.
     """
     def build() -> int:
         f = c.filt(p, n)
@@ -346,8 +351,8 @@ def _filtered_cohomology_dim(c: FilteredComplex, p: int, n: int) -> int:
         if f.is_full:
             return cohomology_dim(c, n)
         # B^n is spanned by the columns of d^{n-1}
-        f_plus_b = len(rref(f.vectors + tuple(zip(*c.diff(n - 1))))[1])
-        d_f = len(rref([matvec(c.diff(n), v) for v in f.vectors])[1])
+        f_plus_b = rank(f.vectors + tuple(zip(*c.diff(n - 1))))
+        d_f = rank([matvec(c.diff(n), v) for v in f.vectors])
         return f_plus_b - _rank_d(c, n - 1) - d_f
 
     return _memo(c, ("H", c.level(p), n), build)
@@ -361,7 +366,7 @@ def cohomology_dim(c: FilteredComplex, n: int) -> int:
 def graded_cohomology(c: FilteredComplex, p: int, q: int) -> int:
     """dim of F^p H^{p+q} / F^{p+1} H^{p+q} with the image filtration.
 
-    Computed from rref ranks, independently of the page machinery and the
+    Computed from ranks, independently of the page machinery and the
     pairing; the convergence theorem says it equals dim E_inf[p, q].
     """
     n = p + q
@@ -413,10 +418,12 @@ def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
 
 
 def _coordinates(c: FilteredComplex, n: int, basis: list, vectors: list) -> list:
-    """Coordinates of vectors of C^n in basis, which must be a basis of C^n."""
+    """Coordinates of vectors of C^n in basis, which must be a basis of C^n,
+    as integer columns, all scaled by one positive integer: the pairing
+    reads where a column is nonzero, and scaling does not move that."""
     try:
         if len(basis) == c.dim(n):
-            return quotient_coordinates((), basis, vectors)
+            return _integer_coordinates((), basis, vectors)[0]
     except DomainError:
         pass
     raise InternalConsistencyError(f"adapted vectors are no basis of C^{n}")
@@ -427,23 +434,30 @@ def _lowest(column: list) -> int | None:
 
 
 def _reduce(columns: list) -> dict:
-    """Column reduction, left to right: pivot row of each column that stays
-    nonzero, keyed by column; a pivot is the lowest nonzero row."""
+    """Column reduction, left to right, of integer columns: pivot row of
+    each column that stays nonzero, keyed by column; a pivot is the lowest
+    nonzero row.  Reducing by a column whose pivot entry is a against an
+    entry b cross-multiplies, column <- (a/g) column - (b/g) other with
+    g = gcd(a, b), and divides the column by its content gcd."""
     by_pivot = {}
     pairs = {}
     for j, column in enumerate(columns):
         column = list(column)
         low = _lowest(column)
         while low is not None and low in by_pivot:
-            other = by_pivot[low]
-            factor = column[low]  # other[low] == 1
-            for i, x in enumerate(other):
-                if x:
-                    column[i] -= factor * x
+            a, support = by_pivot[low]
+            b = column[low]
+            g = gcd(a, b)
+            if a != g:
+                k = a // g
+                column = [k * x for x in column]
+            b //= g
+            for i, y in support:
+                column[i] -= b * y
+            column = _primitive(column)
             low = _lowest(column)
         if low is not None:
-            inv = 1 / column[low]
-            by_pivot[low] = [x * inv for x in column]
+            by_pivot[low] = (column[low], [(i, y) for i, y in enumerate(column) if y])
             pairs[j] = low
     return pairs
 
@@ -708,8 +722,18 @@ def _entry(v) -> Fraction:
     return Fraction(text)
 
 
-def _matrix_from_lists(rows) -> Matrix:
-    return mat_from_rows([[_entry(v) for v in row] for row in rows])
+def _entry_reader() -> Callable:
+    """_entry memoized by the entry's text, for the entries of one payload.
+
+    Most entries of a payload repeat a few texts ("0" and "1"), so each
+    distinct text is parsed once.  An exception is not memoized: every bad
+    entry raises as _entry does.  A payload's reader is dropped with it."""
+    parse = cache(_entry)
+    return lambda v: parse(str(v))
+
+
+def _matrix_from_lists(rows, entry: Callable) -> Matrix:
+    return mat_from_rows([[entry(v) for v in row] for row in rows])
 
 
 def filtered_complex_to_dict(c: FilteredComplex) -> dict:
@@ -736,10 +760,11 @@ def filtered_complex_to_dict(c: FilteredComplex) -> dict:
 
 def filtered_complex_from_dict(data: dict) -> FilteredComplex:
     try:
+        entry = _entry_reader()
         degrees = {int(k): int(v) for k, v in data["degrees"].items()}
         n_min, n_max = min(degrees), max(degrees)
         d = {
-            int(k): _matrix_from_lists(v)
+            int(k): _matrix_from_lists(v, entry)
             for k, v in data["differentials"].items()
         }
         p_keys = sorted(int(k) for k in data["filtration"])
@@ -749,7 +774,7 @@ def filtered_complex_from_dict(data: dict) -> FilteredComplex:
             for n_str, vecs in data["filtration"][str(p)].items():
                 n = int(n_str)
                 filt[(p, n)] = Subspace.span(
-                    degrees[n], [[_entry(v) for v in vec] for vec in vecs]
+                    degrees[n], [[entry(v) for v in vec] for vec in vecs]
                 )
     except _MALFORMED as exc:
         raise DomainError(f"malformed filtered-complex payload: {exc}") from exc
@@ -782,12 +807,13 @@ def _spot(key: str) -> tuple:
 
 def double_complex_from_dict(data: dict) -> DoubleComplex:
     try:
+        entry = _entry_reader()
         dims = {_spot(key): int(v) for key, v in data["dims"].items()}
         i_max = max(i for i, _ in dims)
         j_max = max(j for _, j in dims)
         arrows = {
             name: {
-                _spot(spot): _matrix_from_lists(rows)
+                _spot(spot): _matrix_from_lists(rows, entry)
                 for spot, rows in data.get(key, {}).items()
             }
             for name, (key, _) in _ARROWS.items()

@@ -2,8 +2,13 @@
 
 A subspace of Q^n is stored as the reduced row-echelon basis of its span;
 that form is unique, so equality of subspaces is equality of tuples.  All
-arithmetic is over fractions.Fraction: every rank decision is exact and no
-operation here ever compares against a tolerance.
+arithmetic is exact: every rank decision is exact and no operation here
+ever compares against a tolerance.
+
+Elimination runs on primitive integer rows, fraction-free (Bareiss 1968;
+see _echelon).  fractions.Fraction appears at the boundary: rref and
+quotient_coordinates divide once, at the end, and callers that need only
+pivots (rank, quotient_representatives) never divide.
 
 Matrices are tuples of row tuples.  A matrix T: Q^n -> Q^m is an m-tuple of
 n-tuples acting by matvec.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -72,11 +78,31 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(row) for row in rows]
+def _primitive(row: list) -> list:
+    """row divided by the gcd of its entries; a zero row stays as it is."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _echelon(rows: Sequence[Vector]) -> tuple[list, tuple]:
+    """Gauss-Jordan elimination on primitive integer rows.
+
+    Rows of Fraction or int entries are scaled by the lcm of their
+    denominators.  Eliminating with a pivot p against an entry f sets
+    row <- (p/g) row - (f/g) pivot_row, g = gcd(p, f), and then divides the
+    row by its content gcd.  Returns the nonzero rows in pivot order, as
+    lists of ints, each zero at every pivot column but its own, and the
+    pivot columns.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            m.append(_primitive([x.numerator for x in row]))
+        else:
+            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     if not m:
-        return (), ()
+        return [], ()
     ncols = len(m[0])
     pivots = []
     r = 0
@@ -86,23 +112,42 @@ def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         prow = m[r]
+        p = prow[c]
         # left of c the pivot row is zero, so only columns c.. can be nonzero
-        if prow[c] != 1:
-            inv = ONE / prow[c]
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] *= inv
         support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
         for i, row in enumerate(m):
-            factor = row[c]
-            if factor and i != r:
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                if p != g:
+                    a = p // g
+                    row = [a * x for x in row]
+                f //= g
                 for j, b in support:
-                    row[j] -= factor * b
+                    row[j] -= f * b
+                m[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    return m[:r], tuple(pivots)
+
+
+def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows of _echelon, each divided by its pivot: one Fraction per
+    nonzero entry."""
+    reduced, pivots = _echelon(rows)
+    return tuple(
+        tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+        for row, c in zip(reduced, pivots)
+    ), pivots
+
+
+def rank(rows: Sequence[Vector]) -> int:
+    """Rank of the matrix with these rows: the pivot count of _echelon."""
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(t: Matrix, ncols: int) -> tuple:
@@ -257,30 +302,44 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
 
 def quotient_representatives(u: Subspace, v: Subspace) -> tuple:
     """Vectors extending V's canonical basis to U's, in deterministic order:
-    U's basis vectors at the pivot columns of one rref of [V | U] (as
+    U's basis vectors at the pivot columns of one elimination of [V | U] (as
     columns), so each is the first outside the span of V and those before
     it.  V lies in U exactly when the pivots number dim U."""
     u._check_ambient(v)
-    _, pivots = rref(list(zip(*v.vectors, *u.vectors)))
+    _, pivots = _echelon(list(zip(*v.vectors, *u.vectors)))
     if len(pivots) != u.dim:
         raise DomainError("quotient denominator is not contained in numerator")
     return tuple(u.vectors[c - v.dim] for c in pivots[v.dim:])
 
 
+def _integer_coordinates(
+    v_basis: Sequence[Vector], reps: Sequence[Vector], xs: Sequence[Vector]
+) -> tuple[list, int]:
+    """Coordinates of each x in xs along reps, modulo span(v_basis), as
+    integers: (columns, scale), each column scale > 0 times the rational
+    coordinates.  Solves every x = sum a_i v_i + sum b_j rep_j from one
+    elimination of [v_basis | reps | xs] (as columns) and keeps the b parts;
+    raises if the basis vectors are dependent or some x is outside their
+    span."""
+    k = len(v_basis) + len(reps)
+    reduced, pivots = _echelon(list(zip(*v_basis, *reps, *xs, strict=True)))
+    if pivots != tuple(range(k)):
+        raise DomainError("basis vectors dependent or a vector outside their span")
+    rows = reduced[len(v_basis):]
+    leads = [row[i] for i, row in enumerate(rows, len(v_basis))]
+    scale = lcm(*leads)
+    factors = [scale // lead for lead in leads]
+    return [
+        [row[k + j] * f for row, f in zip(rows, factors)]
+        for j in range(len(xs))
+    ], scale
+
+
 def quotient_coordinates(
     v_basis: Sequence[Vector], reps: Sequence[Vector], xs: Sequence[Vector]
 ) -> list:
-    """Coordinates of each x in xs along reps, modulo span(v_basis).
-
-    Solves every x = sum a_i v_i + sum b_j rep_j exactly from one rref of
-    [v_basis | reps | xs] (as columns) and returns the b parts; raises if
-    the basis vectors are dependent or some x is outside their span.
-    """
-    k = len(v_basis) + len(reps)
-    reduced, pivots = rref(list(zip(*v_basis, *reps, *xs, strict=True)))
-    if pivots != tuple(range(k)):
-        raise DomainError("basis vectors dependent or a vector outside their span")
-    return [
-        tuple(row[k + j] for row in reduced[len(v_basis):])
-        for j in range(len(xs))
-    ]
+    """Coordinates of each x in xs along reps, modulo span(v_basis), as
+    tuples of Fraction: the columns of _integer_coordinates divided by
+    their scale.  Raises as that does."""
+    columns, scale = _integer_coordinates(v_basis, reps, xs)
+    return [tuple(Fraction(y, scale) for y in column) for column in columns]

@@ -424,8 +424,10 @@ def test_spectral_cli_reads_pages_from_the_pairing(tmp_path, capsys, monkeypatch
 def test_spectral_convergence_check_builds_no_subspace(
     tmp_path, capsys, monkeypatch, double
 ):
-    """The check reads graded cohomology from rref ranks: no kernel, image,
-    sum or intersection of subspaces is built on the CLI path."""
+    """The check reads graded cohomology from ranks: no kernel, image, sum
+    or intersection of subspaces is built on the CLI path.  No rank, pivot
+    or pairing elimination divides to Fraction there either: rref runs
+    only for the loader's Subspace.span."""
     import chernlab.subspaces as subspaces_mod
 
     rng = np.random.default_rng(79)
@@ -439,7 +441,10 @@ def test_spectral_convergence_check_builds_no_subspace(
     path.write_text(json.dumps(payload))
     calls = []
     modules = [m for n, m in sys.modules.items() if n.startswith("chernlab")]
-    for name in ("subspace_intersect", "subspace_sum", "kernel", "kernel_basis", "image"):
+    for name in (
+        "subspace_intersect", "subspace_sum", "kernel", "kernel_basis", "image",
+        "quotient_coordinates", "rref",
+    ):
         real = getattr(subspaces_mod, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -449,11 +454,19 @@ def test_spectral_convergence_check_builds_no_subspace(
         for module in modules:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
+    span = subspaces_mod.Subspace.span.__func__
+
+    def counted_span(cls, *args, **kwargs):
+        calls.append("span")
+        return span(cls, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces_mod.Subspace, "span", classmethod(counted_span))
     code, data, err = run_json(capsys, "spectral", str(path), *flags)
     assert code == 0, err
     assert data["verification"][0]["passed"]
     assert any(data["results"]["cohomology"].values())
-    assert calls == []
+    assert calls.count("rref") == calls.count("span")
+    assert set(calls) <= {"rref", "span"}
 
 
 def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):

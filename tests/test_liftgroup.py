@@ -550,6 +550,34 @@ def test_from_path_caps_the_sample_count(monkeypatch):
         lg.SampledLoop.from_path(path)
 
 
+def test_from_path_stores_its_samples_without_the_public_check(monkeypatch):
+    # the refined rotations are valid by construction; each must still pass
+    # the public constructor's checks, unchanged
+    checked = []
+    check = lg.SampledLoop.__post_init__
+
+    def counted(loop):
+        checked.append(loop)
+        return check(loop)
+
+    monkeypatch.setattr(lg.SampledLoop, "__post_init__", counted)
+    for d in range(-6, 7):
+        loop = lg.SampledLoop.from_path(
+            mi.commutator_loop_path(mi.build_representation(7, d))
+        )
+        assert checked == []
+        assert not loop.samples.flags.writeable
+        again = lg.SampledLoop(loop.samples)
+        assert checked == [again]
+        assert np.array_equal(again.samples, loop.samples)
+        checked.clear()
+
+
+def test_from_path_refuses_an_open_loop():
+    with pytest.raises(DomainError, match="loop endpoints must be the identity"):
+        lg.SampledLoop.from_path(lambda t: rotations(math.pi * t))
+
+
 def test_from_path_evaluates_in_blocks():
     sizes = []
 

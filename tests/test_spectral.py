@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chernlab.spectral as spectral_mod
 import independent_linalg as oracle
 from corpusgen import random_double_complex, random_filtered_complex
+from reference_kernel import reference_quotient_coordinates, reference_reduce
 from chernlab.errors import ConventionError, DomainError, PreconditionError
 from chernlab.spectral import (
     DoubleComplex,
@@ -33,6 +35,7 @@ from chernlab.subspaces import (
     kernel,
     mat_from_rows,
     matmul,
+    matvec,
     subspace_intersect,
     subspace_sum,
 )
@@ -297,6 +300,41 @@ def test_pairing_matches_recursion_on_double_complexes():
         dc = random_double_complex(rng)
         for filtration in ("vertical", "horizontal"):
             assert_pairing_matches_recursion(from_double_complex(dc, filtration))
+
+
+def reference_bars(c):
+    """The pairing's bars from Fraction coordinates and the Fraction column
+    reduction; also asserts that each degree's integer reduction finds the
+    same pairs."""
+    bases = {n: spectral_mod._adapted_basis(c, n) for n in c.degrees()}
+    gaps = {n: [None] * len(bases[n][0]) for n in c.degrees()}
+    for n in c.degrees():
+        source, source_levels = bases.get(n - 1, ([], []))
+        target, target_levels = bases[n]
+        images = [matvec(c.diff(n - 1), v) for v in source]
+        pairs = reference_reduce(reference_quotient_coordinates((), target, images))
+        columns = spectral_mod._coordinates(c, n, target, images)
+        assert spectral_mod._reduce(columns) == pairs
+        for j, i in pairs.items():
+            gaps[n - 1][j] = gaps[n][i] = target_levels[i] - source_levels[j]
+    return tuple(
+        (p, n, gap)
+        for n in c.degrees()
+        for p, gap in zip(bases[n][1], gaps[n])
+    )
+
+
+def test_pairing_equals_the_fraction_reduction():
+    rng = np.random.default_rng(47)
+    for k in range(20):
+        c = (random_filtered_complex(rng) if k % 4
+             else random_filtered_complex(rng, max_dim=8, max_length=6))
+        assert persistence_pairing(c).bars == reference_bars(c)
+    for _ in range(10):
+        dc = random_double_complex(rng)
+        for filtration in ("vertical", "horizontal"):
+            c = from_double_complex(dc, filtration)
+            assert persistence_pairing(c).bars == reference_bars(c)
 
 
 # -- double complexes ---------------------------------------------------------------
@@ -741,6 +779,31 @@ def test_double_complex_json_round_trip():
     for spot in dc.spots():
         assert back.dh(*spot) == dc.dh(*spot)
         assert back.dv(*spot) == dc.dv(*spot)
+
+
+def test_each_load_parses_an_entry_text_once(monkeypatch):
+    """Entry texts are memoized per payload, not per process: a second
+    load of the same payload parses "0" again, once."""
+    parsed = []
+    parse = spectral_mod._entry
+
+    def counted(v):
+        parsed.append(str(v))
+        return parse(v)
+
+    monkeypatch.setattr(spectral_mod, "_entry", counted)
+    rng = np.random.default_rng(65)  # both payloads have many "0" entries
+    c = random_filtered_complex(rng, max_dim=8)
+    dc = random_double_complex(rng)
+    for load, payload in (
+        (filtered_complex_from_dict, filtered_complex_to_dict(c)),
+        (double_complex_from_dict, double_complex_to_dict(dc)),
+    ):
+        for _ in range(2):
+            parsed.clear()
+            load(payload)
+            assert parsed.count("0") == 1
+            assert len(parsed) == len(set(parsed))
 
 
 def test_malformed_payload_raises():

@@ -1,5 +1,6 @@
 """Exact subspace kernel vs an independent row-reduction oracle."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import independent_linalg as oracle
+from reference_kernel import reference_quotient_coordinates, reference_rref
 from chernlab.errors import DomainError
 from chernlab.subspaces import (
     Subspace,
@@ -20,6 +22,7 @@ from chernlab.subspaces import (
     quotient_coordinates,
     quotient_dim,
     quotient_representatives,
+    rank,
     rref,
     subspace_intersect,
     subspace_preimage,
@@ -237,6 +240,53 @@ def test_rref_canonical_shape():
     )
     assert pivots == (0, 1)
     assert reduced == mat_from_rows([[1, 0, -1], [0, 1, 2]])
+
+
+# -- the integer kernel against the Fraction reference -----------------------------
+
+def _reference_inputs():
+    """Seeded row lists: the edge shapes, then random wide, tall, sparse,
+    repeated and large-entry matrices of Fraction and int entries."""
+    yield []
+    yield [()]
+    yield [[F(0)] * 4 for _ in range(3)]
+    yield [[0, 0, 0], [0, 5, 0], [0, 0, 0]]
+    r = random.Random(107)
+    pool = [F(-2), F(-1), F(-1, 2), F(0), F(0), F(0), F(1), F(1, 3), 2, -3]
+
+    def draw(big):
+        if big:
+            return F(r.randint(-10**30, 10**30), r.randint(1, 10**20))
+        return r.choice(pool)
+
+    for _ in range(60):
+        nrows, ncols = r.choice([(3, 9), (9, 3), (6, 6), (1, 7), (7, 1)])
+        big = r.random() < 0.3
+        rows = [[draw(big) for _ in range(ncols)] for _ in range(nrows)]
+        if r.random() < 0.4:  # repeated and scaled rows
+            rows += [list(rows[0]), [3 * x for x in rows[-1]], list(rows[0])]
+            r.shuffle(rows)
+        yield rows
+
+
+def test_rref_equals_the_fraction_reference_tuple_for_tuple():
+    for rows in _reference_inputs():
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == reference_rref(rows)
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+        assert rank(rows) == len(pivots)
+
+
+def test_quotient_coordinates_equal_the_fraction_reference():
+    rng = np.random.default_rng(109)
+    for kind in ("zero", "equal", "full", "random") * 10:
+        u, v = _random_pair(rng, int(rng.integers(0, 7)), kind)
+        reps = quotient_representatives(u, v)
+        basis = u.basis_columns()
+        xs = [matvec(basis, c) for c in random_vectors(rng, 3, u.dim)]
+        got = quotient_coordinates(v.vectors, reps, xs)
+        assert got == reference_quotient_coordinates(v.vectors, reps, xs)
+        assert all(isinstance(x, Fraction) for column in got for x in column)
 
 
 def test_image_and_matmul():
