@@ -359,15 +359,22 @@ def cmd_geometry(args) -> RunReport:
         if args.path_file:
             data, digest = _read_json(args.path_file)
             report.inputs.update(digest)
-            if isinstance(data, (list, dict, str)) and len(data) > MAX_SAMPLES + 1:
+            # a bool is an int to Python, but not a number to JSON
+            if not (isinstance(data, list) and all(
+                isinstance(row, list) and all(type(v) in (int, float) for v in row)
+                for row in data
+            )):
+                raise DomainError(f"--path-file {args.path_file} must hold a JSON "
+                                  "list of points, each a list of numbers")
+            if len(data) > MAX_SAMPLES + 1:
                 raise DomainError(
                     f"--path-file has {len(data)} points, more than "
                     f"MAX_SAMPLES + 1 = {MAX_SAMPLES + 1}"
                 )
             try:
                 path = [np.array([float(v) for v in row]) for row in data]
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"bad path file: {exc}") from exc
+            except OverflowError as exc:
+                raise DomainError(f"bad path file {args.path_file}: {exc}") from exc
         elif args.latitude is not None:
             if not args.key.startswith("sphere"):
                 raise DomainError("--latitude paths exist on spheres only")
@@ -376,24 +383,25 @@ def cmd_geometry(args) -> RunReport:
             path = np.stack([np.full_like(phi, args.latitude), phi], axis=-1)
         else:
             raise DomainError("transport needs --path-file or --latitude")
-        # double the RK4 substeps per segment until the round trip closes.
-        # Every rung reruns both transports; the first rung always runs,
-        # and a further rung only while the RK4 steps of all rungs stay
-        # within MAX_STEPS.  A too-coarse step may overflow, which the
-        # residual then shows.
+        # double the RK4 substeps per segment until the round trip closes:
+        # |back - v|_inf <= 1e-5 |v|_inf, since transport is linear in v.
+        # Each rung is one transport_round_trip, which evaluates Gamma once
+        # per distinct node, in blocks of at most TRANSPORT_BLOCK_ENTRIES
+        # Gamma entries, and takes both directions from those node matrices.
+        # The first rung always runs, and a further rung only while the RK4
+        # steps of all rungs, both directions, stay within MAX_STEPS.  A
+        # too-coarse step may overflow, which the residual then shows.
         rung_steps = 2 * (len(path) - 1)  # both directions, 1 substep
+        size = float(np.max(np.abs(vector)))
         substeps, spent = 1, 0
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = geo_mod.parallel_transport(
+                out, back = geo_mod.transport_round_trip(
                     geo.connection, path, vector, substeps
-                )
-                back = geo_mod.parallel_transport(
-                    geo.connection, path[::-1], out, substeps
                 )
                 residual = float(np.max(np.abs(back - vector)))
             spent += rung_steps * substeps
-            closed = bool(np.allclose(back, vector, atol=1e-5))
+            closed = residual <= 1e-5 * size
             if closed or spent + rung_steps * 2 * substeps > MAX_STEPS:
                 break
             substeps *= 2

@@ -10,9 +10,10 @@ Metric and Christoffel fields are batched: they take points of shape
 point is a batch of one, so every operation has one code path.  A field
 may return one constant array for every point (lambda p: np.eye(n));
 callers broadcast it.  Gauss-Bonnet evaluates its node grid in blocks of
-BLOCK_NODES nodes, and parallel transport evaluates Gamma at the RK4 nodes
-of one block of segments at a time and folds that block's substep
-propagators into one matrix, which bounds the size of the temporaries.
+BLOCK_NODES nodes.  Parallel transport evaluates Gamma once per distinct
+RK4 node, in blocks of segments of at most TRANSPORT_BLOCK_ENTRIES Gamma
+entries (nodes * dim^3), and folds each block's substep propagators into
+one matrix; both bounds cap the size of the temporaries.
 
 Torsion, curvature and the Nijenhuis tensor are built from their tensor
 formulas and contracted with the values of the vector fields at p.
@@ -30,7 +31,8 @@ the final one is shorter, so a run takes at most that many accepted
 steps.  Every attempted step is tested for escape.  Parallel transport
 takes fixed RK4 substeps on a linear equation, so each substep is one
 propagator matrix, and a pairwise product tree multiplies them in path
-order.
+order.  A round trip takes both directions from the same node matrices:
+the reversed path has the same nodes and the opposite velocity.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
 bound, blows up, or crosses the deleted point is halved and retried; at
@@ -59,7 +61,8 @@ NORM_BOUND = 1e8       # blow-up threshold for geodesic states
 STEPS_PER_UNIT = 1000  # default geodesic step budget per unit of time
 GEODESIC_RTOL = 1e-10  # adaptive geodesic tolerance; atol is GEODESIC_RTOL / 100
 HOLE_RADIUS = 1e-6     # proximity that counts as hitting a deleted point
-BLOCK_NODES = 256      # nodes per batched field evaluation (quadrature, transport)
+BLOCK_NODES = 256      # nodes per batched field evaluation in Gauss-Bonnet
+TRANSPORT_BLOCK_ENTRIES = 2**16  # Gamma entries, nodes * dim^3, per transport block
 SKIP_BUDGET = 0.01     # share of quadrature nodes gauss_bonnet may skip
 MAX_CHART_DIM = 64     # dimension m of euclidean:m, hopf:m and flat-torus:m
 MIN_RADIUS, MAX_RADIUS = 1e-50, 1e50  # sphere:r; r^4 stays within the float range
@@ -489,24 +492,11 @@ def exponential_map(
     return traj.end_point
 
 
-def parallel_transport(
-    conn: ChartConnection,
-    path: Sequence[Sequence[float]],
-    v0: Sequence[float],
-    substeps: int = 1,
-) -> np.ndarray:
-    """Transport v0 along a sampled path by RK4 on v' = -Gamma(x) x' v.
-
-    The path is taken piecewise linear between samples; the result is
-    linear in v0.  The equation is linear in v, so one RK4 substep is
-    exactly v <- Phi v with Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
-    K1 = A, K2 = M (I + h/2 K1), K3 = M (I + h/2 K2), K4 = B (I + h K3)
-    and A, M, B are -Gamma(x) x' at the substep's start, middle and end.
-    For each block of segments Gamma is evaluated at the 2 substeps + 1
-    nodes of every segment, every Phi is built by batched matmuls, and a
-    pairwise product tree (later substeps on the left) folds them into
-    one matrix, which is applied to v.
-    """
+def _transport_input(
+    conn: ChartConnection, path: Sequence[Sequence[float]], v0: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The path samples, shape (samples, dim), and v0 as arrays, after the
+    checks every transport makes."""
     try:
         pts = np.asarray(path, dtype=float)
     except ValueError as exc:
@@ -518,29 +508,101 @@ def parallel_transport(
     if pts.ndim != 2 or pts.shape[1] != dim or v.shape != (dim,):
         raise DomainError(f"transport needs points and a vector in dimension {dim}")
     _require_inside(conn, pts)
-    hh = 1.0 / substeps
-    t = np.arange(2 * substeps + 1) * (hh / 2)
-    per_block = max(1, BLOCK_NODES // len(t))
-    eye = np.eye(dim)
+    return pts, v
+
+
+def _node_matrices(conn: ChartConnection, pts: np.ndarray, substeps: int):
+    """For each block of segments, in path order, the transport matrices
+    -Gamma(x) x' at the start, middle and end of every substep: three
+    stacks (A, M, B) of shape (segments * substeps, dim, dim).
+
+    Gamma is evaluated once per distinct node: at the 2 substeps nodes
+    t = j h / 2, j < 2 substeps, of every segment, and at the block's last
+    sample.  Segment k ends at sample k + 1 itself, where the next segment
+    starts.  A block holds at most TRANSPORT_BLOCK_ENTRIES Gamma entries
+    (nodes * dim^3), or one segment."""
+    dim = conn.dim
+    nodes_per_segment = 2 * substeps
+    t = np.arange(nodes_per_segment) * (0.5 / substeps)
+    per_block = max(1, (TRANSPORT_BLOCK_ENTRIES // dim**3 - 1) // nodes_per_segment)
     for lo in range(0, len(pts) - 1, per_block):
         a = pts[lo:lo + per_block + 1]
         xdot = np.diff(a, axis=0)
         nodes = a[:-1, None, :] + xdot[:, None, :] * t[:, None]
-        gam = _field(conn.gamma, nodes, (dim, dim, dim))
-        # transport matrices -Gamma(x) xdot at every node of every segment
-        mats = -np.einsum("snkij,si->snkj", gam, xdot)
-        m_a = mats[:, 0:-1:2].reshape(-1, dim, dim)
-        m_m = mats[:, 1::2].reshape(-1, dim, dim)
-        m_b = mats[:, 2::2].reshape(-1, dim, dim)
-        k2 = m_m @ (eye + hh / 2 * m_a)
-        k3 = m_m @ (eye + hh / 2 * k2)
-        k4 = m_b @ (eye + hh * k3)
-        phi = eye + hh / 6.0 * (m_a + 2 * k2 + 2 * k3 + k4)
-        while len(phi) > 1:
-            pairs = phi[1::2] @ phi[0:-1:2]
-            phi = np.concatenate([pairs, phi[-1:]]) if len(phi) % 2 else pairs
-        v = phi[0] @ v
+        gam = _field(conn.gamma, np.concatenate([nodes.reshape(-1, dim), a[-1:]]),
+                     (dim, dim, dim))
+        # -Gamma^k_ij x'^i at the segments' own nodes, and at their ends
+        # with the segment's own x'
+        row = -xdot[:, None, None, :]
+        own = row[:, None] @ gam[:-1].reshape(len(xdot), nodes_per_segment, dim, dim, dim)
+        end = row @ gam[nodes_per_segment::nodes_per_segment]
+        own, end = own[..., 0, :], end[..., 0, :]
+        m_b = np.concatenate([own[:, 2::2], end[:, None]], axis=1)
+        yield (own[:, 0::2].reshape(-1, dim, dim), own[:, 1::2].reshape(-1, dim, dim),
+               m_b.reshape(-1, dim, dim))
+
+
+def _propagator(m_a: np.ndarray, m_m: np.ndarray, m_b: np.ndarray, hh: float) -> np.ndarray:
+    """The product of the RK4 propagators of substeps of length hh with
+    node matrices (A, M, B), later substeps on the left.  One substep is
+    Phi = I + hh/6 (K1 + 2 K2 + 2 K3 + K4), where K1 = A,
+    K2 = M (I + hh/2 K1), K3 = M (I + hh/2 K2), K4 = B (I + hh K3); a
+    pairwise product tree multiplies them."""
+    eye = np.eye(m_a.shape[-1])
+    k2 = m_m @ (eye + hh / 2 * m_a)
+    k3 = m_m @ (eye + hh / 2 * k2)
+    k4 = m_b @ (eye + hh * k3)
+    phi = eye + hh / 6.0 * (m_a + 2 * k2 + 2 * k3 + k4)
+    while len(phi) > 1:
+        pairs = phi[1::2] @ phi[0:-1:2]
+        phi = np.concatenate([pairs, phi[-1:]]) if len(phi) % 2 else pairs
+    return phi[0]
+
+
+def parallel_transport(
+    conn: ChartConnection,
+    path: Sequence[Sequence[float]],
+    v0: Sequence[float],
+    substeps: int = 1,
+) -> np.ndarray:
+    """Transport v0 along a sampled path by RK4 on v' = -Gamma(x) x' v.
+
+    The path is taken piecewise linear between samples; the result is
+    linear in v0, so each RK4 substep is exactly one propagator matrix
+    (_propagator).  Gamma is evaluated once per distinct node, in blocks
+    of at most TRANSPORT_BLOCK_ENTRIES Gamma entries, and each block's
+    propagators are folded into one matrix, which is applied to v.
+    """
+    pts, v = _transport_input(conn, path, v0)
+    for m_a, m_m, m_b in _node_matrices(conn, pts, substeps):
+        v = _propagator(m_a, m_m, m_b, 1.0 / substeps) @ v
     return v
+
+
+def transport_round_trip(
+    conn: ChartConnection,
+    path: Sequence[Sequence[float]],
+    v0: Sequence[float],
+    substeps: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(out, back): v0 transported along the path as by parallel_transport,
+    bit for bit, and out transported back along the reversed path.
+
+    Both directions share one Gamma evaluation per distinct node.  The
+    reversed path has the same nodes and the opposite x', so a reversed
+    substep has the node matrices (-B, -M, -A) of the forward one; the
+    backward fold takes the substeps and the blocks in reverse order.
+    """
+    pts, v = _transport_input(conn, path, v0)
+    hh = 1.0 / substeps
+    backward = []
+    for m_a, m_m, m_b in _node_matrices(conn, pts, substeps):
+        v = _propagator(m_a, m_m, m_b, hh) @ v
+        backward.append(_propagator(-m_b[::-1], -m_m[::-1], -m_a[::-1], hh))
+    out = v
+    for phi in reversed(backward):
+        v = phi @ v
+    return out, v
 
 
 # -- Pfaffian and Gauss-Bonnet --------------------------------------------------

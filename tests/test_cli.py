@@ -863,14 +863,14 @@ def test_transport_ladder_stays_within_the_step_cap(tmp_path, capsys, monkeypatc
     import chernlab.geometry as geo_mod
 
     monkeypatch.setattr(cli_mod, "MAX_STEPS", 100)
-    transport = geo_mod.parallel_transport
+    round_trip = geo_mod.transport_round_trip
     rungs = []
 
     def counted(conn, path, v0, substeps=1):
         rungs.append((len(path) - 1) * substeps)
-        return transport(conn, path, v0, substeps)
+        return round_trip(conn, path, v0, substeps)
 
-    monkeypatch.setattr(geo_mod, "parallel_transport", counted)
+    monkeypatch.setattr(geo_mod, "transport_round_trip", counted)
     path = tmp_path / "never_closes.json"
     path.write_text(json.dumps([[0.001, 0.0], [0.001, 1e6]]))
     code, _, err = run(capsys, "geometry", "transport", "sphere:1",
@@ -878,9 +878,48 @@ def test_transport_ladder_stays_within_the_step_cap(tmp_path, capsys, monkeypatc
     _assert_one_line_error(code, err, 3)
     # 1 + 2 + ... + 16 substeps, both directions: 62 steps; the next rung
     # (32 substeps, 64 steps) would take the total past 100
-    assert rungs == [1, 1, 2, 2, 4, 4, 8, 8, 16, 16]
-    assert sum(rungs) == 62 <= cli_mod.MAX_STEPS < sum(rungs) + 2 * 32
+    assert rungs == [1, 2, 4, 8, 16]
+    assert 2 * sum(rungs) == 62 <= cli_mod.MAX_STEPS < 2 * sum(rungs) + 2 * 32
     assert "after 62 RK4 steps" in err
+
+
+@pytest.mark.parametrize("vector", ["1,0", "1e-6,0", "1e6,0"])
+def test_transport_closure_is_relative_to_the_vector(tmp_path, capsys, vector):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps([[1, 0], [1, 2], [1, 4], [1, 6]]))
+    code, data, _ = run_json(capsys, "geometry", "transport", "sphere:1",
+                             "--path-file", str(path), f"--vector={vector}")
+    assert code == 0 and data["results"]["substeps"] == 8
+
+
+def test_transport_of_the_zero_vector_closes_at_once(capsys):
+    code, data, _ = run_json(capsys, "geometry", "transport", "sphere:1",
+                             "--latitude", "1.0", "--vector", "0,0")
+    assert code == 0 and data["results"]["substeps"] == 1
+    assert data["results"]["transported"] == [0.0, 0.0]
+
+
+def test_transport_evaluates_the_metric_once_per_distinct_node(capsys, monkeypatch):
+    import chernlab.geometry as geo_mod
+
+    factory = geo_mod.sphere_metric
+    points = []
+
+    def counted(radius):
+        g = factory(radius)
+
+        def metric(p):
+            points.append(math.prod(np.shape(p)[:-1]))
+            return g(p)
+
+        return metric
+
+    monkeypatch.setattr(geo_mod, "sphere_metric", counted)
+    code, data, _ = run_json(capsys, "geometry", "transport", "sphere:1",
+                             "--latitude", "1.0", "--vector", "1,0", "--samples", "150")
+    assert code == 0 and data["results"]["substeps"] == 1
+    # 2 * 150 + 1 nodes, each on a 5-point stencil
+    assert sum(points) == 1505
 
 
 def test_transport_path_file_is_capped_at_max_samples(tmp_path, capsys, monkeypatch):
@@ -912,6 +951,31 @@ def test_transport_malformed_input_exits_2(tmp_path, capsys, rows, vector):
         "--path-file", str(path), "--vector", vector,
     )
     _assert_one_line_error(code, err, 2)
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("euclidean:2", '{"01": 5, "23": 7}'), ("euclidean:1", '"12"'),
+     ("euclidean:2", "[[true, false], [false, true]]"),
+     ("euclidean:2", '[["0", "1.5"], ["2", "3"]]')],
+    ids=["object", "string", "booleans", "number-strings"],
+)
+def test_transport_path_file_must_hold_points_of_numbers(tmp_path, capsys, key, text):
+    path = tmp_path / "path.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "geometry", "transport", key,
+                       "--path-file", str(path), "--vector", ",".join(["1"] * int(key[-1])))
+    _assert_one_line_error(code, err, 2)
+    assert f"--path-file {path} must hold a JSON list of points" in err
+
+
+def test_transport_path_file_past_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(f"[[{10**400}, 0], [1, 2]]")
+    code, _, err = run(capsys, "geometry", "transport", "euclidean:2",
+                       "--path-file", str(path), "--vector", "1,0")
+    _assert_one_line_error(code, err, 2)
+    assert str(path) in err
 
 
 def test_levi_civita_report(capsys):

@@ -1,5 +1,6 @@
 """Chart geometry: connections, geodesics, transport, Pfaffian, quadrature."""
 
+import functools
 import itertools
 import math
 import warnings
@@ -934,9 +935,9 @@ def helix_path(segments):
     ]
 
 
-def segment_counts(substeps):
+def segment_counts(substeps, dim=2):
     """One segment, and the counts around one and two block edges."""
-    per_block = ge.BLOCK_NODES // (2 * substeps + 1)
+    per_block = (ge.TRANSPORT_BLOCK_ENTRIES // dim**3 - 1) // (2 * substeps)
     return [1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1]
 
 
@@ -958,7 +959,7 @@ def test_transport_with_non_commuting_constant_gamma(substeps):
     slices = [gamma[:, i, :] for i in range(3)]
     assert np.abs(slices[0] @ slices[1] - slices[1] @ slices[0]).max() > 0.1
     v = np.array([0.2, -0.7, 0.5])
-    for segments in segment_counts(substeps):
+    for segments in segment_counts(substeps, dim=3):
         path = helix_path(segments)
         got = ge.parallel_transport(conn, path, v, substeps)
         want = reference_transport(conn, path, v, substeps)
@@ -972,8 +973,64 @@ def test_transport_with_non_commuting_constant_gamma(substeps):
                 ])
                 for i in range(segments)
             ]
-            reversed_v = np.linalg.multi_dot(props + [v[:, None]])[:, 0]
+            reversed_v = functools.reduce(np.matmul, props + [v])
             assert np.max(np.abs(reversed_v - want)) > 1e-3, segments
+
+
+def non_commuting_connection():
+    return ge.constant_connection(np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3, 3)))
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+@pytest.mark.parametrize("case", ["levi-civita", "analytic", "non-commuting"])
+def test_round_trip_shares_the_forward_transport(case, substeps):
+    conn, path_of, v = {
+        # finite-difference Gamma moves by ~1e-11 when a node moves by an
+        # ulp, so off a latitude the two node layouts would not agree to 1e-12
+        "levi-civita": (ge.parse_geometry("sphere:1.7").connection,
+                        functools.partial(latitude_path, 0.9), np.array([0.4, -0.3])),
+        "analytic": (analytic_sphere_connection(), wiggle_path, np.array([0.4, -0.3])),
+        "non-commuting": (non_commuting_connection(), helix_path,
+                          np.array([0.2, -0.7, 0.5])),
+    }[case]
+    for segments in segment_counts(substeps, dim=len(v)):
+        path = path_of(segments)
+        out, back = ge.transport_round_trip(conn, path, v, substeps)
+        assert np.array_equal(out, ge.parallel_transport(conn, path, v, substeps))
+        want = reference_transport(conn, path[::-1], out, substeps)
+        assert np.max(np.abs(back - want)) <= 1e-12, segments
+
+
+def counting_connection(conn, counts):
+    """conn, with the number of Gamma calls and of points they take."""
+
+    def gamma(p):
+        counts["calls"] += 1
+        counts["points"] += math.prod(np.shape(p)[:-1])
+        return conn.gamma(p)
+
+    return ge.ChartConnection(conn.dim, gamma, conn.chart)
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 4, 8, 16])
+def test_round_trip_evaluates_gamma_once_per_distinct_node(substeps):
+    counts = {"calls": 0, "points": 0}
+    conn = counting_connection(ge.parse_geometry("sphere:1").connection, counts)
+    ge.transport_round_trip(conn, latitude_path(1.0, 150), [1.0, 0.0], substeps)
+    # a 150-sample latitude is one block at every rung of this ladder
+    assert counts == {"calls": 1, "points": 2 * substeps * 150 + 1}
+
+
+def test_transport_blocks_at_the_sample_cap():
+    counts = {"calls": 0, "points": 0}
+    conn = counting_connection(ge.flat_connection(2), counts)
+    path = np.stack([np.linspace(0.0, 1.0, 10**6 + 1)] * 2, axis=-1)
+    assert np.array_equal(ge.parallel_transport(conn, path, [1.0, 0.0]), [1.0, 0.0])
+    # 85 segments a block, 11 765 blocks, when Gauss-Bonnet's BLOCK_NODES
+    # sized transport blocks
+    assert counts["calls"] <= 1176
+    # each block evaluates its last sample, which starts the next block
+    assert counts["points"] == 2 * 10**6 + counts["calls"]
 
 
 def test_latitude_holonomy_is_a_rotation_with_stable_angle():
