@@ -9,11 +9,16 @@ Metric and Christoffel fields are batched: they take points of shape
 (..., dim) and return (..., dim, dim) and (..., dim, dim, dim).  A single
 point is a batch of one, so every operation has one code path.  A field
 may return one constant array for every point (lambda p: np.eye(n));
-callers broadcast it.  Gauss-Bonnet evaluates its node grid in blocks of
-BLOCK_NODES nodes.  Parallel transport evaluates Gamma once per distinct
-RK4 node, in blocks of segments of at most TRANSPORT_BLOCK_ENTRIES Gamma
-entries (nodes * dim^3), and folds each block's substep propagators into
-one matrix; both bounds cap the size of the temporaries.
+callers broadcast it.  Levi-Civita takes g^-1 / 2 for a 2-D metric from
+the closed form adj(g) (0.5 / det g), one batched expression over the
+stack, when every det g is a finite normal float; otherwise, and in every
+other dimension, from LAPACK (np.linalg.inv).  2-D Gamma agrees with the
+LAPACK path to about 1e-15 relative, not bit for bit.  Gauss-Bonnet
+evaluates its node grid in blocks of BLOCK_NODES nodes.  Parallel
+transport evaluates Gamma once per distinct RK4 node, in blocks of
+segments of at most TRANSPORT_BLOCK_ENTRIES Gamma entries (nodes * dim^3),
+and folds each block's substep propagators into one matrix; both bounds
+cap the size of the temporaries.
 
 Torsion, curvature and the Nijenhuis tensor are built from their tensor
 formulas and contracted with the values of the vector fields at p.
@@ -263,6 +268,39 @@ def curvature(
     return np.einsum("klij,i,j,l->k", r, x(p), y(p), z(p))
 
 
+# adj(g) / 2 = g[::-1, ::-1]^T * _HALF_ADJ_SIGN for a 2 x 2 matrix g
+_HALF_ADJ_SIGN = np.array([[0.5, -0.5], [-0.5, 0.5]])
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
+
+def _half_inverse(gp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """g^-1 / 2 for each metric of the stack gp, shape (..., dim, dim), at
+    the points p, shape (..., dim).
+
+    For dim 2, when every det g = g00 g11 - g01 g10 of the stack is a
+    finite normal float, it is the closed form adj(g) (0.5 / det g).  For
+    any other dim, or a det that is zero, subnormal, overflowing or NaN,
+    it is 0.5 inv(g) by LAPACK, and a singular metric raises DomainError.
+    A det that overflows makes numpy warn, as the det in gauss_bonnet does.
+    """
+    dim = gp.shape[-1]
+    if dim == 2:
+        det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] * gp[..., 1, 0]
+        size = np.abs(det)
+        if ((size >= _TINY) & (size <= _HUGE)).all():
+            # +-0.5 / det is exactly +-(0.5 / det): the same floats as
+            # g^T[::-1, ::-1] * sign * (0.5 / det), in two passes, not three
+            scale = _HALF_ADJ_SIGN / det[..., None, None]
+            return gp[..., ::-1, ::-1].swapaxes(-1, -2) * scale
+    try:
+        return 0.5 * np.linalg.inv(gp)
+    except np.linalg.LinAlgError as exc:
+        flat = gp.reshape(-1, dim, dim)
+        bad = np.flatnonzero(np.linalg.det(flat) == 0.0)
+        first = p.reshape(-1, dim)[bad[0] if bad.size else 0]
+        raise DomainError(f"metric is singular at {first.tolist()}") from exc
+
+
 def levi_civita(
     g: MetricField, chart: Chart | int, h: float = H_DEFAULT
 ) -> ChartConnection:
@@ -272,6 +310,13 @@ def levi_civita(
     on coordinate fields, with central differences of g.  The chart (or a
     bare dimension) fixes the domain.  One metric call per evaluation, on
     the stencil of each point and its 2 dim neighbours at +-h.
+
+    g^-1 / 2 comes from _half_inverse: for dim 2 the closed form
+    adj(g) (0.5 / det g), a forward-stable Cramer's rule, whenever every
+    det of the stack is a finite normal float, and otherwise LAPACK's
+    np.linalg.inv, which also reports a singular metric.  2-D Gamma
+    agrees with the LAPACK path to about 1e-15 relative, not bit for bit;
+    in every other dimension it is the LAPACK path.
     """
     if isinstance(chart, int):
         chart = free_chart(chart)
@@ -287,20 +332,14 @@ def levi_civita(
         gt = gp.swapaxes(-1, -2)
         if not ((gp == gt).all() or np.allclose(gp, gt, atol=1e-12)):
             raise DomainError("metric must be a symmetric matrix field")
-        try:
-            ginv = np.linalg.inv(gp)
-        except np.linalg.LinAlgError as exc:
-            flat = gp.reshape(-1, dim, dim)
-            bad = np.flatnonzero(np.linalg.det(flat) == 0.0)
-            first = p.reshape(-1, dim)[bad[0] if bad.size else 0]
-            raise DomainError(f"metric is singular at {first.tolist()}") from exc
+        half_inv = _half_inverse(gp, p)
         # dg[..., i, j, k] = d_i g_jk
         dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
         # c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
         t = dg.transpose(*range(dg.ndim - 3), -1, -3, -2)
         c = t + t.swapaxes(-1, -2) - dg
         flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
-        return 0.5 * (ginv @ flat_c).reshape(c.shape)
+        return (half_inv @ flat_c).reshape(c.shape)
 
     return ChartConnection(dim=chart.dim, gamma=gamma, chart=chart)
 

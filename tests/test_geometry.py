@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chernlab.geometry as ge
@@ -357,6 +357,116 @@ def test_levi_civita_singular_metric_raises():
     conn = ge.levi_civita(lambda p: np.zeros((2, 2)), 2)
     with pytest.raises(DomainError):
         conn.gamma(np.zeros(2))
+
+
+def lapack_gamma(g, p, h=ge.H_DEFAULT):
+    """0.5 inv(g) c with c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
+    by central differences: Gamma with g^-1 from np.linalg.inv."""
+    dim = p.shape[-1]
+    stencil = p[..., None, :] + ge._stencil(dim, h)
+    gs = np.broadcast_to(g(stencil), stencil.shape + (dim,))
+    dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
+    t = np.moveaxis(dg, -1, -3)
+    c = t + t.swapaxes(-1, -2) - dg
+    flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
+    return 0.5 * (np.linalg.inv(gs[..., 0, :, :]) @ flat_c).reshape(c.shape)
+
+
+def assert_close_per_point(got, want, rel):
+    """|got - want| <= rel max|want| at each point of a (n, dim, dim, dim) batch."""
+    err = np.abs(got - want).max(axis=(1, 2, 3))
+    assert (err <= rel * np.abs(want).max(axis=(1, 2, 3))).all()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_gamma_off_dimension_two_is_the_lapack_formula(dim):
+    rng = np.random.default_rng(dim)
+    g = random_metric(rng, dim)
+    p = rng.uniform(-1.0, 1.0, size=(6, dim))
+    assert np.array_equal(ge.levi_civita(g, dim).gamma(p), lapack_gamma(g, p))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_closed_form_gamma_agrees_with_the_lapack_formula(seed):
+    rng = np.random.default_rng(seed)
+    g = random_metric(rng, 2)
+    p = rng.uniform(-1.0, 1.0, size=(6, 2))
+    assert_close_per_point(ge.levi_civita(g, 2).gamma(p), lapack_gamma(g, p), 1e-14)
+
+
+def test_closed_form_inverts_a_metric_symmetric_within_tolerance():
+    # the symmetry check lets g01 - g10 reach 1e-5 |g10|; the closed form,
+    # like LAPACK, inverts g as given, so adj(g) is transposed
+    def g(q):
+        out = np.empty(q.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 2.0 + np.sin(q[..., 0])
+        out[..., 0, 1] = 1.0 + 1e-6
+        out[..., 1, 0] = 1.0
+        out[..., 1, 1] = 3.0 + np.cos(q[..., 1])
+        return out
+
+    p = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 2))
+    assert_close_per_point(ge.levi_civita(g, 2).gamma(p), lapack_gamma(g, p), 1e-14)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(-600, 600))
+@example(seed=0, k=-600)
+@example(seed=0, k=-535)  # det 2^k g is subnormal
+@example(seed=0, k=600)
+def test_gamma_is_invariant_under_power_of_two_scaling(seed, k):
+    # 2^k g and its differences are exact, and Gamma(2^k g) = Gamma(g); in
+    # this range det 2^k g leaves the normal floats at both ends, so the
+    # closed form and the LAPACK fallback are compared
+    rng = np.random.default_rng(seed)
+    g = random_metric(rng, 2)
+    p = rng.uniform(-1.0, 1.0, size=(4, 2))
+    scale = math.ldexp(1.0, k)
+    want = ge.levi_civita(g, 2).gamma(p)
+    with np.errstate(over="ignore", invalid="ignore"):  # det overflows, k > 511
+        got = ge.levi_civita(lambda q: scale * g(q), 2).gamma(p)
+    assert_close_per_point(got, want, 1e-13)
+
+
+@pytest.mark.parametrize("value", [
+    np.zeros((2, 2)),
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+])
+def test_singular_two_dimensional_metric_names_the_point(value):
+    conn = ge.levi_civita(lambda p: value, 2)
+    with pytest.raises(DomainError) as err:
+        conn.gamma(np.array([0.1, 0.2]))
+    assert str(err.value) == "metric is singular at [0.1, 0.2]"
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_gamma_of_a_metric_whose_det_leaves_the_float_range(factor):
+    g = ge.sphere_metric(1.0)
+    scaled = lambda q: factor * g(q)
+    p = np.array([[0.1, 0.2], [1.2, -0.4]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ge.levi_civita(scaled, 2).gamma(p)
+    # det underflows to 0 or overflows to inf: the LAPACK formula, bit for bit
+    assert np.array_equal(got, lapack_gamma(scaled, p))
+    # a decimal factor rounds g, and the central differences amplify that
+    assert_close_per_point(got, ge.levi_civita(g, 2).gamma(p), 1e-10)
+
+
+def test_nan_metric_is_not_symmetric():
+    conn = ge.levi_civita(lambda p: np.full((2, 2), np.nan), 2)
+    with pytest.raises(DomainError, match="metric must be a symmetric matrix field"):
+        conn.gamma(np.array([0.1, 0.2]))
+
+
+def test_metric_with_an_infinite_entry_gives_nan_gamma():
+    g = lambda p: np.array([[np.inf, 0.0], [0.0, 1.0]])
+    p = np.array([0.1, 0.2])
+    with np.errstate(invalid="ignore"):
+        got = ge.levi_civita(g, 2).gamma(p)
+        want = lapack_gamma(g, p)
+    assert np.isnan(got).any()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # -- geodesics --------------------------------------------------------------------
@@ -1132,16 +1242,41 @@ def test_gauss_bonnet_radius_two_sphere():
     assert ge.gauss_bonnet(geo.patches, 32) == pytest.approx(2.0, abs=1e-3)
 
 
-@pytest.mark.parametrize("key, mesh, want", [
+# chi with the closed-form 2 x 2 inverse in the Christoffel symbols
+CLOSED_FORM_CHI = {
+    ("sphere:1", 64): 2.000200647321577,
+    ("sphere:1", 128): 2.0000501914647253,
+    ("sphere:2", 32): 2.0008034104917742,
+    ("flat-torus:2", 64): 0.0,
+}
+
+
+@pytest.mark.parametrize("key, mesh, lapack", [
     ("sphere:1", 64, 2.0002006473220244),
     ("sphere:1", 128, 2.0000501914635924),
     ("sphere:2", 32, 2.0008034104906858),
     ("flat-torus:2", 64, 0.0),
 ])
-def test_gauss_bonnet_floats_are_pinned(key, mesh, want):
-    # the floats of the earlier five-point R(e1, e2) e2 formula; reading
-    # R from the curvature tensor reproduces them bit for bit
-    assert ge.gauss_bonnet(ge.parse_geometry(key).patches, mesh) == want
+def test_gauss_bonnet_floats_are_pinned(key, mesh, lapack):
+    # lapack: the floats with g^-1 from np.linalg.inv, which the earlier
+    # five-point R(e1, e2) e2 formula also gave bit for bit; the closed form
+    # moves Gamma in its last bits, and the central differences of Gamma in
+    # the curvature amplify that to about 1e-12 in chi
+    got = ge.gauss_bonnet(ge.parse_geometry(key).patches, mesh)
+    assert got == CLOSED_FORM_CHI[key, mesh]
+    assert abs(got - lapack) <= 1e-11
+
+
+def test_two_dimensional_gamma_takes_no_lapack_inverse(monkeypatch):
+    def no_inverse(a):
+        raise AssertionError("np.linalg.inv was called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    sphere = ge.parse_geometry("sphere:1")
+    assert ge.gauss_bonnet(sphere.patches, 16) == pytest.approx(2.0, abs=1e-2)
+    out, back = ge.transport_round_trip(sphere.connection, latitude_path(1.0, 150),
+                                        [1.0, 0.0])
+    assert np.isfinite(out).all() and np.isfinite(back).all()
 
 
 def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):
