@@ -317,6 +317,10 @@ def levi_civita(
     np.linalg.inv, which also reports a singular metric.  2-D Gamma
     agrees with the LAPACK path to about 1e-15 relative, not bit for bit;
     in every other dimension it is the LAPACK path.
+
+    g must be symmetric at each point: g == g^T exactly, or max|g - g^T|
+    <= 1e-12 max|g|, relative to the metric's size; otherwise, or for a
+    NaN metric, Gamma raises DomainError.
     """
     if isinstance(chart, int):
         chart = free_chart(chart)
@@ -330,8 +334,14 @@ def levi_civita(
         gs = _field(g, p[..., None, :] + offsets, (dim, dim))
         gp = gs[..., 0, :, :]
         gt = gp.swapaxes(-1, -2)
-        if not ((gp == gt).all() or np.allclose(gp, gt, atol=1e-12)):
-            raise DomainError("metric must be a symmetric matrix field")
+        if not (gp == gt).all():
+            # max|g - g^T| <= 1e-12 max|g| per point; equal entries, infinite
+            # ones too, add no skew, and a NaN or infinite skew fails
+            skew = np.subtract(gp, gt, out=np.zeros_like(gp), where=gp != gt)
+            skew = np.abs(skew).max(axis=(-2, -1))
+            size = np.abs(gp).max(axis=(-2, -1))
+            if not ((skew <= 1e-12 * size) & (skew < np.inf)).all():
+                raise DomainError("metric must be a symmetric matrix field")
         half_inv = _half_inverse(gp, p)
         # dg[..., i, j, k] = d_i g_jk
         dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)

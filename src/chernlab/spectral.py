@@ -70,7 +70,6 @@ from .subspaces import (
     matmul,
     matvec,
     quotient_coordinates,
-    quotient_dim,
     quotient_representatives,
     rank,
     subspace_intersect,
@@ -92,11 +91,6 @@ MAX_EXPONENT = 1000          # decimal exponent of a JSON entry, as in "1e-5"
 
 def _is_zero(m: Matrix) -> bool:
     return all(v == 0 for row in m for v in row)
-
-
-def _maps_into(t: Matrix, u: Subspace, w: Subspace) -> bool:
-    """T(U) inside W, tested on U's basis vectors without spanning T(U)."""
-    return all(w.contains_vector(matvec(t, v)) for v in u.vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +187,19 @@ class FilteredComplex:
 
 @dataclass(frozen=True)
 class PageEntry:
-    """Quotient presentation of one spot on a page."""
+    """Quotient presentation of one spot on a page; one elimination gives
+    its representatives, its containment check and its dim."""
 
     numerator: Subspace
     denominator: Subspace
 
     @cached_property
+    def representatives(self) -> tuple:
+        return quotient_representatives(self.numerator, self.denominator)
+
+    @property
     def dim(self) -> int:
-        return quotient_dim(self.numerator, self.denominator)
+        return len(self.representatives)
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,9 @@ def page_differential(c: FilteredComplex, r: int, p: int, q: int) -> Matrix:
     """Matrix of d_r: E_r[p, q] -> E_r[p+r, q-r+1] on quotient bases.
 
     Representatives extend the denominator's echelon basis to the
-    numerator's, so the matrix is reproducible.  Well-definedness is the
-    containment d(denominator) <= target denominator, checked exactly.
+    numerator's, so the matrix is reproducible.  Well-definedness, the
+    containment d(denominator) <= target denominator, is one exact rank;
+    the coordinate solve refuses an image outside the target numerator.
     """
     return _memo(c, ("d", r, p, q), lambda: _build_differential(c, r, p, q))
 
@@ -282,20 +282,17 @@ def _build_differential(c: FilteredComplex, r: int, p: int, q: int) -> Matrix:
     src = page_entry(c, r, p, q)
     tgt = page_entry(c, r, p + r, q - r + 1)
     d = c.diff(p + q)
-    if not _maps_into(d, src.denominator, tgt.denominator):
+    lower = tgt.denominator.vectors
+    if rank(lower + tuple(matvec(d, v) for v in src.denominator.vectors)) != len(lower):
         raise InternalConsistencyError(
             "page differential depends on the representative"
         )
-    if not _maps_into(d, src.numerator, tgt.numerator):
-        raise InternalConsistencyError("page differential leaves the target")
-    src_reps = quotient_representatives(src.numerator, src.denominator)
-    tgt_reps = quotient_representatives(tgt.numerator, tgt.denominator)
-    columns = quotient_coordinates(
-        tgt.denominator.vectors, tgt_reps, [matvec(d, v) for v in src_reps]
-    )
-    return tuple(
-        tuple(col[i] for col in columns) for i in range(len(tgt_reps))
-    )
+    mapped = [matvec(d, v) for v in src.representatives]
+    try:
+        columns = quotient_coordinates(lower, tgt.representatives, mapped)
+    except DomainError:
+        raise InternalConsistencyError("page differential leaves the target") from None
+    return tuple(tuple(col[i] for col in columns) for i in range(tgt.dim))
 
 
 def _index_grid(c: FilteredComplex) -> list:

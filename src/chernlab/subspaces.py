@@ -5,10 +5,12 @@ that form is unique, so equality of subspaces is equality of tuples.  All
 arithmetic is exact: every rank decision is exact and no operation here
 ever compares against a tolerance.
 
-Elimination runs on primitive integer rows, fraction-free (Bareiss 1968;
-see _echelon).  fractions.Fraction appears at the boundary: rref and
-quotient_coordinates divide once, at the end, and callers that need only
-pivots (rank, quotient_representatives) never divide.
+Elimination runs on primitive integer rows, fraction-free (Bareiss 1968).
+_echelon is the one elimination loop: containment (a rank of the stacked
+rows equal to dim), quotients (the pivots of [V | U]) and intersection (the
+image of a preimage) all read its pivots or rows.  fractions.Fraction
+appears at the boundary: rref and quotient_coordinates divide once, at the
+end, and callers that need only pivots never divide.
 
 Matrices are tuples of row tuples.  A matrix T: Q^n -> Q^m is an m-tuple of
 n-tuples acting by matvec.
@@ -198,21 +200,16 @@ class Subspace:
         return len(self.vectors) == self.ambient_dim
 
     def contains_vector(self, v: Sequence) -> bool:
-        v = list(fractionize(v))
+        """v lies in the span: appending it leaves the rank at dim."""
+        v = fractionize(v)
         if len(v) != self.ambient_dim:
             raise DomainError("vector length differs from ambient dim")
-        for row in self.vectors:
-            lead = next((j for j, b in enumerate(row) if b), None)
-            factor = v[lead] if lead is not None else 0
-            if factor:
-                for j in range(lead, len(row)):
-                    if row[j]:
-                        v[j] -= factor * row[j]
-        return not any(v)
+        return rank(self.vectors + (v,)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
+        """other lies inside: appending its basis leaves the rank at dim."""
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.vectors)
+        return rank(self.vectors + other.vectors) == self.dim
 
     def basis_columns(self) -> Matrix:
         """Basis vectors as the columns of an ambient_dim x dim matrix."""
@@ -232,23 +229,16 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """U cap V via the kernel of [B_U | -B_V] in coefficient space."""
+    """U cap V as B_U applied to {x : B_U x in V}, B_U = U's basis columns."""
     u._check_ambient(v)
-    du, dv = u.dim, v.dim
-    if du == 0 or dv == 0:
+    if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim)
     if u.is_full:
         return v
     if v.is_full:
         return u
-    rows = tuple(
-        tuple(u.vectors[j][i] for j in range(du))
-        + tuple(-v.vectors[j][i] for j in range(dv))
-        for i in range(u.ambient_dim)
-    )
     basis = u.basis_columns()
-    points = [matvec(basis, coeff[:du]) for coeff in kernel_basis(rows, du + dv)]
-    return Subspace.span(u.ambient_dim, points)
+    return image(basis, subspace_preimage(basis, v, u.dim))
 
 
 def subspace_preimage(
@@ -293,11 +283,9 @@ def kernel(t: Matrix, ncols: int) -> Subspace:
 
 
 def quotient_dim(u: Subspace, v: Subspace) -> int:
-    """dim(U / V), requiring V to be a subspace of U."""
-    u._check_ambient(v)
-    if not u.contains(v):
-        raise DomainError("quotient denominator is not contained in numerator")
-    return u.dim - v.dim
+    """dim(U / V), requiring V to be a subspace of U: the number of
+    quotient_representatives, and raises as that does."""
+    return len(quotient_representatives(u, v))
 
 
 def quotient_representatives(u: Subspace, v: Subspace) -> tuple:

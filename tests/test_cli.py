@@ -555,6 +555,15 @@ def test_cold_start_imports_numpy_only_for_commands_that_use_it(
         (["levi-civita", "euclidean:2", "--point", "nan,0"], "--point must be finite"),
         (["levi-civita", "sphere:1", "--point", "5,0"],
          "point [5.0, 0.0] is outside the chart domain"),
+        (["geodesic", "euclidean:3", "--point", "0,0", "--velocity", "1,0,0"],
+         "point/velocity dimension mismatch"),
+        (["transport", "hopf:2", "--latitude", "1", "--vector", "1,0"],
+         "--latitude paths exist on spheres only"),
+        (["transport", "sphere:1", "--vector", "1,0"],
+         "transport needs --path-file or --latitude"),
+        (["gauss-bonnet", "hopf:2"], "has no closed-surface patches"),
+        (["levi-civita", "hopf:2", "--point", "1,0"], "carries no metric"),
+        (["levi-civita", "euclidean:2", "--point", "1,x"], "bad --point"),
     ],
     ids=["samples-0", "samples-cap", "time-nan", "time-inf", "time-0",
          "time-steps-cap", "time-1001", "steps-cap", "exp-steps-cap", "steps-0", "exp-steps-0",
@@ -562,7 +571,9 @@ def test_cold_start_imports_numpy_only_for_commands_that_use_it(
          "euclidean-dim-cap", "hopf-dim-cap", "torus-dim-cap", "sphere-inf",
          "sphere-nan", "sphere-radius-cap-high", "sphere-radius-cap-low",
          "sphere-radius-cap-gauss-bonnet", "sphere-radius-cap-transport",
-         "velocity-inf", "point-nan", "levi-civita-outside"],
+         "velocity-inf", "point-nan", "levi-civita-outside",
+         "point-velocity-mismatch", "latitude-off-sphere", "transport-no-path",
+         "gauss-bonnet-no-patches", "levi-civita-no-metric", "bad-point"],
 )
 def test_geometry_input_bounds_exit_2(capsys, argv, message):
     code, _, err = run(capsys, "geometry", *argv)
@@ -603,10 +614,12 @@ def test_geometry_input_bounds_exit_2(capsys, argv, message):
          {"dims": {"0,0": 1, "1,0": 1}, "dH": {"0,0": [["1"]], "7,7": [["1", "2"]]},
           "dV": {"-1,0": [["5"]]}},
          "d_h at (7, 7) is outside the grid 0 <= i <= 1, 0 <= j <= 0"),
+        (["milnor", "."], None, "cannot read ."),
     ],
     ids=["genus-cap", "genus-0", "genus-negative", "unwritable-out", "pages-negative",
          "pages-cap", "bidegree-cap", "double-dim-cap", "degree-dim-cap",
-         "filtration-length-cap", "entry-exponent-cap", "double-spot-outside-grid"],
+         "filtration-length-cap", "entry-exponent-cap", "double-spot-outside-grid",
+         "milnor-directory"],
 )
 def test_build_and_spectral_input_bounds_exit_2(
     tmp_path, complex_file, capsys, monkeypatch, argv, payload, message

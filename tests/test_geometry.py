@@ -395,17 +395,22 @@ def test_closed_form_gamma_agrees_with_the_lapack_formula(seed):
     assert_close_per_point(ge.levi_civita(g, 2).gamma(p), lapack_gamma(g, p), 1e-14)
 
 
-def test_closed_form_inverts_a_metric_symmetric_within_tolerance():
-    # the symmetry check lets g01 - g10 reach 1e-5 |g10|; the closed form,
-    # like LAPACK, inverts g as given, so adj(g) is transposed
+def nearly_symmetric_metric(asymmetry):
     def g(q):
         out = np.empty(q.shape[:-1] + (2, 2))
         out[..., 0, 0] = 2.0 + np.sin(q[..., 0])
-        out[..., 0, 1] = 1.0 + 1e-6
+        out[..., 0, 1] = 1.0 + asymmetry
         out[..., 1, 0] = 1.0
         out[..., 1, 1] = 3.0 + np.cos(q[..., 1])
         return out
 
+    return g
+
+
+def test_closed_form_inverts_a_metric_symmetric_within_tolerance():
+    # the symmetry check lets g01 - g10 reach 1e-12 max|g|; the closed form,
+    # like LAPACK, inverts g as given, so adj(g) is transposed
+    g = nearly_symmetric_metric(1e-12)
     p = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 2))
     assert_close_per_point(ge.levi_civita(g, 2).gamma(p), lapack_gamma(g, p), 1e-14)
 
@@ -455,6 +460,15 @@ def test_gamma_of_a_metric_whose_det_leaves_the_float_range(factor):
 
 def test_nan_metric_is_not_symmetric():
     conn = ge.levi_civita(lambda p: np.full((2, 2), np.nan), 2)
+    with pytest.raises(DomainError, match="metric must be a symmetric matrix field"):
+        conn.gamma(np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("asymmetry", [1e-6, math.inf])
+def test_metric_asymmetric_beyond_tolerance_is_not_symmetric(asymmetry):
+    # 1e-6 is within numpy's default rtol, not within 1e-12 max|g|; an
+    # infinite asymmetry fails although max|g| is infinite too
+    conn = ge.levi_civita(nearly_symmetric_metric(asymmetry), 2)
     with pytest.raises(DomainError, match="metric must be a symmetric matrix field"):
         conn.gamma(np.array([0.1, 0.2]))
 

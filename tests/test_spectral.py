@@ -10,10 +10,16 @@ import chernlab.spectral as spectral_mod
 import independent_linalg as oracle
 from corpusgen import random_double_complex, random_filtered_complex
 from reference_kernel import reference_quotient_coordinates, reference_reduce
-from chernlab.errors import ConventionError, DomainError, PreconditionError
+from chernlab.errors import (
+    ConventionError,
+    DomainError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from chernlab.spectral import (
     DoubleComplex,
     FilteredComplex,
+    PageEntry,
     bete_filtration,
     cohomology_dim,
     compute_page,
@@ -36,6 +42,7 @@ from chernlab.subspaces import (
     mat_from_rows,
     matmul,
     matvec,
+    quotient_representatives,
     subspace_intersect,
     subspace_sum,
 )
@@ -160,6 +167,49 @@ def test_zero_differential_complex_has_zero_page_maps():
         page = compute_page(c, r)
         for m in page.differentials.values():
             assert all(v == 0 for row in m for v in row)
+
+
+def test_each_page_entry_eliminates_once(monkeypatch):
+    # one quotient_representatives call per memoized E entry gives its dim,
+    # its representatives and the check that its denominator lies inside
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return quotient_representatives(u, v)
+
+    monkeypatch.setattr(spectral_mod, "quotient_representatives", counted)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        c = random_filtered_complex(rng)
+        calls.clear()  # construction reads the adapted bases through it
+        for r in range(c.filtration_length + 2):
+            compute_page(c, r)
+        assert len(calls) == sum(key[0] == "E" for key in c._memo)
+
+
+def full_first_step_complex():
+    """Q -> Q by 1 with F^0 = F^1 = everything and F^2 = 0."""
+    return FilteredComplex(
+        0, 1, {0: 1, 1: 1}, {0: mat_from_rows([[1]])}, 0, 2,
+        {(p, n): Subspace.full(1) if p < 2 else Subspace.zero(1)
+         for p in range(3) for n in range(2)},
+    )
+
+
+@pytest.mark.parametrize("p, q, target, message", [
+    # E_0[1, -1] = Q / 0, and d sends its representative out of a zero target
+    (1, -1, PageEntry(Subspace.zero(1), Subspace.zero(1)),
+     "page differential leaves the target"),
+    # E_0[0, 0] = Q / Q, and d sends its denominator out of a zero denominator
+    (0, 0, PageEntry(Subspace.full(1), Subspace.zero(1)),
+     "page differential depends on the representative"),
+], ids=["numerator", "denominator"])
+def test_page_differential_names_a_broken_invariant(monkeypatch, p, q, target, message):
+    c = full_first_step_complex()
+    monkeypatch.setitem(c._memo, ("E", 0, p, q + 1), target)
+    with pytest.raises(InternalConsistencyError, match=f"{message}$"):
+        page_differential(c, 0, p, q)
 
 
 # -- infinity page and convergence ------------------------------------------------
