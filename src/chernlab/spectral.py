@@ -21,17 +21,21 @@ every page at once.  In a basis adapted to the filtration, one column
 reduction of each d^n pairs a vector at filtration degree p with one at
 p + g; the pair lives on E_0..E_g and dies at E_{g+1}, and unpaired vectors
 make up E_inf.  Constructing a complex builds and memoizes its pairing,
-whose adapted bases are where the filtration is checked.  `chernlab
-spectral` prints only dimensions, so it takes every page, E_inf and the
-stabilisation index from persistence_pairing, and its convergence check
+whose adapted bases are where the filtration is checked.  A degree whose
+every step is spanned by unit vectors (a coordinate filtration: the
+front ends below, and any payload giving levels on coordinates) needs no
+elimination for that: its adapted basis is the unit basis ordered by
+level, and coordinates in it are entries.  `chernlab spectral` prints
+only dimensions, so it takes every page, E_inf and the stabilisation
+index from persistence_pairing, and its convergence check
 compares that E_inf with graded_cohomology, the graded pieces of F^p H
 read directly from ranks of cycles and boundaries, with no subspace built.
 
 Everything is exact arithmetic; a dimension equality asserted by this
 module is an equality of integers, never a tolerance check.  Ranks, the
-pairing's coordinates and its column reduction run on integer vectors,
-fraction-free (see subspaces); subspaces and page matrices keep Fraction
-entries.
+images under d that they and the pairing read, the pairing's coordinates
+and its column reduction run on integer vectors, fraction-free (see
+subspaces); subspaces and page matrices keep Fraction entries.
 
 Index conventions follow the source text exactly.  In particular, for the
 vertical filtration of a first-quadrant double complex the zeroth page is
@@ -44,12 +48,13 @@ for p >= p_max, which totalises every formula at the boundary.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Literal
 
 from .errors import (
@@ -63,6 +68,7 @@ from .subspaces import (
     ZERO,
     Subspace,
     _integer_coordinates,
+    _integer_images,
     _primitive,
     identity_matrix,
     image,
@@ -349,7 +355,7 @@ def _filtered_cohomology_dim(c: FilteredComplex, p: int, n: int) -> int:
             return cohomology_dim(c, n)
         # B^n is spanned by the columns of d^{n-1}
         f_plus_b = rank(f.vectors + tuple(zip(*c.diff(n - 1))))
-        d_f = rank([matvec(c.diff(n), v) for v in f.vectors])
+        d_f = rank(_integer_images(c.diff(n), f.vectors))
         return f_plus_b - _rank_d(c, n - 1) - d_f
 
     return _memo(c, ("H", c.level(p), n), build)
@@ -397,10 +403,65 @@ class Pairing:
         return dict(sorted(counts.items()))
 
 
+def _unit_position(v: tuple) -> int | None:
+    """i if v is the unit vector e_i, else None."""
+    support = [i for i, x in enumerate(v) if x]
+    if len(support) == 1 and v[support[0]] == 1:
+        return support[0]
+    return None
+
+
+def _unit_positions(s: Subspace) -> list | None:
+    """The positions of s's basis vectors if they are unit vectors in
+    ascending position, else None."""
+    positions = []
+    for v in s.vectors:
+        i = _unit_position(v)
+        if i is None or (positions and i <= positions[-1]):
+            return None
+        positions.append(i)
+    return positions
+
+
+def _unit_basis(c: FilteredComplex, n: int) -> tuple[list, list] | None:
+    """_adapted_basis of a degree whose steps are spanned by unit vectors,
+    with no elimination, or None at the first step that is not: F^p's
+    vectors at positions missing from F^{p+1} extend F^{p+1}, and F^{p+1}
+    lies in F^p exactly when its positions are among F^p's."""
+    upper = c.filt(c.p_min, n)
+    upper_positions = _unit_positions(upper)
+    if upper_positions is None:
+        return None
+    vectors, levels = [], []
+    for p in range(c.p_min, c.p_max):
+        lower = c.filt(p + 1, n)
+        upper._check_ambient(lower)
+        lower_positions = _unit_positions(lower)
+        if lower_positions is None:
+            return None
+        kept = set(lower_positions)
+        if not kept <= set(upper_positions):
+            raise PreconditionError(f"filtration not decreasing at ({p}, {n})")
+        reps = [v for v, i in zip(upper.vectors, upper_positions) if i not in kept]
+        vectors[:0] = reps
+        levels[:0] = [p] * len(reps)
+        upper, upper_positions = lower, lower_positions
+    return vectors, levels
+
+
 def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
     """A basis of C^n, deepest first, extending a basis of F^{p+1} C^n to
     one of F^p C^n for each p in [p_min, p_max); and each vector's p.
-    Walking p upward, it refuses the first F^{p+1} C^n outside F^p C^n."""
+    Walking p upward, it refuses the first F^{p+1} C^n outside F^p C^n.
+
+    When every step of degree n is spanned by unit vectors, as in every
+    filtration with levels on coordinates, the basis is those unit vectors
+    ordered by level, deepest first, ties by position: what the
+    eliminations below would return, vector for vector, read off without
+    them.  Any other degree runs one quotient elimination per step."""
+    units = _unit_basis(c, n)
+    if units is not None:
+        return units
     vectors, levels = [], []
     for p in range(c.p_min, c.p_max):
         upper, lower = c.filt(p, n), c.filt(p + 1, n)
@@ -417,7 +478,19 @@ def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
 def _coordinates(c: FilteredComplex, n: int, basis: list, vectors: list) -> list:
     """Coordinates of vectors of C^n in basis, which must be a basis of C^n,
     as integer columns, all scaled by one positive integer: the pairing
-    reads where a column is nonzero, and scaling does not move that."""
+    reads where a column is nonzero, and scaling does not move that.
+
+    When basis is a permutation of the unit vectors, a vector's
+    coordinates are its entries in basis order, scaled by the lcm of all
+    their denominators, with no elimination."""
+    positions = [_unit_position(v) for v in basis]
+    if len(basis) == c.dim(n) and set(positions) == set(range(len(basis))):
+        columns = [[x[i] for i in positions] for x in vectors]
+        den = lcm(*[y.denominator for column in columns for y in column])
+        return [
+            [y.numerator * (den // y.denominator) for y in column]
+            for column in columns
+        ]
     try:
         if len(basis) == c.dim(n):
             return _integer_coordinates((), basis, vectors)[0]
@@ -477,7 +550,7 @@ def _build_pairing(c: FilteredComplex) -> Pairing:
     for n in c.degrees():
         source, source_levels = bases.get(n - 1, ([], []))
         target, target_levels = bases[n]
-        images = [matvec(c.diff(n - 1), v) for v in source]
+        images = _integer_images(c.diff(n - 1), source)
         columns = _coordinates(c, n, target, images)
         # target levels descend, so a column's lowest entry has its least level
         dropped = [
@@ -729,6 +802,14 @@ def _entry_reader() -> Callable:
     return lambda v: parse(str(v))
 
 
+def _dimension(key: str, v) -> int:
+    """The dimension at key: an int or an integer string.  int() would
+    also truncate a float or read a bool, so those are refused."""
+    if isinstance(v, (bool, float)):
+        raise DomainError(f"dimension at {key} is {json.dumps(v)}, not an integer")
+    return int(v)
+
+
 def _matrix_from_lists(rows, entry: Callable) -> Matrix:
     return mat_from_rows([[entry(v) for v in row] for row in rows])
 
@@ -758,12 +839,18 @@ def filtered_complex_to_dict(c: FilteredComplex) -> dict:
 def filtered_complex_from_dict(data: dict) -> FilteredComplex:
     try:
         entry = _entry_reader()
-        degrees = {int(k): int(v) for k, v in data["degrees"].items()}
+        degrees = {int(k): _dimension(k, v) for k, v in data["degrees"].items()}
         n_min, n_max = min(degrees), max(degrees)
         d = {
             int(k): _matrix_from_lists(v, entry)
             for k, v in data["differentials"].items()
         }
+        for n in d:
+            if not n_min <= n < n_max:
+                raise DomainError(
+                    f"differential at {n} is outside the degrees "
+                    f"{n_min} <= n < {n_max}"
+                )
         p_keys = sorted(int(k) for k in data["filtration"])
         p_min, p_max = min(p_keys), max(p_keys)
         filt = {}
@@ -805,7 +892,7 @@ def _spot(key: str) -> tuple:
 def double_complex_from_dict(data: dict) -> DoubleComplex:
     try:
         entry = _entry_reader()
-        dims = {_spot(key): int(v) for key, v in data["dims"].items()}
+        dims = {_spot(key): _dimension(key, v) for key, v in data["dims"].items()}
         i_max = max(i for i, _ in dims)
         j_max = max(j for _, j in dims)
         arrows = {

@@ -10,7 +10,10 @@ _echelon is the one elimination loop: containment (a rank of the stacked
 rows equal to dim), quotients (the pivots of [V | U]) and intersection (the
 image of a preimage) all read its pivots or rows.  fractions.Fraction
 appears at the boundary: rref and quotient_coordinates divide once, at the
-end, and callers that need only pivots never divide.
+end, and callers that need only pivots never divide.  rref runs no
+elimination on rows already in reduced echelon form, such as the unit
+vectors of a coordinate filtration step: it checks the form and returns
+them.
 
 Matrices are tuples of row tuples.  A matrix T: Q^n -> Q^m is an m-tuple of
 n-tuples acting by matvec.
@@ -38,6 +41,9 @@ ONE = Fraction(1)
 
 
 def fractionize(values: Iterable) -> Vector:
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
@@ -86,6 +92,15 @@ def _primitive(row: list) -> list:
     return row if g <= 1 else [x // g for x in row]
 
 
+def _integer_row(row: Sequence) -> list:
+    """A row of Fraction or int entries scaled by the lcm of their
+    denominators, as a primitive integer row."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return _primitive([x.numerator for x in row])
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
 def _echelon(rows: Sequence[Vector]) -> tuple[list, tuple]:
     """Gauss-Jordan elimination on primitive integer rows.
 
@@ -96,13 +111,7 @@ def _echelon(rows: Sequence[Vector]) -> tuple[list, tuple]:
     lists of ints, each zero at every pivot column but its own, and the
     pivot columns.
     """
-    m = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        if den == 1:
-            m.append(_primitive([x.numerator for x in row]))
-        else:
-            m.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], ()
     ncols = len(m[0])
@@ -135,11 +144,33 @@ def _echelon(rows: Sequence[Vector]) -> tuple[list, tuple]:
     return m[:r], tuple(pivots)
 
 
+def _canonical_pivots(rows: Sequence[Vector]) -> tuple | None:
+    """The pivot columns of rows already in reduced echelon form, else
+    None: no zero row, each leading entry 1 and right of the row above's,
+    and each leading column zero in every other row.  A row is zero left
+    of its leading entry, so only the rows above a pivot need a look."""
+    pivots = []
+    for k, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
+            return None
+        if any(rows[i][c] for i in range(k)):
+            return None
+        pivots.append(c)
+    return tuple(pivots)
+
+
 def rref(rows: Sequence[Vector]) -> tuple[tuple, tuple]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     The rows of _echelon, each divided by its pivot: one Fraction per
-    nonzero entry."""
+    nonzero entry.  Rows already in that form (unit-vector filtration
+    steps, canonical bases passed on) are returned as Fraction tuples
+    without an elimination; the form is unique, so the result is the
+    same."""
+    pivots = _canonical_pivots(rows)
+    if pivots is not None:
+        return tuple(fractionize(row) for row in rows), pivots
     reduced, pivots = _echelon(rows)
     return tuple(
         tuple(Fraction(x, row[c]) if x else ZERO for x in row)
@@ -321,6 +352,19 @@ def _integer_coordinates(
         [row[k + j] * f for row, f in zip(rows, factors)]
         for j in range(len(xs))
     ], scale
+
+
+def _integer_images(t: Matrix, vectors: Sequence[Vector]) -> list:
+    """T applied to each vector, as integer rows: T scaled once by the lcm
+    of its denominators, and each vector taken as its primitive integer
+    row, so each image is a positive multiple of T v."""
+    den = lcm(*[x.denominator for row in t for x in row])
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in t]
+    images = []
+    for v in vectors:
+        support = [(j, x) for j, x in enumerate(_integer_row(v)) if x]
+        images.append([sum(row[j] * x for j, x in support) for row in scaled])
+    return images
 
 
 def quotient_coordinates(

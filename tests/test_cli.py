@@ -469,6 +469,140 @@ def test_spectral_convergence_check_builds_no_subspace(
     assert set(calls) <= {"rref", "span"}
 
 
+def _count_calls(monkeypatch, names) -> list:
+    """Record the name of each call of the named subspaces functions, in
+    every chernlab module that imported them."""
+    import chernlab.subspaces as subspaces_mod
+
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n.startswith("chernlab")]
+    for name in names:
+        real = getattr(subspaces_mod, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+QUOTIENT_ELIMINATIONS = ("quotient_representatives", "_integer_coordinates")
+
+
+@pytest.mark.parametrize("double", [None, "vertical", "horizontal"])
+def test_spectral_coordinate_payload_runs_no_quotient_elimination(
+    tmp_path, capsys, monkeypatch, double
+):
+    """Every step of a corpus payload is spanned by unit vectors, so the
+    pairing reads its adapted bases and coordinates off unit positions."""
+    rng = np.random.default_rng(83)
+    calls = _count_calls(monkeypatch, QUOTIENT_ELIMINATIONS)
+    paired = 0
+    for k in range(4):
+        if double:
+            payload = double_complex_to_dict(random_double_complex(rng))
+            flags = ["--double", double]
+        else:
+            payload = filtered_complex_to_dict(random_filtered_complex(rng))
+            flags = []
+        path = tmp_path / f"complex{k}.json"
+        path.write_text(json.dumps(payload))
+        code, data, err = run_json(capsys, "spectral", str(path), *flags)
+        assert code == 0, err
+        assert data["verification"][0]["passed"]
+        pages = data["results"]["pages"]
+        paired += pages["0"] != data["results"]["infinity"]
+    assert paired  # some differential paired vectors, so coordinates ran
+    assert calls == []
+
+
+# F^1 C^0 = span((1, 1)) in Q^2: no unit vector spans it
+SKEW_PAYLOAD = {
+    "degrees": {"0": 2, "1": 1},
+    "differentials": {"0": [["1", "1"]]},
+    "filtration": {
+        "0": {"0": [["1", "0"], ["0", "1"]], "1": [["1"]]},
+        "1": {"0": [["1", "1"]], "1": [["1"]]},
+        "2": {"0": [], "1": []},
+    },
+}
+
+
+def test_spectral_non_unit_step_runs_the_eliminations(tmp_path, capsys, monkeypatch):
+    from chernlab.spectral import compute_page, filtered_complex_from_dict, infinity_page
+
+    c = filtered_complex_from_dict(SKEW_PAYLOAD)
+    stable = c.filtration_length + 1
+    reference = {
+        "pages": {
+            str(r): {f"{p},{q}": d for (p, q), d in compute_page(c, r).dims().items()}
+            for r in range(stable + 1)
+        },
+        "infinity": {f"{p},{q}": d for (p, q), d in infinity_page(c).dims().items()},
+    }
+    assert reference["pages"]["0"] == {"0,0": 1, "1,-1": 1, "1,0": 1}
+    assert reference["infinity"] == {"0,0": 1}
+
+    calls = _count_calls(monkeypatch, QUOTIENT_ELIMINATIONS)
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(SKEW_PAYLOAD))
+    code, data, err = run_json(capsys, "spectral", str(path))
+    assert code == 0, err
+    assert data["verification"][0]["passed"]
+    assert {key: data["results"][key] for key in reference} == reference
+    assert set(calls) == set(QUOTIENT_ELIMINATIONS)
+
+
+@pytest.mark.parametrize("flags, payload, message", [
+    ([], {"degrees": {"0": 1, "1": 1},
+          "differentials": {"0": [["0"]], "5": [["1", "2"]]},
+          "filtration": {"0": {"0": [["1"]], "1": [["1"]]}, "1": {"0": [], "1": []}}},
+     "differential at 5 is outside the degrees 0 <= n < 1"),
+    ([], {"degrees": {"0": 1, "1": 1},
+          "differentials": {"0": [["0"]], "-1": []},
+          "filtration": {"0": {"0": [["1"]], "1": [["1"]]}, "1": {"0": [], "1": []}}},
+     "differential at -1 is outside the degrees 0 <= n < 1"),
+    ([], {"degrees": {"0": 1.7}, "differentials": {},
+          "filtration": {"0": {"0": [["1"]]}, "1": {"0": []}}},
+     "dimension at 0 is 1.7, not an integer"),
+    ([], {"degrees": {"0": True}, "differentials": {},
+          "filtration": {"0": {"0": [["1"]]}, "1": {"0": []}}},
+     "dimension at 0 is true, not an integer"),
+    (["--double", "vertical"], {"dims": {"0,0": 1.9, "1,0": 1}},
+     "dimension at 0,0 is 1.9, not an integer"),
+    (["--double", "horizontal"], {"dims": {"0,0": 1, "1,0": False}},
+     "dimension at 1,0 is false, not an integer"),
+], ids=["differential-above", "differential-below", "float-degree", "bool-degree",
+        "float-spot", "bool-spot"])
+def test_spectral_loaders_refuse_what_they_would_misread(
+    tmp_path, capsys, flags, payload, message
+):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "spectral", str(path), *flags)
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == f"error: {message}"
+
+
+def test_spectral_dimensions_read_from_ints_and_integer_strings(tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    for dim in (1, "1"):
+        path.write_text(json.dumps({
+            "degrees": {"0": dim}, "differentials": {},
+            "filtration": {"0": {"0": [["1"]]}, "1": {"0": []}},
+        }))
+        code, data, err = run_json(capsys, "spectral", str(path))
+        assert code == 0, err
+        assert data["results"]["cohomology"] == {"0": 1}
+    path.write_text(json.dumps({"dims": {"0,0": "2", "1,0": 1}}))
+    code, data, err = run_json(capsys, "spectral", str(path), "--double", "vertical")
+    assert code == 0, err
+    assert data["results"]["infinity"] == {"0,0": 2, "0,1": 1}
+
+
 def test_gauss_bonnet_skipped_nodes_exit_3(capsys, monkeypatch):
     import chernlab.geometry as geo_mod
     from chernlab.errors import DomainError

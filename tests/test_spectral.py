@@ -1,7 +1,9 @@
 """Spectral engine: formulas, page recursion, persistence pairing,
 convergence, double complexes."""
 
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +39,8 @@ from chernlab.spectral import (
 )
 from chernlab.subspaces import (
     Subspace,
+    _integer_coordinates,
+    _integer_images,
     image,
     kernel,
     mat_from_rows,
@@ -386,6 +390,128 @@ def test_pairing_equals_the_fraction_reduction():
             c = from_double_complex(dc, filtration)
             assert persistence_pairing(c).bars == reference_bars(c)
 
+
+def eliminated_basis(c, n):
+    """The adapted basis of C^n by one quotient elimination per step."""
+    vectors, levels = [], []
+    for p in range(c.p_min, c.p_max):
+        upper, lower = c.filt(p, n), c.filt(p + 1, n)
+        try:
+            reps = quotient_representatives(upper, lower)
+        except DomainError:
+            raise PreconditionError(f"filtration not decreasing at ({p}, {n})") from None
+        vectors[:0] = reps
+        levels[:0] = [p] * len(reps)
+    return vectors, levels
+
+
+def test_unit_branches_equal_the_eliminations(monkeypatch):
+    """Coordinate filtrations (the corpus complexes, both filtrations of a
+    double complex): the adapted bases and coordinates read off unit
+    positions equal the eliminations', vector for vector, and pair alike."""
+    rng = np.random.default_rng(53)
+    complexes = [random_filtered_complex(rng) for _ in range(20)]
+    for _ in range(10):
+        dc = random_double_complex(rng)
+        complexes += [from_double_complex(dc, f) for f in ("vertical", "horizontal")]
+
+    def refuse(*args):
+        raise AssertionError("a coordinate degree ran an elimination")
+
+    monkeypatch.setattr(spectral_mod, "quotient_representatives", refuse)
+    monkeypatch.setattr(spectral_mod, "_integer_coordinates", refuse)
+    paired = 0
+    for c in complexes:
+        bases = {n: spectral_mod._adapted_basis(c, n) for n in c.degrees()}
+        for n in c.degrees():
+            assert bases[n] == eliminated_basis(c, n)
+            source = bases.get(n - 1, ([], []))[0]
+            target = bases[n][0]
+            for images in (
+                _integer_images(c.diff(n - 1), source),
+                [matvec(c.diff(n - 1), v) for v in source],
+            ):
+                columns = spectral_mod._coordinates(c, n, target, images)
+                expected = _integer_coordinates((), target, images)[0]
+                assert columns == expected
+                assert spectral_mod._reduce(columns) == spectral_mod._reduce(expected)
+                paired += len(spectral_mod._reduce(columns))
+    assert paired > 50
+
+
+def test_coordinates_of_a_non_unit_basis_are_solved():
+    c = filtered_complex_from_dict({
+        "degrees": {"0": 2}, "differentials": {},
+        "filtration": {"0": {"0": [["1", "0"], ["0", "1"]]},
+                       "1": {"0": [["1", "1"]]}, "2": {"0": []}},
+    })
+    basis, levels = spectral_mod._adapted_basis(c, 0)
+    assert (basis, levels) == eliminated_basis(c, 0)
+    assert basis == [(1, 1), (1, 0)] and levels == [1, 0]
+    # (2, 1) = (1, 1) + (1, 0) and (0, 3) = 3 (1, 1) - 3 (1, 0)
+    assert spectral_mod._coordinates(c, 0, basis, [[2, 1], [0, 3]]) == [[1, 1], [3, -3]]
+    # a permutation of the unit vectors reads entries, scaled by one lcm
+    units = [(F(0), F(1)), (F(1), F(0))]
+    xs = [(F(1, 2), F(3)), (F(0), F(-2, 3))]
+    assert spectral_mod._coordinates(c, 0, units, xs) == [[18, 3], [-4, 0]]
+    assert _integer_coordinates((), units, xs)[0] == [[18, 3], [-4, 0]]
+    # 2 e_0 is no unit vector: (2, 1) = 2 e_0 + e_1 has coordinates (1, 1)
+    assert spectral_mod._coordinates(c, 0, [(F(2), F(0)), (F(0), F(1))], [[2, 1]]) == [[1, 1]]
+    with pytest.raises(InternalConsistencyError, match="no basis"):
+        spectral_mod._coordinates(c, 0, [units[0], units[0]], [[1, 0]])
+
+
+def _steps(steps):
+    """F^p C^0 spanned by steps[p] as given, C^0 = Q^3."""
+    return {
+        (p, 0): Subspace(3, tuple(tuple(F(x) for x in v) for v in vecs))
+        for p, vecs in enumerate(steps)
+    }
+
+
+@pytest.mark.parametrize("steps, message", [
+    # unit steps, nested up to p = 2, then F^3 = span(e0) is outside F^2
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]], [[0, 0, 1]],
+      [[1, 0, 0]], []],
+     "filtration not decreasing at (2, 0)"),
+    # two unit defects: the first is named
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]], []],
+     "filtration not decreasing at (1, 0)"),
+    # a non-unit step past a unit defect: the defect is named
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0]], [[0, 1, 0]], [[0, 1, 1]], []],
+     "filtration not decreasing at (1, 0)"),
+    # a non-unit step before a unit defect: the eliminations name it
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]], [[0, 0, 1]],
+      [[0, 1, 0]], []],
+     "filtration not decreasing at (2, 0)"),
+])
+def test_unit_walk_refuses_where_the_eliminations_do(steps, message):
+    filtration = _steps(steps)
+    p_max = len(steps) - 1
+    with pytest.raises(PreconditionError) as caught:
+        FilteredComplex(n_min=0, n_max=0, dims={0: 3}, d={}, p_min=0, p_max=p_max,
+                        filtration=filtration)
+    assert str(caught.value) == message
+    steps_only = SimpleNamespace(p_min=0, p_max=p_max, filt=lambda p, n: filtration[(p, n)])
+    with pytest.raises(PreconditionError) as reference:
+        eliminated_basis(steps_only, 0)
+    assert str(reference.value) == message
+
+
+@pytest.mark.parametrize("step", [[[0, 0, 1], [1, 0, 0]], [[1, 0, 0], [1, 0, 0]]],
+                         ids=["out-of-order", "repeated"])
+def test_unit_steps_out_of_position_order_are_left_to_the_eliminations(step):
+    """A Subspace built directly, not by span, may list unit vectors out of
+    position order, or one twice; the eliminations handle it as before."""
+    filtration = _steps([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], step, []])
+    c = SimpleNamespace(p_min=0, p_max=2, filt=lambda p, n: filtration[(p, n)])
+    try:
+        expected = eliminated_basis(c, 0)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=rf"^{re.escape(str(exc))}$"):
+            spectral_mod._adapted_basis(c, 0)
+    else:
+        assert spectral_mod._adapted_basis(c, 0) == expected
 
 # -- double complexes ---------------------------------------------------------------
 

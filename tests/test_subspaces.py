@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import independent_linalg as oracle
 from reference_kernel import reference_quotient_coordinates, reference_rref
+import chernlab.subspaces as subspaces_mod
 from chernlab.errors import DomainError
 from chernlab.subspaces import (
     Subspace,
+    _integer_images,
     image,
     kernel,
     kernel_basis,
@@ -275,6 +277,78 @@ def test_rref_equals_the_fraction_reference_tuple_for_tuple():
         assert (reduced, pivots) == reference_rref(rows)
         assert all(isinstance(x, Fraction) for row in reduced for x in row)
         assert rank(rows) == len(pivots)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    calls = []
+    real = subspaces_mod._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(subspaces_mod, "_echelon", counted)
+    return calls
+
+
+CANONICAL_ROWS = [
+    [],
+    [[1, 0, 0]],
+    [[0, 0, 1]],
+    [[1, 0], [0, 1]],
+    [[0, 1, F(1, 2), 0], [0, 0, 0, 1]],
+    [[1, 0, -3, 0, F(2, 7)], [0, 1, F(2, 3), 0, 0], [0, 0, 0, 1, 5]],
+    [[F(1), F(0), F(0)], [F(0), F(0), F(1)]],
+]
+
+
+def test_rref_returns_canonical_rows_without_an_elimination(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    for rows in CANONICAL_ROWS:
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == reference_rref(rows)
+        assert reduced == tuple(tuple(F(x) for x in row) for row in rows)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+    # every reduced form of the reference inputs is returned as it stands
+    for rows in _reference_inputs():
+        canonical = reference_rref(rows)
+        assert rref(canonical[0]) == canonical
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0, 0], [0, 1, 0]],
+    [[1, 1, 0], [0, 1, 0]],
+    [[1, 0, F(1, 2)], [0, 0, 1]],
+    [[1, 0, 0], [0, 0, 0]],
+    [[0, 0, 0]],
+    [[0, 1, 0], [1, 0, 0]],
+    [[1, 0, 0], [1, 0, 0]],
+    [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+], ids=["leading-2", "above-a-pivot", "above-the-last-pivot", "zero-row", "only-zero",
+        "decreasing-pivots", "repeated-row", "repeated-leading-column"])
+def test_rref_eliminates_rows_that_break_one_condition(monkeypatch, rows):
+    calls = _count_eliminations(monkeypatch)
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == reference_rref(rows)
+    assert calls == [len(rows)]
+
+
+def test_integer_images_are_positive_multiples_of_the_images():
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        nrows, ncols = int(rng.integers(0, 5)), int(rng.integers(1, 5))
+        t = mat_from_rows(random_vectors(rng, nrows, ncols))
+        vectors = random_vectors(rng, 4, ncols) + [[F(0)] * ncols]
+        images = _integer_images(t, vectors)
+        assert len(images) == len(vectors)
+        for got, v in zip(images, vectors):
+            exact = matvec(t, v)
+            assert len(got) == len(exact)
+            assert all(type(x) is int for x in got)
+            assert [bool(x) for x in got] == [bool(x) for x in exact]
+            ratios = {F(x) / y for x, y in zip(got, exact) if y}
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
 
 def test_quotient_coordinates_equal_the_fraction_reference():
