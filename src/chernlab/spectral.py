@@ -24,12 +24,13 @@ make up E_inf.  Constructing a complex builds and memoizes its pairing,
 whose adapted bases are where the filtration is checked.  A degree whose
 every step is spanned by unit vectors (a coordinate filtration: the
 front ends below, and any payload giving levels on coordinates) needs no
-elimination for that: its adapted basis is the unit basis ordered by
-level, and coordinates in it are entries.  `chernlab spectral` prints
-only dimensions, so it takes every page, E_inf and the stabilisation
-index from persistence_pairing, and its convergence check
-compares that E_inf with graded_cohomology, the graded pieces of F^p H
-read directly from ranks of cycles and boundaries, with no subspace built.
+elimination for that: the subspaces kernel reads its adapted basis, the
+unit basis ordered by level, and coordinates in it off positions.
+`chernlab spectral` prints only dimensions, so it takes every page, E_inf
+and the stabilisation index from persistence_pairing, and its convergence
+check compares that E_inf with graded_cohomology, the graded pieces of
+F^p H read directly from ranks of cycles and boundaries, with no subspace
+built.
 
 Everything is exact arithmetic; a dimension equality asserted by this
 module is an equality of integers, never a tolerance check.  Ranks, the
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Literal
 
 from .errors import (
@@ -93,10 +94,6 @@ MAX_TOTAL_DIM = 128          # sum of the dimensions of all degrees (or spots)
 MAX_FILTRATION_LENGTH = 64   # p_max - p_min
 MAX_BIDEGREE = 16            # i_max and j_max of a double complex
 MAX_EXPONENT = 1000          # decimal exponent of a JSON entry, as in "1e-5"
-
-
-def _is_zero(m: Matrix) -> bool:
-    return all(v == 0 for row in m for v in row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +145,7 @@ class FilteredComplex:
             ):
                 raise DomainError(f"differential at degree {n} has wrong shape")
         for n in range(self.n_min, self.n_max - 1):
-            if not _is_zero(matmul(self.d[n + 1], self.d[n])):
+            if any(map(any, _integer_images(self.d[n + 1], zip(*self.d[n])))):
                 raise PreconditionError(f"d^2 != 0 at degree {n}")
         for n in self.degrees():
             if self.filtration.get((self.p_min, n)) != Subspace.full(self.dims[n]):
@@ -176,12 +173,14 @@ class FilteredComplex:
         return min(max(p, self.p_min), self.p_max)
 
     def filt(self, p: int, n: int) -> Subspace:
-        """Filtration subspace with index clamping at both ends."""
-        if p <= self.p_min:
-            return Subspace.full(self.dim(n))
-        if p >= self.p_max or not (self.n_min <= n <= self.n_max):
+        """Filtration subspace with index clamping at both ends: the stored
+        step at level(p), whose end steps construction checked to be full
+        and zero.  Outside the degrees it is the full or the zero space."""
+        if not self.n_min <= n <= self.n_max:
+            if p <= self.p_min:
+                return Subspace.full(self.dim(n))
             return Subspace.zero(self.dim(n))
-        step = self.filtration.get((p, n))
+        step = self.filtration.get((self.level(p), n))
         if step is None:
             raise DomainError(f"missing filtration step ({p}, {n})")
         return step
@@ -403,68 +402,17 @@ class Pairing:
         return dict(sorted(counts.items()))
 
 
-def _unit_position(v: tuple) -> int | None:
-    """i if v is the unit vector e_i, else None."""
-    support = [i for i, x in enumerate(v) if x]
-    if len(support) == 1 and v[support[0]] == 1:
-        return support[0]
-    return None
-
-
-def _unit_positions(s: Subspace) -> list | None:
-    """The positions of s's basis vectors if they are unit vectors in
-    ascending position, else None."""
-    positions = []
-    for v in s.vectors:
-        i = _unit_position(v)
-        if i is None or (positions and i <= positions[-1]):
-            return None
-        positions.append(i)
-    return positions
-
-
-def _unit_basis(c: FilteredComplex, n: int) -> tuple[list, list] | None:
-    """_adapted_basis of a degree whose steps are spanned by unit vectors,
-    with no elimination, or None at the first step that is not: F^p's
-    vectors at positions missing from F^{p+1} extend F^{p+1}, and F^{p+1}
-    lies in F^p exactly when its positions are among F^p's."""
-    upper = c.filt(c.p_min, n)
-    upper_positions = _unit_positions(upper)
-    if upper_positions is None:
-        return None
-    vectors, levels = [], []
-    for p in range(c.p_min, c.p_max):
-        lower = c.filt(p + 1, n)
-        upper._check_ambient(lower)
-        lower_positions = _unit_positions(lower)
-        if lower_positions is None:
-            return None
-        kept = set(lower_positions)
-        if not kept <= set(upper_positions):
-            raise PreconditionError(f"filtration not decreasing at ({p}, {n})")
-        reps = [v for v, i in zip(upper.vectors, upper_positions) if i not in kept]
-        vectors[:0] = reps
-        levels[:0] = [p] * len(reps)
-        upper, upper_positions = lower, lower_positions
-    return vectors, levels
-
-
 def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
     """A basis of C^n, deepest first, extending a basis of F^{p+1} C^n to
     one of F^p C^n for each p in [p_min, p_max); and each vector's p.
     Walking p upward, it refuses the first F^{p+1} C^n outside F^p C^n.
 
-    When every step of degree n is spanned by unit vectors, as in every
-    filtration with levels on coordinates, the basis is those unit vectors
-    ordered by level, deepest first, ties by position: what the
-    eliminations below would return, vector for vector, read off without
-    them.  Any other degree runs one quotient elimination per step."""
-    units = _unit_basis(c, n)
-    if units is not None:
-        return units
+    Each step is one quotient_representatives, which reads a coordinate
+    filtration step (unit vectors) without an elimination."""
     vectors, levels = [], []
+    upper = c.filt(c.p_min, n)
     for p in range(c.p_min, c.p_max):
-        upper, lower = c.filt(p, n), c.filt(p + 1, n)
+        lower = c.filt(p + 1, n)
         upper._check_ambient(lower)
         try:
             reps = quotient_representatives(upper, lower)
@@ -472,6 +420,7 @@ def _adapted_basis(c: FilteredComplex, n: int) -> tuple[list, list]:
             raise PreconditionError(f"filtration not decreasing at ({p}, {n})") from None
         vectors[:0] = reps
         levels[:0] = [p] * len(reps)
+        upper = lower
     return vectors, levels
 
 
@@ -479,18 +428,8 @@ def _coordinates(c: FilteredComplex, n: int, basis: list, vectors: list) -> list
     """Coordinates of vectors of C^n in basis, which must be a basis of C^n,
     as integer columns, all scaled by one positive integer: the pairing
     reads where a column is nonzero, and scaling does not move that.
-
-    When basis is a permutation of the unit vectors, a vector's
-    coordinates are its entries in basis order, scaled by the lcm of all
-    their denominators, with no elimination."""
-    positions = [_unit_position(v) for v in basis]
-    if len(basis) == c.dim(n) and set(positions) == set(range(len(basis))):
-        columns = [[x[i] for i in positions] for x in vectors]
-        den = lcm(*[y.denominator for column in columns for y in column])
-        return [
-            [y.numerator * (den // y.denominator) for y in column]
-            for column in columns
-        ]
+    In a basis of unit vectors they are read off entries, with no
+    elimination (see _integer_coordinates)."""
     try:
         if len(basis) == c.dim(n):
             return _integer_coordinates((), basis, vectors)[0]
@@ -629,8 +568,8 @@ class DoubleComplex:
                     raise DomainError(f"{name} at {(i, j)} has wrong shape")
         for (i, j) in self.spots():
             for name, (_, (di, dj)) in _ARROWS.items():
-                m = matmul(self._arrow(name, i + di, j + dj), self._arrow(name, i, j))
-                if not _is_zero(m):
+                second = self._arrow(name, i + di, j + dj)
+                if any(map(any, _integer_images(second, zip(*self._arrow(name, i, j))))):
                     raise PreconditionError(f"{name}^2 != 0 at {(i, j)}")
         self.convention()
 

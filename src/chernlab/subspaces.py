@@ -10,10 +10,11 @@ _echelon is the one elimination loop: containment (a rank of the stacked
 rows equal to dim), quotients (the pivots of [V | U]) and intersection (the
 image of a preimage) all read its pivots or rows.  fractions.Fraction
 appears at the boundary: rref and quotient_coordinates divide once, at the
-end, and callers that need only pivots never divide.  rref runs no
-elimination on rows already in reduced echelon form, such as the unit
-vectors of a coordinate filtration step: it checks the form and returns
-them.
+end, and callers that need only pivots never divide.  A known answer costs
+no elimination and equals the elimination's, errors included: rref returns
+rows already in reduced echelon form as they stand, and on vectors with at
+most one nonzero entry (see _positions) quotient_representatives and
+_integer_coordinates read pivots and coordinates off positions.
 
 Matrices are tuples of row tuples.  A matrix T: Q^n -> Q^m is an m-tuple of
 n-tuples acting by matvec.
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -151,10 +154,10 @@ def _canonical_pivots(rows: Sequence[Vector]) -> tuple | None:
     of its leading entry, so only the rows above a pivot need a look."""
     pivots = []
     for k, row in enumerate(rows):
-        c = next((j for j, x in enumerate(row) if x), None)
+        c = next(compress(count(), row), None)
         if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
             return None
-        if any(rows[i][c] for i in range(k)):
+        if any(map(itemgetter(c), rows[:k])):
             return None
         pivots.append(c)
     return tuple(pivots)
@@ -319,33 +322,77 @@ def quotient_dim(u: Subspace, v: Subspace) -> int:
     return len(quotient_representatives(u, v))
 
 
+def _positions(vectors: Sequence[Vector], length: int) -> list | None:
+    """The position of each vector's nonzero entry, None for a zero vector,
+    when every vector has this length and at most one nonzero entry; else
+    None."""
+    positions = []
+    indices = range(length)
+    for v in vectors:
+        support = list(compress(indices, v))
+        if len(v) != length or len(support) > 1:
+            return None
+        positions.append(support[0] if support else None)
+    return positions
+
+
 def quotient_representatives(u: Subspace, v: Subspace) -> tuple:
     """Vectors extending V's canonical basis to U's, in deterministic order:
     U's basis vectors at the pivot columns of one elimination of [V | U] (as
     columns), so each is the first outside the span of V and those before
-    it.  V lies in U exactly when the pivots number dim U."""
+    it.  V lies in U exactly when the pivots number dim U.  When each
+    vector has at most one nonzero entry, as in a coordinate filtration
+    step, the pivots are each position's first column, with no elimination."""
     u._check_ambient(v)
-    _, pivots = _echelon(list(zip(*v.vectors, *u.vectors)))
+    columns = (*v.vectors, *u.vectors)
+    positions = _positions(columns, u.ambient_dim)
+    if positions is None:
+        _, pivots = _echelon(list(zip(*columns)))
+    else:
+        first = {}
+        for c, i in enumerate(positions):
+            first.setdefault(i, c)
+        first.pop(None, None)
+        pivots = list(first.values())
     if len(pivots) != u.dim:
         raise DomainError("quotient denominator is not contained in numerator")
-    return tuple(u.vectors[c - v.dim] for c in pivots[v.dim:])
+    return tuple(columns[c] for c in pivots[v.dim:])
 
 
 def _integer_coordinates(
     v_basis: Sequence[Vector], reps: Sequence[Vector], xs: Sequence[Vector]
 ) -> tuple[list, int]:
     """Coordinates of each x in xs along reps, modulo span(v_basis), as
-    integers: (columns, scale), each column scale > 0 times the rational
-    coordinates.  Solves every x = sum a_i v_i + sum b_j rep_j from one
-    elimination of [v_basis | reps | xs] (as columns) and keeps the b parts;
-    raises if the basis vectors are dependent or some x is outside their
-    span."""
-    k = len(v_basis) + len(reps)
-    reduced, pivots = _echelon(list(zip(*v_basis, *reps, *xs, strict=True)))
+    integers: (columns, scale), each column scale times the rational
+    coordinates, scale > 0 the lcm of their denominators.  Solves every
+    x = sum a_i v_i + sum b_j rep_j from one elimination of
+    [v_basis | reps | xs] (as columns) and keeps the b parts; raises if the
+    basis vectors are dependent or some x is outside their span.  Along
+    basis vectors with one nonzero entry each, at distinct positions, a
+    b part is x's entry there over rep_j's, with no elimination."""
+    basis = (*v_basis, *reps)
+    k, nv = len(basis), len(v_basis)
+    length = len(basis[0]) if basis else len(xs[0]) if xs else 0
+    positions = _positions(basis, length)
+    covered = {None} if positions is None else set(positions)
+    outside = set(range(length)) - covered
+    if (
+        None not in covered and len(covered) == k
+        and set(map(len, xs)) <= {length}
+        and not any(x[i] for x in xs for i in outside)
+    ):
+        at = [(i, rep[i], rep[i] == 1) for rep, i in zip(reps, positions[nv:])]
+        columns = [
+            [x[i] if one else Fraction(x[i]) / b for i, b, one in at] for x in xs
+        ]
+        scale = lcm(*[y.denominator for column in columns for y in column])
+        return [[y.numerator * (scale // y.denominator) for y in column]
+                for column in columns], scale
+    reduced, pivots = _echelon(list(zip(*basis, *xs, strict=True)))
     if pivots != tuple(range(k)):
         raise DomainError("basis vectors dependent or a vector outside their span")
-    rows = reduced[len(v_basis):]
-    leads = [row[i] for i, row in enumerate(rows, len(v_basis))]
+    rows = reduced[nv:]
+    leads = [row[i] for i, row in enumerate(rows, nv)]
     scale = lcm(*leads)
     factors = [scale // lead for lead in leads]
     return [

@@ -284,6 +284,28 @@ def test_spectral_bad_dsquared_exits_3(tmp_path, capsys):
     assert "d^2" in err
 
 
+@pytest.mark.parametrize("entry, expected", [("-3", 0), ("-3.000000000000000000001", 3)])
+def test_spectral_dsquared_is_exact_on_fractions(tmp_path, capsys, entry, expected):
+    """d^1 d^0 = 2 (1/2) - 3 (1/3) = 0 exactly, and a change in the 21st
+    decimal of one entry breaks it."""
+    payload = {
+        "degrees": {"0": 1, "1": 2, "2": 1},
+        "differentials": {"0": [["1/2"], ["1/3"]], "1": [["2", entry]]},
+        "filtration": {
+            "0": {"0": [["1"]], "1": [["1", "0"], ["0", "1"]], "2": [["1"]]},
+            "1": {"0": [], "1": [], "2": []},
+        },
+    }
+    path = tmp_path / "fractions.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "spectral", str(path))
+    if expected:
+        _assert_one_line_error(code, err, expected)
+        assert err.strip() == "error: d^2 != 0 at degree 0"
+    else:
+        assert code == 0, err
+
+
 def test_spectral_bad_filtration_exits_3(tmp_path, capsys):
     payload = {
         "degrees": {"0": 1, "1": 1},
@@ -492,14 +514,41 @@ def _count_calls(monkeypatch, names) -> list:
 QUOTIENT_ELIMINATIONS = ("quotient_representatives", "_integer_coordinates")
 
 
+def _load(payload: dict, double: str | None):
+    """The complex the CLI builds from payload: loader and pairing."""
+    from chernlab import spectral
+
+    if double:
+        return spectral.from_double_complex(spectral.double_complex_from_dict(payload), double)
+    return spectral.filtered_complex_from_dict(payload)
+
+
 @pytest.mark.parametrize("double", [None, "vertical", "horizontal"])
 def test_spectral_coordinate_payload_runs_no_quotient_elimination(
     tmp_path, capsys, monkeypatch, double
 ):
     """Every step of a corpus payload is spanned by unit vectors, so the
-    pairing reads its adapted bases and coordinates off unit positions."""
+    kernel reads the pairing's adapted bases and coordinates off unit
+    positions: building the complex, loader and pairing, runs no
+    elimination, and gives the bases and pairs of the forced eliminations."""
+    import chernlab.spectral as spectral_mod
+    import chernlab.subspaces as subspaces_mod
+
     rng = np.random.default_rng(83)
-    calls = _count_calls(monkeypatch, QUOTIENT_ELIMINATIONS)
+    eliminations, built = [], []
+    real_echelon = subspaces_mod._echelon
+    real_pairing = spectral_mod.persistence_pairing
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return real_echelon(rows)
+
+    def pairing(c):
+        built.append((c, len(eliminations)))
+        return real_pairing(c)
+
+    monkeypatch.setattr(subspaces_mod, "_echelon", counted)
+    monkeypatch.setattr(spectral_mod, "persistence_pairing", pairing)
     paired = 0
     for k in range(4):
         if double:
@@ -510,13 +559,24 @@ def test_spectral_coordinate_payload_runs_no_quotient_elimination(
             flags = []
         path = tmp_path / f"complex{k}.json"
         path.write_text(json.dumps(payload))
+        eliminations.clear()
         code, data, err = run_json(capsys, "spectral", str(path), *flags)
         assert code == 0, err
         assert data["verification"][0]["passed"]
         pages = data["results"]["pages"]
         paired += pages["0"] != data["results"]["infinity"]
+        (c, before_pairing), = built
+        built.clear()
+        assert before_pairing == 0
+        bases = {n: spectral_mod._adapted_basis(c, n) for n in c.degrees()}
+        with monkeypatch.context() as m:
+            m.setattr(subspaces_mod, "_positions", lambda vectors, length: None)
+            mark = len(eliminations)
+            forced = _load(payload, double)
+            assert len(eliminations) > mark
+            assert bases == {n: spectral_mod._adapted_basis(forced, n) for n in c.degrees()}
+        assert real_pairing(forced).bars == real_pairing(c).bars
     assert paired  # some differential paired vectors, so coordinates ran
-    assert calls == []
 
 
 # F^1 C^0 = span((1, 1)) in Q^2: no unit vector spans it

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import chernlab.spectral as spectral_mod
+import chernlab.subspaces as subspaces_mod
 import independent_linalg as oracle
 from corpusgen import random_double_complex, random_filtered_complex
 from reference_kernel import reference_quotient_coordinates, reference_reduce
@@ -91,6 +92,26 @@ def test_cycles_large_r_is_filtered_kernel():
             for v in a.vectors:
                 assert all(x == 0 for x in _apply(c.diff(n), v))
             assert c.filt(p, n).contains(a)
+
+
+def test_filt_clamps_to_the_stored_end_steps():
+    """Below p_min and above p_max filt returns the stored end step, which
+    construction checked to equal the full and the zero space; a degree
+    outside the complex has only the zero space."""
+    c = random_filtered_complex(np.random.default_rng(61))
+    for n in c.degrees():
+        full, zero = Subspace.full(c.dim(n)), Subspace.zero(c.dim(n))
+        for p in (c.p_min - 3, c.p_min - 1, c.p_min):
+            assert c.filt(p, n) == full
+            assert c.filt(p, n) is c.filtration[(c.p_min, n)]
+        for p in (c.p_max, c.p_max + 1, c.p_max + 4):
+            assert c.filt(p, n) == zero
+            assert c.filt(p, n) is c.filtration[(c.p_max, n)]
+    for n in (c.n_min - 1, c.n_max + 1):
+        for p in (c.p_min - 1, c.p_min):
+            assert c.filt(p, n) == Subspace.full(0)
+        for p in range(c.p_min + 1, c.p_max + 2):
+            assert c.filt(p, n) == Subspace.zero(0)
 
 
 def test_cycles_match_brute_force_oracle():
@@ -407,35 +428,53 @@ def eliminated_basis(c, n):
 
 def test_unit_branches_equal_the_eliminations(monkeypatch):
     """Coordinate filtrations (the corpus complexes, both filtrations of a
-    double complex): the adapted bases and coordinates read off unit
-    positions equal the eliminations', vector for vector, and pair alike."""
+    double complex): the kernel reads the adapted bases and coordinates
+    off unit positions with no elimination, and they equal the forced
+    eliminations', vector for vector, and pair alike."""
     rng = np.random.default_rng(53)
     complexes = [random_filtered_complex(rng) for _ in range(20)]
     for _ in range(10):
         dc = random_double_complex(rng)
         complexes += [from_double_complex(dc, f) for f in ("vertical", "horizontal")]
 
-    def refuse(*args):
-        raise AssertionError("a coordinate degree ran an elimination")
-
-    monkeypatch.setattr(spectral_mod, "quotient_representatives", refuse)
-    monkeypatch.setattr(spectral_mod, "_integer_coordinates", refuse)
-    paired = 0
-    for c in complexes:
+    def walk(c):
+        """Each degree's adapted basis, and the coordinates in it of the
+        integer and the Fraction images of the degree below's."""
         bases = {n: spectral_mod._adapted_basis(c, n) for n in c.degrees()}
+        columns = []
         for n in c.degrees():
-            assert bases[n] == eliminated_basis(c, n)
             source = bases.get(n - 1, ([], []))[0]
-            target = bases[n][0]
             for images in (
                 _integer_images(c.diff(n - 1), source),
                 [matvec(c.diff(n - 1), v) for v in source],
             ):
-                columns = spectral_mod._coordinates(c, n, target, images)
-                expected = _integer_coordinates((), target, images)[0]
-                assert columns == expected
-                assert spectral_mod._reduce(columns) == spectral_mod._reduce(expected)
-                paired += len(spectral_mod._reduce(columns))
+                columns.append(spectral_mod._coordinates(c, n, bases[n][0], images))
+        return bases, columns
+
+    eliminations = []
+    real = subspaces_mod._echelon
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return real(rows)
+
+    paired = 0
+    for c in complexes:
+        with monkeypatch.context() as m:
+            m.setattr(subspaces_mod, "_echelon", counted)
+            bases, columns = walk(c)
+        assert eliminations == []
+        with monkeypatch.context() as m:
+            m.setattr(subspaces_mod, "_positions", lambda vectors, length: None)
+            m.setattr(subspaces_mod, "_echelon", counted)
+            forced_bases, forced_columns = walk(c)
+        assert eliminations
+        eliminations.clear()
+        assert bases == forced_bases
+        assert columns == forced_columns
+        for got, expected in zip(columns, forced_columns):
+            assert spectral_mod._reduce(got) == spectral_mod._reduce(expected)
+            paired += len(spectral_mod._reduce(got))
     assert paired > 50
 
 

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import independent_linalg as oracle
@@ -14,6 +15,7 @@ import chernlab.subspaces as subspaces_mod
 from chernlab.errors import DomainError
 from chernlab.subspaces import (
     Subspace,
+    _integer_coordinates,
     _integer_images,
     image,
     kernel,
@@ -450,3 +452,98 @@ def test_matvec_and_matmul_match_dense_sums(t, data):
         )
         for row in t
     )
+
+
+# -- single-support shortcuts against the forced elimination ---------------------
+
+def _outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _forced(f, *args):
+    """_outcome with every question left to the elimination."""
+    with patch.object(subspaces_mod, "_positions", lambda vectors, length: None):
+        return _outcome(f, *args)
+
+
+def _unit(length, i, x=1):
+    return tuple(F(x) if j == i else F(0) for j in range(length))
+
+
+@st.composite
+def single_support_problems(draw, max_length=5):
+    """(V vectors, U vectors, xs) in Q^n: V and U with at most one nonzero
+    entry each, at any positions and in any order, zero vectors and
+    repeats included; xs single-support, combinations of V and U, or
+    dense; now and then one vector of another length, or a dense one in
+    V or U, which the elimination is left to."""
+    n = draw(st.integers(1, max_length))
+    entry = st.tuples(st.integers(0, n - 1), st.just(0) | NONZERO)
+    vs, us = (
+        [_unit(n, i, x) for i, x in draw(st.lists(entry, max_size=4))]
+        for _ in range(2)
+    )
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from([vs, us])).append(draw(sparse_matrices(nrows=1, ncols=n))[0])
+    xs = []
+    for kind in draw(st.lists(st.sampled_from(["single", "span", "dense"]), max_size=3)):
+        if kind == "single":
+            xs.append(_unit(n, *draw(entry)))
+        elif kind == "span":
+            coefficients = draw(st.lists(NONZERO, min_size=len(vs + us), max_size=len(vs + us)))
+            xs.append(tuple(
+                sum((F(a) * b[j] for a, b in zip(coefficients, vs + us)), F(0))
+                for j in range(n)
+            ))
+        else:
+            xs.append(draw(sparse_matrices(nrows=1, ncols=n))[0])
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from([vs, us, xs])).append(_unit(n + 1, n))
+    return vs, us, xs
+
+
+E2 = [_unit(2, 0), _unit(2, 1)]
+
+
+@PROPERTY
+@given(single_support_problems())
+@example(([E2[0], E2[0]], [E2[1]], []))           # V dependent
+@example(([E2[0]], [E2[0], E2[1]], [E2[0]]))      # V dependent along U
+@example(([E2[1]], [E2[0]], []))                  # V outside U
+@example(([E2[1]], [E2[0], _unit(2, 0, 2)], []))  # U dependent: the first at a position
+@example(([], [E2[0], (F(1), F(1))], []))         # a U vector with two nonzero entries
+@example(([], [E2[0]], [E2[1]]))                  # an x outside the span
+@example(([], [E2[0], E2[1]], [(F(1),)]))         # an x of another length
+@example(([(F(0),) * 3], [E2[0]], []))            # a V vector of another length
+@example(([], [_unit(2, 1, F(-3, 2)), _unit(2, 0, 4)], [(F(1, 3), F(5))]))
+def test_single_support_shortcuts_equal_the_forced_elimination(problem):
+    vs, us, xs = problem
+    n = len(us[0]) if us else len(vs[0]) if vs else 0
+    u, v = Subspace(n, tuple(us)), Subspace(n, tuple(vs))
+    assert _outcome(quotient_representatives, u, v) == _forced(
+        quotient_representatives, u, v
+    )
+    for f in (quotient_coordinates, _integer_coordinates):
+        assert _outcome(f, vs, us, xs) == _forced(f, vs, us, xs)
+
+
+def test_single_support_shortcuts_run_no_elimination(monkeypatch):
+    """The unit steps of a coordinate filtration, in and out of position
+    order, with non-unit values, and the coordinates along them."""
+    calls = _count_eliminations(monkeypatch)
+    e = [_unit(4, i) for i in range(4)]
+    upper = Subspace(4, (e[3], _unit(4, 0, F(-2, 3)), e[1], e[2]))
+    lower = Subspace(4, (e[2], e[3]))
+    assert quotient_representatives(upper, lower) == (_unit(4, 0, F(-2, 3)), e[1])
+    assert quotient_dim(Subspace.full(4), lower) == 2
+    xs = [(F(1, 2), F(3), F(-1), F(0)), (F(0),) * 4]
+    got = _integer_coordinates(lower.vectors, (_unit(4, 0, F(-2, 3)), e[1]), xs)
+    assert got == ([[-3, 12], [0, 0]], 4)  # (-3/4, 3) and (0, 0), times 4
+    assert quotient_coordinates(lower.vectors, (_unit(4, 0, F(-2, 3)), e[1]), xs) == [
+        (F(-3, 4), F(3)), (F(0), F(0))
+    ]
+    assert calls == []
