@@ -10,10 +10,13 @@ Metric and Christoffel fields are batched: they take points of shape
 point is a batch of one, so every operation has one code path.  A field
 may return one constant array for every point (lambda p: np.eye(n));
 callers broadcast it.  Levi-Civita takes g^-1 / 2 for a 2-D metric from
-the closed form adj(g) (0.5 / det g), one batched expression over the
-stack, when every det g is a finite normal float; otherwise, and in every
-other dimension, from LAPACK (np.linalg.inv).  2-D Gamma agrees with the
-LAPACK path to about 1e-15 relative, not bit for bit.  Gauss-Bonnet
+the closed form adj(g) (0.5 / det g) when every det g is a finite normal
+float; otherwise, and in every other dimension, from LAPACK
+(np.linalg.inv).  2-D Gamma agrees with the LAPACK path to about 1e-15
+relative, not bit for bit.  One 2-D metric is checked and inverted on its
+four entries as Python floats, with the same IEEE operations as the
+batched expression that a stack keeps, so a point alone and the same
+point inside a stack get the same Gamma bit for bit.  Gauss-Bonnet
 evaluates its node grid in blocks of BLOCK_NODES nodes.  Parallel
 transport evaluates Gamma once per distinct RK4 node, in blocks of
 segments of at most TRANSPORT_BLOCK_ENTRIES Gamma entries (nodes * dim^3),
@@ -75,7 +78,10 @@ MIN_RADIUS, MAX_RADIUS = 1e-50, 1e50  # sphere:r; r^4 stays within the float ran
 
 @dataclass(frozen=True)
 class Chart:
-    """Axis-aligned chart domain with optional wrap and deleted point."""
+    """Axis-aligned chart domain with optional wrap and deleted point.
+
+    box_lo, box_hi, periods and hole_center are converted to float arrays
+    once, at construction, for wrap, contains and segment_escapes."""
 
     dim: int
     box_lo: tuple | None = None
@@ -85,10 +91,18 @@ class Chart:
     hole_radius: float = HOLE_RADIUS
     norm_bound: float = NORM_BOUND
 
+    def __post_init__(self) -> None:
+        for name in ("box_lo", "box_hi", "periods", "hole_center"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+            object.__setattr__(self, "_" + name, value)
+
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        if self.periods is None:
+        p = self._periods
+        if p is None:
             return x
-        p = np.asarray(self.periods)
         return x - p * np.floor(x / p)
 
     def contains(self, x: np.ndarray):
@@ -96,12 +110,12 @@ class Chart:
         x = np.asarray(x, dtype=float)
         # NaN or infinite coordinates are outside whatever the norm bound
         inside = np.isfinite(x).all(axis=-1) & (_norm(x) <= self.norm_bound)
-        if self.box_lo is not None:
-            inside &= (x >= self.box_lo).all(axis=-1)
-        if self.box_hi is not None:
-            inside &= (x <= self.box_hi).all(axis=-1)
-        if self.hole_center is not None:
-            inside &= _norm(x - self.hole_center) >= self.hole_radius
+        if self._box_lo is not None:
+            inside &= (x >= self._box_lo).all(axis=-1)
+        if self._box_hi is not None:
+            inside &= (x <= self._box_hi).all(axis=-1)
+        if self._hole_center is not None:
+            inside &= _norm(x - self._hole_center) >= self.hole_radius
         return inside
 
     def segment_escapes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,8 +125,8 @@ class Chart:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         out = ~self.contains(b)
-        if self.hole_center is not None:
-            c = np.asarray(self.hole_center)
+        c = self._hole_center
+        if c is not None:
             # non-finite endpoints give NaNs here, which compare False
             with np.errstate(all="ignore"):
                 d = b - a
@@ -270,7 +284,7 @@ def curvature(
 
 # adj(g) / 2 = g[::-1, ::-1]^T * _HALF_ADJ_SIGN for a 2 x 2 matrix g
 _HALF_ADJ_SIGN = np.array([[0.5, -0.5], [-0.5, 0.5]])
-_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def _half_inverse(gp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -278,14 +292,16 @@ def _half_inverse(gp: np.ndarray, p: np.ndarray) -> np.ndarray:
     the points p, shape (..., dim).
 
     For dim 2, when every det g = g00 g11 - g01 g10 of the stack is a
-    finite normal float, it is the closed form adj(g) (0.5 / det g).  For
-    any other dim, or a det that is zero, subnormal, overflowing or NaN,
-    it is 0.5 inv(g) by LAPACK, and a singular metric raises DomainError.
-    A det that overflows makes numpy warn, as the det in gauss_bonnet does.
+    finite normal float, it is the closed form adj(g) (0.5 / det g), one
+    batched expression over the stack.  For any other dim, or a det that
+    is zero, subnormal, overflowing or NaN, it is 0.5 inv(g) by LAPACK,
+    and a singular metric raises DomainError.  The det is computed without
+    overflow warnings, as _one_half_inverse computes it on Python floats.
     """
     dim = gp.shape[-1]
     if dim == 2:
-        det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] * gp[..., 1, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] * gp[..., 1, 0]
         size = np.abs(det)
         if ((size >= _TINY) & (size <= _HUGE)).all():
             # +-0.5 / det is exactly +-(0.5 / det): the same floats as
@@ -299,6 +315,23 @@ def _half_inverse(gp: np.ndarray, p: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(np.linalg.det(flat) == 0.0)
         first = p.reshape(-1, dim)[bad[0] if bad.size else 0]
         raise DomainError(f"metric is singular at {first.tolist()}") from exc
+
+
+def _one_half_inverse(gp: np.ndarray) -> np.ndarray | None:
+    """g^-1 / 2 for one 2 x 2 metric gp read as four Python floats, when g
+    is exactly symmetric and det g is a finite normal float; else None.
+
+    It is _half_inverse's closed form with the same IEEE operations, so the
+    same floats as the metric inside a stack: the test a == a, b == c,
+    d == d is (g == g^T).all() for one matrix, and a NaN fails it."""
+    (a, b), (c, d) = gp.tolist()
+    if not (a == a and b == c and d == d):
+        return None
+    det = a * d - b * c
+    if not _TINY <= abs(det) <= _HUGE:
+        return None
+    s, m = 0.5 / det, -0.5 / det
+    return np.array(((d * s, b * m), (c * m, a * s)))
 
 
 def levi_civita(
@@ -316,7 +349,11 @@ def levi_civita(
     det of the stack is a finite normal float, and otherwise LAPACK's
     np.linalg.inv, which also reports a singular metric.  2-D Gamma
     agrees with the LAPACK path to about 1e-15 relative, not bit for bit;
-    in every other dimension it is the LAPACK path.
+    in every other dimension it is the LAPACK path.  One 2-D metric (a
+    single point) is first tried by _one_half_inverse on its four entries
+    as Python floats: exact symmetry and the closed form with the same
+    IEEE operations as the stack expression.  If either test fails, it
+    takes the stack's checks, tolerance and fallback unchanged.
 
     g must be symmetric at each point: g == g^T exactly, or max|g - g^T|
     <= 1e-12 max|g|, relative to the metric's size; otherwise, or for a
@@ -333,16 +370,19 @@ def levi_civita(
             raise DomainError(f"points must have {dim} coordinates")
         gs = _field(g, p[..., None, :] + offsets, (dim, dim))
         gp = gs[..., 0, :, :]
-        gt = gp.swapaxes(-1, -2)
-        if not (gp == gt).all():
-            # max|g - g^T| <= 1e-12 max|g| per point; equal entries, infinite
-            # ones too, add no skew, and a NaN or infinite skew fails
-            skew = np.subtract(gp, gt, out=np.zeros_like(gp), where=gp != gt)
-            skew = np.abs(skew).max(axis=(-2, -1))
-            size = np.abs(gp).max(axis=(-2, -1))
-            if not ((skew <= 1e-12 * size) & (skew < np.inf)).all():
-                raise DomainError("metric must be a symmetric matrix field")
-        half_inv = _half_inverse(gp, p)
+        half_inv = _one_half_inverse(gp) if gp.shape == (2, 2) else None
+        if half_inv is None:
+            gt = gp.swapaxes(-1, -2)
+            if not (gp == gt).all():
+                # max|g - g^T| <= 1e-12 max|g| per point; equal entries,
+                # infinite ones too, add no skew, and a NaN or infinite
+                # skew fails
+                skew = np.subtract(gp, gt, out=np.zeros_like(gp), where=gp != gt)
+                skew = np.abs(skew).max(axis=(-2, -1))
+                size = np.abs(gp).max(axis=(-2, -1))
+                if not ((skew <= 1e-12 * size) & (skew < np.inf)).all():
+                    raise DomainError("metric must be a symmetric matrix field")
+            half_inv = _half_inverse(gp, p)
         # dg[..., i, j, k] = d_i g_jk
         dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
         # c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
@@ -387,10 +427,11 @@ class Trajectory:
         return np.asarray(self.velocities[-1])
 
 
-def _geodesic_rhs(conn: ChartConnection, y: np.ndarray) -> np.ndarray:
-    """(u', w') = (w, -Gamma(u) w w) at the stacked state y = (u, w)."""
+def _geodesic_rhs(conn: ChartConnection, y: np.ndarray, out: np.ndarray) -> None:
+    """out = (u', w') = (w, -Gamma(u) w w) at the stacked state y = (u, w)."""
     w = y[1]
-    return np.array((w, -((conn.gamma(y[0]) @ w) @ w)))
+    out[1] = -((conn.gamma(y[0]) @ w) @ w)
+    out[0] = w
 
 
 _STEP_ERRORS = (FloatingPointError, DomainError, ValueError)
@@ -479,7 +520,7 @@ def _dopri5_geodesic(
     rejected = floored = 0
     grow, escaped = True, False
     try:
-        k[0] = _geodesic_rhs(conn, y)
+        _geodesic_rhs(conn, y, k[0])
     except _STEP_ERRORS:
         escaped = True
     while not escaped and t < time:
@@ -491,7 +532,7 @@ def _dopri5_geodesic(
         try:
             for i, a in enumerate(_DOPRI_A, start=1):
                 y_new = y + h * (a @ flat_k[:i]).reshape(y.shape)
-                k[i] = _geodesic_rhs(conn, y_new)
+                _geodesic_rhs(conn, y_new, k[i])
             err = h * (_DOPRI_E @ flat_k).reshape(y.shape)
             bad = (not (np.isfinite(y_new).all() and np.isfinite(err).all())
                    or chart.segment_escapes(y[0], y_new[0]))
@@ -503,7 +544,8 @@ def _dopri5_geodesic(
             rejected += not escaped
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        e = math.sqrt(float(np.mean((err / scale) ** 2)))
+        q = (err / scale) ** 2
+        e = math.sqrt(float(np.add.reduce(q, axis=None) / q.size))  # np.mean
         factor = min(5.0, max(0.2, 0.9 * max(e, 1e-10) ** -0.2))
         if e > 1.0 and not floor:
             h, grow = max(h * factor, h_min), False

@@ -324,9 +324,7 @@ def assert_batch_matches_points(conn, pts):
     batch = conn.gamma(pts)
     assert batch.shape == (len(pts), 2, 2, 2)
     for i, p in enumerate(pts):
-        single = conn.gamma(p)
-        scale = float(np.max(np.abs(single)))
-        np.testing.assert_allclose(batch[i], single, rtol=1e-14, atol=1e-14 * scale)
+        assert np.array_equal(batch[i], conn.gamma(p))
 
 
 def batches(lo, hi):
@@ -481,6 +479,91 @@ def test_metric_with_an_infinite_entry_gives_nan_gamma():
         want = lapack_gamma(g, p)
     assert np.isnan(got).any()
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def metric_at(p0, m):
+    """A 2-D metric field equal to m, entry for entry, at p0 and varying
+    smoothly by finite symmetric terms elsewhere."""
+    m = np.array(m, dtype=float)
+    a = np.array([[0.3, 0.1], [0.1, -0.2]])
+    b = np.array([[-0.1, 0.2], [0.2, 0.4]])
+
+    def g(q):
+        d = q - p0
+        out = m + d[..., 0, None, None] * a + d[..., 1, None, None] * b
+        return np.where((d == 0.0).all(axis=-1)[..., None, None], m, out)
+
+    return g
+
+
+def gamma_or_message(conn, p):
+    try:
+        return conn.gamma(p), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+SKEW = 1e-12  # b - c == SKEW max|g| for [[1, SKEW], [0, 0.5]]
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                           5e-324, 1e-160, 1e160, 1e308])
+ENTRY = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=True), SPECIAL)
+SYMMETRIC = st.tuples(ENTRY, ENTRY, ENTRY).map(lambda t: ((t[0], t[1]), (t[1], t[2])))
+ANY_METRIC = st.tuples(ENTRY, ENTRY, ENTRY, ENTRY).map(lambda t: ((t[0], t[1]), (t[2], t[3])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(SYMMETRIC, ANY_METRIC), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example(((1.0, 2.0), (2.0, 4.0)), 0.1, 0.2)           # det zero
+@example(((0.0, 0.0), (0.0, 0.0)), 0.1, 0.2)
+@example(((1e-160, 0.0), (0.0, 1e-160)), 0.1, 0.2)      # det subnormal
+@example(((1e160, 0.0), (0.0, 1e160)), 0.1, 0.2)        # det overflows
+@example(((1e160, 1e160), (1e160, 1e160)), 0.1, 0.2)    # inf - inf
+@example(((math.nan, 0.0), (0.0, 1.0)), 0.1, 0.2)
+@example(((1.0, 0.0), (0.0, math.nan)), 0.1, 0.2)       # NaN on the diagonal only
+@example(((1.0, math.nan), (math.nan, 1.0)), 0.1, 0.2)
+@example(((math.inf, 0.0), (0.0, 1.0)), 0.1, 0.2)
+@example(((2.0, -math.inf), (-math.inf, 1.0)), 0.1, 0.2)
+@example(((2.0, 0.0), (-0.0, 1.0)), 0.1, 0.2)
+@example(((2.0, -0.0), (0.0, 1.0)), 0.1, 0.2)
+@example(((2.0, -0.0), (-0.0, 1.0)), 0.1, 0.2)
+@example(((1.0, SKEW), (0.0, 0.5)), 0.1, 0.2)           # skew exactly at the bound
+@example(((1.0, math.nextafter(SKEW, 1.0)), (0.0, 0.5)), 0.1, 0.2)
+def test_one_metric_gives_the_gamma_of_the_same_metric_in_a_stack(m, x, y):
+    # the one-metric path reads four Python floats; a stack of the same
+    # point takes the batched expression: the same bits, or the same error
+    p = np.array([x, y])
+    conn = ge.levi_civita(metric_at(p, m), 2)
+    with np.errstate(all="ignore"):  # NaN and inf entries
+        single, message = gamma_or_message(conn, p)
+        stack, stack_message = gamma_or_message(conn, np.array([p, p]))
+    assert message == stack_message
+    if message is None:
+        assert same_bits(single, stack[0]) and same_bits(single, stack[1])
+
+
+def test_skew_at_the_tolerance_is_inverted_and_beyond_it_is_refused():
+    p = np.array([0.1, 0.2])
+    at = ge.levi_civita(metric_at(p, ((1.0, SKEW), (0.0, 0.5))), 2).gamma(p)
+    assert np.isfinite(at).all()
+    beyond = ge.levi_civita(metric_at(p, ((1.0, math.nextafter(SKEW, 1.0)), (0.0, 0.5))), 2)
+    with pytest.raises(DomainError, match="metric must be a symmetric matrix field"):
+        beyond.gamma(p)
+
+
+def test_overflowing_det_warns_neither_for_one_metric_nor_a_stack():
+    g = ge.sphere_metric(1.0)
+    conn = ge.levi_civita(lambda q: 1e200 * g(q), 2)
+    p = np.array([[1.0, 0.3], [0.5, -0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = conn.gamma(p)
+        single = conn.gamma(p[0])
+    assert np.isfinite(stack).all()
+    assert same_bits(single, stack[0])
 
 
 # -- geodesics --------------------------------------------------------------------
@@ -1291,6 +1374,11 @@ def test_two_dimensional_gamma_takes_no_lapack_inverse(monkeypatch):
     out, back = ge.transport_round_trip(sphere.connection, latitude_path(1.0, 150),
                                         [1.0, 0.0])
     assert np.isfinite(out).all() and np.isfinite(back).all()
+    traj = ge.geodesic(sphere.connection, [1.0, 0.0], [1.0, 1.0], 0.3)
+    assert not traj.escape_flag and np.isfinite(traj.end_point).all()
+    assert np.isfinite(ge.exponential_map(sphere.connection, [1.0, 0.3], [0.4, 0.2],
+                                          steps=400)).all()
+    assert np.isfinite(ge.levi_civita(sphere.metric, 2).gamma(np.array([1.0, 0.3]))).all()
 
 
 def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):
