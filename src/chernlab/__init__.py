@@ -61,9 +61,8 @@ _EXPORTS = {
         "principal_lift", "retract",
     ),
     "milnor": (
-        "SurfaceGroupRep", "build_representation", "chain_build",
-        "check_milnor_inequality", "commutator_decompose", "flip_orientation",
-        "milnor_number", "productmil_decompose", "winding_number",
+        "SurfaceGroupRep", "build_representation", "flip_orientation",
+        "milnor_number", "winding_number",
     ),
     "spectral": (
         "DoubleComplex", "FilteredComplex", "Page", "bete_filtration",

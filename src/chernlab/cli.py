@@ -88,7 +88,7 @@ class RunReport:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
-            print(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(self.to_dict(), sort_keys=True))
             return
         print(f"chernlab {self.command}")
         for key, value in self.inputs.items():

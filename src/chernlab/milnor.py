@@ -19,10 +19,6 @@ splits its element of least height, so entries grow polynomially in d.
 
 The factorisations run exactly, on 2x2 integer matrices over one common
 denominator, and each result is rounded to float once, at the end.
-productmil_decompose and commutator_decompose read a float target entry
-by entry as a binary rational: it is decomposed when that matrix lies
-exactly in pi K (trace -5/2, det 1) and its lift in (pi/2, 3pi/2).
-Anything else, a near miss within rounding included, is a DomainError.
 
 All functions are pure; representations are immutable.
 """
@@ -49,7 +45,6 @@ from .liftgroup import (
     IDENTITY,
     Mat2,
     TAU_WINDING,
-    deck_shift,
     inv2,
     lift_commutator,
     lift_inv,
@@ -166,11 +161,6 @@ def milnor_number(rep: SurfaceGroupRep) -> int:
     return n
 
 
-def check_milnor_inequality(rep: SurfaceGroupRep) -> bool:
-    """|delta(rho)| < g; true for every valid representation."""
-    return abs(milnor_number(rep)) < rep.genus
-
-
 def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
     """The closed path of the relation word alpha_1 beta_1 alpha_1^-1
     beta_1^-1 ... over principal lifts: word_path of its 4g letters."""
@@ -192,27 +182,8 @@ def winding_number(rep: SurfaceGroupRep) -> int:
 
 # -- class windows ------------------------------------------------------------
 
-def deck_normalize(x: CoveredElement) -> CoveredElement:
-    """Shift by an even deck element to centre the lift at pi.
-
-    The result lies in [0, 2pi]; for elements of pi K~ up to deck shifts
-    that is the class window (pi/2, 3pi/2)."""
-    k = round((math.pi - x.lift) / _TWO_PI)
-    return deck_shift(x, 2 * k)
-
-
 def _in_plain_class(x: CoveredElement) -> bool:
     return K_TAG.matches(x.matrix) and abs(x.lift) < math.pi / 2
-
-
-def _check_same_element(
-    got: CoveredElement, want: CoveredElement, stage: str
-) -> None:
-    scale = max(1.0, float(np.max(np.abs(want.matrix))))
-    if np.max(np.abs(got.matrix - want.matrix)) > 1e-6 * scale or (
-        abs(got.lift - want.lift) > 1e-6
-    ):
-        raise InternalConsistencyError(f"{stage}: reassembled element drifted")
 
 
 # -- exact rational pipeline --------------------------------------------------
@@ -307,7 +278,7 @@ def _f_eigenvector(m: tuple, lam: tuple) -> tuple:
     v2 = (num * q - d * den, c * den)
     v = v1 if any(v1) else v2
     if not any(v):
-        raise DomainError("matrix is a multiple of the identity")
+        raise InternalConsistencyError("matrix is a multiple of the identity")
     return _primitive(v)
 
 
@@ -402,65 +373,6 @@ def _cover_exact(m: tuple, plain_class: bool = False) -> CoveredElement:
         "float rounding of an exact matrix fails its GL+ or K check; "
         f"largest entry {_height(m):.6g}"
     )
-
-
-def _exact_shifted_class(x: CoveredElement) -> tuple:
-    """The exact matrix of a pi K~ element, or DomainError.
-
-    The float matrix must lie in pi K as a binary rational: trace exactly
-    -5/2 and det exactly 1.  No rational conjugator reaches a near miss."""
-    m = _fexact(x.matrix)
-    if _trace_det(m) != (PIK_TAG.trace, PIK_TAG.det):
-        raise DomainError(
-            "matrix is not exactly in pi K (expected trace -5/2 and det 1)"
-        )
-    if not (math.pi / 2 < x.lift < 3 * math.pi / 2):
-        raise DomainError(
-            f"lift {x.lift:.6f} outside (pi/2, 3pi/2); deck-normalize first"
-        )
-    return m
-
-
-def productmil_decompose(
-    target: CoveredElement,
-) -> tuple[CoveredElement, CoveredElement]:
-    """Write a pi K~ element as a product of two K~ elements."""
-    m1, m2 = _productmil_exact(_exact_shifted_class(target))
-    out = _cover_exact(m1, plain_class=True), _cover_exact(m2, plain_class=True)
-    _check_same_element(lift_mul(*out), target, "productmil_decompose")
-    return out
-
-
-def commutator_decompose(
-    target: CoveredElement,
-) -> tuple[CoveredElement, CoveredElement]:
-    """Write a pi K~ element as a single commutator [beta1, beta2].
-
-    beta1 and the second product factor beta3 come from the exact product
-    decomposition; beta2 is the principal lift of an integer conjugator
-    taking beta1^-1 to beta3, so that beta1 (beta2 beta1^-1 beta2^-1) =
-    beta1 beta3 = target.
-    """
-    b1, b2 = _commutator_exact(_exact_shifted_class(target))
-    out = _cover_exact(b1, plain_class=True), _cover_exact(b2)
-    _check_same_element(lift_commutator(*out), target, "commutator_decompose")
-    return out
-
-
-def chain_build(n: int) -> list[CoveredElement]:
-    """n+1 elements of K~ whose product is the n-fold deck shift of alpha0.
-
-    Induction step: replace the element of least height by the two-factor
-    decomposition of its half-turn shift.  Matrices are carried exactly;
-    the lift arithmetic of the assembled chain is verified before
-    returning.
-    """
-    if n < 1:
-        raise DomainError("chain_build needs n >= 1")
-    chain = [_cover_exact(m, plain_class=True) for m in _chain_exact(n)]
-    expected = deck_shift(principal_lift(A0), n)
-    _check_same_element(product_lift(chain), expected, "chain_build")
-    return chain
 
 
 def build_representation(genus: int, degree: int) -> SurfaceGroupRep:

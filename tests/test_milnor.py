@@ -1,4 +1,5 @@
-"""Milnor numbers: seed matrices, decompositions, realization, invariants."""
+"""Milnor numbers: seed matrices, the exact build pipeline, realization,
+invariants."""
 
 import hashlib
 import json
@@ -84,6 +85,14 @@ def test_oracle_past_the_sample_cap_raises_quickly(monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
+def test_abelian_diagonal_rep_has_degree_zero():
+    for g in (1, 2, 4):
+        a = tuple(np.diag([2.0, 0.5]) for _ in range(g))
+        b = tuple(np.diag([3.0, 1.0]) for _ in range(g))
+        rep = mi.SurfaceGroupRep(g, a, b)
+        assert mi.milnor_number(rep) == 0
+
+
 def test_relation_violation_raises():
     with pytest.raises(PreconditionError):
         mi.SurfaceGroupRep(
@@ -93,23 +102,6 @@ def test_relation_violation_raises():
 
 # -- inequality ----------------------------------------------------------------
 
-def test_inequality_trivial_genus_one():
-    assert mi.check_milnor_inequality(mi.trivial_representation(1))
-
-
-def test_inequality_on_built_rep():
-    assert mi.check_milnor_inequality(mi.build_representation(3, 2))
-
-
-def test_inequality_abelian_diagonal():
-    for g in (1, 2, 4):
-        a = tuple(np.diag([2.0, 0.5]) for _ in range(g))
-        b = tuple(np.diag([3.0, 1.0]) for _ in range(g))
-        rep = mi.SurfaceGroupRep(g, a, b)
-        assert mi.milnor_number(rep) == 0
-        assert mi.check_milnor_inequality(rep)
-
-
 def test_corollary_torus_is_the_only_admissible_tangent_degree():
     # |2 - 2g| < g only for the torus
     for g in range(0, 8):
@@ -117,93 +109,7 @@ def test_corollary_torus_is_the_only_admissible_tangent_degree():
         assert admissible == (g == 1)
 
 
-# -- productmil_decompose --------------------------------------------------------
-
-def test_productmil_on_seed_target_returns_seed_factors():
-    target = lg.principal_lift(mi.A2)
-    k1, k2 = mi.productmil_decompose(target)
-    assert np.allclose(k1.matrix, mi.A0, atol=1e-12)
-    assert np.allclose(k2.matrix, mi.A1, atol=1e-12)
-
-
-def test_productmil_on_conjugated_target():
-    rng = np.random.default_rng(5)
-    for s in dyadic_conjugators(rng, 10):
-        target_m = s @ mi.A2 @ lg.inv2(s)
-        target = mi.deck_normalize(lg.principal_lift(target_m))
-        k1, k2 = mi.productmil_decompose(target)
-        for k in (k1, k2):
-            assert mi.K_TAG.matches(k.matrix)
-            assert abs(k.lift) < math.pi / 2
-        got = lg.lift_mul(k1, k2)
-        assert np.array_equal(got.matrix, target.matrix)
-        assert got.lift == target.lift
-
-
-def test_productmil_rejects_wrong_class():
-    near_miss = mi.A2.copy()
-    near_miss[0, 1] += 2.0**-30
-    for m in (mi.A0, near_miss):
-        with pytest.raises(DomainError):
-            mi.productmil_decompose(lg.principal_lift(m))
-
-
-def test_productmil_rejects_unnormalized_lift():
-    bad = lg.deck_shift(lg.principal_lift(mi.A2), 2)
-    with pytest.raises(DomainError):
-        mi.productmil_decompose(bad)
-
-
-# -- commutator_decompose ---------------------------------------------------------
-
-def test_commutator_decompose_round_trip():
-    target = mi.deck_normalize(lg.principal_lift(mi.A2))
-    b1, b2 = mi.commutator_decompose(target)
-    got = lg.lift_commutator(b1, b2)
-    assert np.allclose(got.matrix, target.matrix, atol=1e-8)
-    assert got.lift == pytest.approx(target.lift, abs=1e-8)
-
-
-def test_commutator_decompose_equivariance():
-    rng = np.random.default_rng(9)
-    for s in dyadic_conjugators(rng, 6):
-        target = mi.deck_normalize(
-            lg.principal_lift(s @ mi.A2 @ lg.inv2(s))
-        )
-        b1, b2 = mi.commutator_decompose(target)
-        assert mi.K_TAG.matches(b1.matrix)
-        got = lg.lift_commutator(b1, b2)
-        assert np.array_equal(got.matrix, target.matrix)
-        assert got.lift == target.lift
-
-
-def test_commutator_decompose_rejects_wrong_trace():
-    with pytest.raises(DomainError):
-        mi.commutator_decompose(lg.principal_lift(np.diag([3.0, 1.0])))
-
-
-# -- chain_build ------------------------------------------------------------------
-
-def test_chain_build_base_case():
-    chain = mi.chain_build(1)
-    assert len(chain) == 2
-    total = lg.product_lift(chain)
-    assert np.allclose(total.matrix, -mi.A0, atol=1e-9)
-    assert total.lift == pytest.approx(math.pi, abs=1e-9)
-
-
-def test_chain_build_two():
-    chain = mi.chain_build(2)
-    assert len(chain) == 3
-    total = lg.product_lift(chain)
-    assert total.lift == pytest.approx(2 * math.pi, abs=1e-9)
-
-
-def test_chain_build_membership():
-    for gamma in mi.chain_build(3):
-        assert mi.K_TAG.matches(gamma.matrix)
-        assert abs(gamma.lift) < math.pi / 2
-
+# -- chain ----------------------------------------------------------------------
 
 def _prepended_chain(n):
     """The chain before balancing: always split the newest element."""
@@ -218,11 +124,6 @@ def test_balanced_chain_keeps_small_chains_and_grows_slowly():
         assert mi._chain_exact(n) == _prepended_chain(n)
     # largest entry at n = 19: 2.9e21 when the newest element is split
     assert max(mi._height(g) for g in mi._chain_exact(19)) == 330369.0
-
-
-def test_chain_build_rejects_zero():
-    with pytest.raises(DomainError):
-        mi.chain_build(0)
 
 
 # -- build_representation / flip ---------------------------------------------------
@@ -286,6 +187,12 @@ def test_float_rounding_refuses_entries_past_max_float_entry(q):
         mi._ffloat((0, 0, bound + 1, 1, q))
 
 
+def test_eigenvector_of_a_scalar_matrix_is_a_bug():
+    # every exact target comes from the chain, so no outside input gets here
+    with pytest.raises(InternalConsistencyError, match="multiple of the identity"):
+        mi._f_eigenvector((3, 0, 0, 3, 1), (3, 1))
+
+
 def _as_fractions(m):
     """An exact matrix (a, b, c, d, q) as Fraction rows."""
     a, b, c, d, q = m
@@ -317,12 +224,17 @@ def _in_k(x):
 
 
 def test_exact_pipeline_is_exact_in_independent_fraction_arithmetic():
-    """For every chain length n <= 33: the chain is in K and multiplies to
-    (-1)^n A0, and every commutator pair that build_representation makes
-    from it (and from A0^-1) has b1 s b1^-1 s^-1 = -gamma exactly, with s
-    a primitive integer matrix of positive det."""
+    """The seed A2 factors as A0 A1.  For every chain length n <= 33: the
+    chain is in K and multiplies to (-1)^n A0, and every commutator pair
+    that build_representation makes from it (and from A0^-1) has
+    b1 s b1^-1 s^-1 = -gamma exactly, with s a primitive integer matrix of
+    positive det; so do the pairs for -s A2 s^-1 with s dyadic, which is
+    conjugation equivariance."""
+    assert mi._productmil_exact(mi._fexact(mi.A2)) == (mi._A0_EXACT, mi._A1_EXACT)
     a0 = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
     gammas = {(1, 0, 0, 4, 2)}  # A0^-1 = diag(1/2, 2)
+    for s in dyadic_conjugators(np.random.default_rng(9), 10):
+        gammas.add(mi._fneg(mi._fexact(s @ mi.A2 @ lg.inv2(s))))
     for n in range(1, 34):
         chain = mi._chain_exact(n)
         assert len(chain) == n + 1
