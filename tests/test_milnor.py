@@ -224,17 +224,12 @@ def _in_k(x):
 
 
 def test_exact_pipeline_is_exact_in_independent_fraction_arithmetic():
-    """The seed A2 factors as A0 A1.  For every chain length n <= 33: the
-    chain is in K and multiplies to (-1)^n A0, and every commutator pair
-    that build_representation makes from it (and from A0^-1) has
-    b1 s b1^-1 s^-1 = -gamma exactly, with s a primitive integer matrix of
-    positive det; so do the pairs for -s A2 s^-1 with s dyadic, which is
-    conjugation equivariance."""
-    assert mi._productmil_exact(mi._fexact(mi.A2)) == (mi._A0_EXACT, mi._A1_EXACT)
+    """For every chain length n <= 33: the chain is in K and multiplies to
+    (-1)^n A0, and every commutator pair that build_representation makes
+    from it (and from A0^-1) has b1 s b1^-1 s^-1 = -gamma exactly, with s
+    a primitive integer matrix of positive det."""
     a0 = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
     gammas = {(1, 0, 0, 4, 2)}  # A0^-1 = diag(1/2, 2)
-    for s in dyadic_conjugators(np.random.default_rng(9), 10):
-        gammas.add(mi._fneg(mi._fexact(s @ mi.A2 @ lg.inv2(s))))
     for n in range(1, 34):
         chain = mi._chain_exact(n)
         assert len(chain) == n + 1
@@ -254,6 +249,27 @@ def test_exact_pipeline_is_exact_in_independent_fraction_arithmetic():
         assert all(v.denominator == 1 for v in entries)
         assert math.gcd(*(int(v) for v in entries)) == 1
         assert _det(s) > 0
+
+
+def test_productmil_on_seed_target_returns_seed_factors():
+    m1, m2 = mi._productmil_exact(mi._fexact(mi.A2))
+    assert (m1, m2) == (mi._A0_EXACT, mi._A1_EXACT)
+    assert np.array_equal(mi._ffloat(m1), mi.A0)
+    assert np.array_equal(mi._ffloat(m2), mi.A1)
+
+
+def test_commutator_decompose_equivariance():
+    """The exact commutator pair of s A2 s^-1, s dyadic, is exact in
+    independent Fraction arithmetic, with b1 in K."""
+    rng = np.random.default_rng(9)
+    for s in dyadic_conjugators(rng, 10):
+        target = mi._fexact(s @ mi.A2 @ lg.inv2(s))
+        b1, b2 = mi._commutator_exact(target)
+        assert mi.K_TAG.matches(mi._ffloat(b1))
+        b1, b2 = _as_fractions(b1), _as_fractions(b2)
+        assert _in_k(b1)
+        comm = _mul(_mul(_mul(b1, b2), _inv(b1)), _inv(b2))
+        assert comm == _as_fractions(target)
 
 
 def _rep_digest(rep):
