@@ -7,14 +7,15 @@ Results blocks are deterministic for fixed inputs and flags; wall-clock
 time lives only under "timing".
 
 Exit codes are a stable contract.  Each error class in errors.py carries
-its code, and main returns it:
+its code, and main returns it; argparse exits 2 itself on a usage error:
 
     0  success
-    2  bad input: bad JSON, bad expression, unknown geometry key, an
-       unreadable or unwritable file, a malformed config file, an input
-       beyond its cap (MAX_GENUS, MAX_PAGES, MAX_MESH, MAX_SAMPLES and
-       MAX_STEPS here; the MAX_* bounds in euler.py, geometry.py and
-       spectral.py)
+    2  bad input: a command-line usage error (a missing or unknown
+       argument, an unknown command, a value of the wrong type), bad
+       JSON, bad expression, unknown geometry key, an unreadable or
+       unwritable file, a malformed config file, an input beyond its cap
+       (MAX_GENUS, MAX_PAGES, MAX_MESH, MAX_SAMPLES and MAX_STEPS here;
+       the MAX_* bounds in euler.py, geometry.py and spectral.py)
     3  precondition violation: surface relation, d^2 != 0, bad filtration;
        a numerical guard tripped (instability, loop refinement past its
        depth or sample cap, a transport round trip that does not close
@@ -474,12 +475,13 @@ def cmd_euler(args) -> RunReport:
         shown = "".join(c if c.isprintable() else " " for c in text)
         caret = " " * exc.position + "^"
         raise DomainError(f"{exc}\n    {shown}\n    {caret}") from exc
+    normalized = str(expr)
     report.results = {
         "euler_characteristic": chi,
         "dimension": expr.dimension,
-        "normalized": str(expr),
+        "normalized": normalized,
     }
-    report.check("expression evaluated", True, str(expr))
+    report.check("expression evaluated", True, normalized)
     return report
 
 
@@ -555,9 +557,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parsers() -> dict:
+    """Each command's own parser, by command name, from build_parser."""
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed as build_parser().parse_args parses it, in one pass.
+
+    After a known command word, the top parser only hands the rest of argv
+    to that command's parser; here the command's parser takes it directly.
+    Any other first word, or arguments left over, go through the top parser,
+    so every usage error is argparse's own, with its text and exit code 2.
+    """
+    command = _command_parsers().get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     start = time.perf_counter()
     try:
         report = args.func(args)

@@ -53,6 +53,7 @@ finite probe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,7 +82,8 @@ class Chart:
     """Axis-aligned chart domain with optional wrap and deleted point.
 
     box_lo, box_hi, periods and hole_center are converted to float arrays
-    once, at construction, for wrap, contains and segment_escapes."""
+    once, at construction, for wrap and contains, and the box and the hole
+    to lists of floats for segment_escapes."""
 
     dim: int
     box_lo: tuple | None = None
@@ -98,6 +100,10 @@ class Chart:
                 value = np.array(value, dtype=float)
                 value.flags.writeable = False
             object.__setattr__(self, "_" + name, value)
+        object.__setattr__(self, "_float_bounds", tuple(
+            None if v is None else v.tolist()
+            for v in (self._box_lo, self._box_hi, self._hole_center)
+        ))
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         p = self._periods
@@ -118,23 +124,37 @@ class Chart:
             inside &= _norm(x - self._hole_center) >= self.hole_radius
         return inside
 
-    def segment_escapes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether each step a -> b, shape (..., dim), leaves the domain,
-        including passing through the deleted point without landing on
-        it: a bool per segment."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        out = ~self.contains(b)
-        c = self._hole_center
-        if c is not None:
-            # non-finite endpoints give NaNs here, which compare False
-            with np.errstate(all="ignore"):
-                d = b - a
-                denom = np.einsum("...i,...i->...", d, d)
-                reach = np.einsum("...i,...i->...", c - a, d)
-                t = np.where(denom == 0.0, 0.0, np.clip(reach / denom, 0.0, 1.0))
-                out |= _norm(a + t[..., None] * d - c) < self.hole_radius
-        return out
+    def segment_escapes(self, a: Sequence[float], b: Sequence[float]) -> bool:
+        """Whether the step a -> b leaves the domain, including passing
+        through the deleted point without landing on it.  One segment of
+        any dimension, on Python floats: the same tests as contains(b),
+        then the point of the segment nearest the hole."""
+        b = np.asarray(b, dtype=float).tolist()
+        lo, hi, c = self._float_bounds
+        # NaN or infinite coordinates are outside whatever the norm bound
+        if not (all(map(math.isfinite, b)) and _float_norm(b) <= self.norm_bound):
+            return True
+        if lo is not None and not all(map(operator.ge, b, lo)):
+            return True
+        if hi is not None and not all(map(operator.le, b, hi)):
+            return True
+        if c is None:
+            return False
+        if not _float_norm(list(map(operator.sub, b, c))) >= self.hole_radius:
+            return True
+        # non-finite a gives NaNs or infinities here, which compare False
+        a = np.asarray(a, dtype=float).tolist()
+        d = list(map(operator.sub, b, a))
+        denom = sum(di * di for di in d)
+        reach = sum((ci - ai) * di for ai, di, ci in zip(a, d, c))
+        t = 0.0 if denom == 0.0 else min(max(reach / denom, 0.0), 1.0)
+        near = [ai + t * di - ci for ai, di, ci in zip(a, d, c)]
+        return _float_norm(near) < self.hole_radius
+
+
+def _float_norm(x: list) -> float:
+    """Euclidean norm of a list of floats."""
+    return math.sqrt(sum(v * v for v in x))
 
 
 def _norm(x: np.ndarray) -> np.ndarray:

@@ -70,6 +70,7 @@ from .subspaces import (
     Subspace,
     _integer_coordinates,
     _integer_images,
+    _positions,
     _primitive,
     identity_matrix,
     image,
@@ -94,6 +95,12 @@ MAX_TOTAL_DIM = 128          # sum of the dimensions of all degrees (or spots)
 MAX_FILTRATION_LENGTH = 64   # p_max - p_min
 MAX_BIDEGREE = 16            # i_max and j_max of a double complex
 MAX_EXPONENT = 1000          # decimal exponent of a JSON entry, as in "1e-5"
+
+
+def _is_identity(rows: Matrix, n: int) -> bool:
+    """rows are the n x n identity matrix, entry by entry."""
+    return (len(rows) == n and _positions(rows, n) == list(range(n))
+            and all(row[i] == 1 for i, row in enumerate(rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +154,16 @@ class FilteredComplex:
         for n in range(self.n_min, self.n_max - 1):
             if any(map(any, _integer_images(self.d[n + 1], zip(*self.d[n])))):
                 raise PreconditionError(f"d^2 != 0 at degree {n}")
+        # the end steps as stored: the identity rows, then no vectors
         for n in self.degrees():
-            if self.filtration.get((self.p_min, n)) != Subspace.full(self.dims[n]):
+            dim = self.dims[n]
+            first = self.filtration.get((self.p_min, n))
+            if not (isinstance(first, Subspace) and first.ambient_dim == dim
+                    and _is_identity(first.vectors, dim)):
                 raise PreconditionError(f"F^{self.p_min} C^{n} must be everything")
-            if self.filtration.get((self.p_max, n)) != Subspace.zero(self.dims[n]):
+            last = self.filtration.get((self.p_max, n))
+            if not (isinstance(last, Subspace) and last.ambient_dim == dim
+                    and last.vectors == ()):
                 raise PreconditionError(f"F^{self.p_max} C^{n} must be zero")
         self._memo[("pairing",)] = _build_pairing(self)
 

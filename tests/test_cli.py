@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from corpusgen import random_double_complex, random_filtered_complex
 from test_geometry import great_circle
 import chernlab
+from chernlab import cli
 from chernlab.cli import main
 from chernlab.spectral import double_complex_to_dict, filtered_complex_to_dict
 
@@ -1254,3 +1256,66 @@ def test_euler_grammar_error_has_caret(capsys):
     caret_line = lines[-1]
     assert caret_line.strip() == "^"
     assert caret_line.index("^") - lines[-2].index("Sigma") == 11
+
+
+# -- argument parsing ---------------------------------------------------------------
+
+FILTERED_ROW = {"degrees": {"0": 1}, "differentials": {},
+                "filtration": {"0": {"0": [["1"]]}, "1": {"0": []}}}
+
+PARSE_ROUTE_ARGV = [
+    [], ["-h"], ["--help"], ["-h", "euler"], ["nosuch"], ["nosuch", "P"],
+    ["Euler", "P"], ["--json", "euler", "P"],
+    ["euler"], ["euler", "P", "-h"], ["euler", "--he"], ["euler", "P"],
+    ["euler", "--js", "P"], ["euler", "P", "--json", "--json"], ["euler", "-x"],
+    ["euler", "--", "P"], ["euler", "P", "--", "--json"], ["euler", "P", "--nope"],
+    ["milnor", "r.json", "--nope"], ["milnor", "r.json", "--orac"],
+    ["milnor", "r.json", "--o", "--json"], ["milnor", "--json", "r.json"],
+    ["milnor", "r.json", "s.json"], ["milnor", "r.json", "--tolerance"],
+    ["milnor", "r.json", "--tolerance", "1e-6", "--oracle"], ["milnor"],
+    ["build", "2"], ["build", "2", "x", "--out", "b.json"],
+    ["build", "2", "1", "3", "--out", "b.json"], ["build", "2", "1", "--o", "b.json"],
+    ["build", "2", "3", "--out", "b.json"],
+    ["spectral", "c.json", "--pages=-1"], ["spectral", "c.json", "--pages", "-1"],
+    ["spectral", "c.json", "--pages", "1"], ["spectral", "c.json", "--double", "diagonal"],
+    ["geometry", "nosuch", "hopf:2"], ["geometry", "levi-civita"],
+    ["geometry", "geodesic", "euclidean:2", "--point", "-0.5,0.3"],
+    ["geometry", "geodesic", "euclidean:2", "--point=-0.5,0.3", "--time", "0.1"],
+    ["geometry", "geodesic", "hopf:2", "--steps", "x"],
+    ["geometry", "geodesic", "hopf:2", "--steps", "1.5"],
+    ["geometry", "exp", "hopf:2", "--velocity", "-p"],
+    ["geometry", "exp", "hopf:2", "--point", "0.7,0", "--velocity=-p"],
+]
+
+
+def parse_route_outcome(capsys, monkeypatch, argv):
+    """Exit code, stdout and stderr of main(argv), with the clock stopped."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_ROUTE_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_argv_as_the_top_parser_does(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "2", "1", "--out", "r.json"]) == 0
+    (tmp_path / "c.json").write_text(json.dumps(FILTERED_ROW))
+    capsys.readouterr()
+    direct = parse_route_outcome(capsys, monkeypatch, argv)
+    monkeypatch.setattr(cli, "_parse_args", cli.build_parser().parse_args)
+    assert parse_route_outcome(capsys, monkeypatch, argv) == direct
+    assert "Traceback" not in direct[2]
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chernlab", "euler", "smillie 4"])
+    assert parse_route_outcome(capsys, monkeypatch, None)[:1] == (0,)
+    monkeypatch.setattr(sys, "argv", ["chernlab", "euler"])
+    code, out, err = parse_route_outcome(capsys, monkeypatch, None)
+    assert (code, out) == ("SystemExit(2)", "")
+    assert err.splitlines()[-1].startswith("chernlab euler: error: ")

@@ -916,6 +916,30 @@ def test_a_step_outside_its_degree_is_a_domain_error():
         )
 
 
+@pytest.mark.parametrize("first, last, message", [
+    # spans Q^2, but its basis is not the canonical one
+    (Subspace(2, mat_from_rows([[1, 1], [0, 1]])), Subspace.zero(2),
+     "F^0 C^0 must be everything"),
+    (Subspace(2, mat_from_rows([[0, 1], [1, 0]])), Subspace.zero(2),
+     "F^0 C^0 must be everything"),
+    (Subspace(2, mat_from_rows([[1, 0], [0, 2]])), Subspace.zero(2),
+     "F^0 C^0 must be everything"),
+    (Subspace.full(3), Subspace.zero(2), "F^0 C^0 must be everything"),
+    (None, Subspace.zero(2), "F^0 C^0 must be everything"),
+    (Subspace.full(2), Subspace.zero(3), "F^1 C^0 must be zero"),
+    (Subspace.full(2), Subspace(2, mat_from_rows([[0, 0]])), "F^1 C^0 must be zero"),
+    (Subspace.full(2), None, "F^1 C^0 must be zero"),
+])
+def test_end_steps_must_be_stored_as_identity_rows_and_no_vectors(first, last, message):
+    filt = {(0, 0): first, (1, 0): last}
+    with pytest.raises(PreconditionError) as caught:
+        FilteredComplex(
+            n_min=0, n_max=0, dims={0: 2}, d={}, p_min=0, p_max=1,
+            filtration={key: step for key, step in filt.items() if step is not None},
+        )
+    assert str(caught.value) == message
+
+
 # Payloads with one defect each: degrees, differentials, and F^p C^n as
 # spanning vectors for p = 0, 1, ..., p_max.
 @pytest.mark.parametrize("dims, d, steps, error, message", [
