@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -547,6 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--path-file", default=None)
     p_geo.add_argument("--mesh", type=int, default=None)
     p_geo.add_argument("--json", action="store_true")
+    # argparse reads a word that starts with "-" as an option unless this
+    # matcher, by default plain negative numbers only, takes it for a value:
+    # so -0.5,0.3 or -1e-3,2 reads after a space as it does after "="
+    p_geo._negative_number_matcher = re.compile(r"-\.?\d")
     p_geo.set_defaults(func=cmd_geometry)
 
     p_eul = sub.add_parser("euler", help="evaluate a space expression")

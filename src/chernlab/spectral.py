@@ -582,7 +582,7 @@ class DoubleComplex:
         for (i, j) in self.spots():
             for name, (_, (di, dj)) in _ARROWS.items():
                 second = self._arrow(name, i + di, j + dj)
-                if any(map(any, _integer_images(second, zip(*self._arrow(name, i, j))))):
+                if any(map(any, matmul(second, self._arrow(name, i, j)))):
                     raise PreconditionError(f"{name}^2 != 0 at {(i, j)}")
         self.convention()
 

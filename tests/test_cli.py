@@ -1285,6 +1285,12 @@ PARSE_ROUTE_ARGV = [
     ["geometry", "geodesic", "hopf:2", "--steps", "1.5"],
     ["geometry", "exp", "hopf:2", "--velocity", "-p"],
     ["geometry", "exp", "hopf:2", "--point", "0.7,0", "--velocity=-p"],
+    ["geometry", "geodesic", "hopf:2", "--point", "-0.5,0.3", "--velocity", "-1,0",
+     "--time", "0.3"],
+    ["geometry", "geodesic", "euclidean:2", "--velocity", "-.5,1", "--time", "0.1"],
+    ["geometry", "transport", "sphere:1", "--latitude", "1.0", "--vector", "-1,0"],
+    ["geometry", "transport", "sphere:1", "--vector=-1,0", "--latitude", "1.0"],
+    ["geometry", "geodesic", "hopf:2", "--velocity", "1,0", "--point"],
 ]
 
 
@@ -1310,6 +1316,23 @@ def test_main_parses_argv_as_the_top_parser_does(argv, tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "_parse_args", cli.build_parser().parse_args)
     assert parse_route_outcome(capsys, monkeypatch, argv) == direct
     assert "Traceback" not in direct[2]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["geometry", "geodesic", "hopf:2", "--time", "0.3"], "--point", "-0.5,0.3"),
+    (["geometry", "geodesic", "hopf:2", "--point", "0.5,0.3"], "--velocity", "-1,0.2"),
+    (["geometry", "exp", "sphere:1", "--point", "1,0.3"], "--velocity", "-.4,0.2"),
+    (["geometry", "transport", "sphere:1", "--latitude", "1.0"], "--vector", "-1,0"),
+    (["geometry", "levi-civita", "euclidean:2"], "--point", "-1e-3,2"),
+])
+def test_a_negative_vector_value_parses_after_a_space_as_after_equals(
+        capsys, argv, option, value):
+    reports = []
+    for form in ([option, value], [f"{option}={value}"]):
+        code, report, err = run_json(capsys, *argv, *form)
+        assert code == 0 and report.pop("timing")
+        reports.append((report, err))
+    assert reports[0] == reports[1]
 
 
 def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):

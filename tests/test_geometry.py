@@ -94,43 +94,43 @@ def test_sphere_sectional_curvature():
 # definitions, with Lie brackets and covariant derivatives by (nested)
 # central differences of the vector fields.
 
-def lie_bracket(x, y, p, h=ge.H_DEFAULT):
+def lie_bracket(x, y, p):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     a = np.asarray(x(p), dtype=float)
     b = np.asarray(y(p), dtype=float)
-    return a @ ge.vector_jacobian(y, p, h) - b @ ge.vector_jacobian(x, p, h)
+    return a @ ge.vector_jacobian(y, p) - b @ ge.vector_jacobian(x, p)
 
 
-def reference_torsion(conn, x, y, p, h=ge.H_DEFAULT):
+def reference_torsion(conn, x, y, p):
     """T(X, Y) = nabla_X Y - nabla_Y X - [X, Y]."""
     return (
-        ge.covariant_derivative(conn, x, y, p, h)
-        - ge.covariant_derivative(conn, y, x, p, h)
-        - lie_bracket(x, y, p, h)
+        ge.covariant_derivative(conn, x, y, p)
+        - ge.covariant_derivative(conn, y, x, p)
+        - lie_bracket(x, y, p)
     )
 
 
-def reference_curvature(conn, x, y, z, p, h=ge.H_DEFAULT):
+def reference_curvature(conn, x, y, z, p):
     """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-    nabla_y_z = lambda q: ge.covariant_derivative(conn, y, z, q, h)
-    nabla_x_z = lambda q: ge.covariant_derivative(conn, x, z, q, h)
-    bracket_at_p = ge.constant_field(lie_bracket(x, y, p, h))
+    nabla_y_z = lambda q: ge.covariant_derivative(conn, y, z, q)
+    nabla_x_z = lambda q: ge.covariant_derivative(conn, x, z, q)
+    bracket_at_p = ge.constant_field(lie_bracket(x, y, p))
     return (
-        ge.covariant_derivative(conn, x, nabla_y_z, p, h)
-        - ge.covariant_derivative(conn, y, nabla_x_z, p, h)
-        - ge.covariant_derivative(conn, bracket_at_p, z, p, h)
+        ge.covariant_derivative(conn, x, nabla_y_z, p)
+        - ge.covariant_derivative(conn, y, nabla_x_z, p)
+        - ge.covariant_derivative(conn, bracket_at_p, z, p)
     )
 
 
-def reference_nijenhuis(a_field, x, y, p, h=ge.H_DEFAULT):
+def reference_nijenhuis(a_field, x, y, p):
     """N_A(X, Y) = -A^2 [X, Y] + A([AX, Y] + [X, AY]) - [AX, AY]."""
     ax = lambda q: np.asarray(a_field(q)) @ np.asarray(x(q))
     ay = lambda q: np.asarray(a_field(q)) @ np.asarray(y(q))
     ap = np.asarray(a_field(p), dtype=float)
     return (
-        -ap @ ap @ lie_bracket(x, y, p, h)
-        + ap @ (lie_bracket(ax, y, p, h) + lie_bracket(x, ay, p, h))
-        - lie_bracket(ax, ay, p, h)
+        -ap @ ap @ lie_bracket(x, y, p)
+        + ap @ (lie_bracket(ax, y, p) + lie_bracket(x, ay, p))
+        - lie_bracket(ax, ay, p)
     )
 
 
@@ -211,7 +211,7 @@ def test_levi_civita_curvature_symmetries(dim, seed):
     rng = np.random.default_rng(seed)
     conn = ge.levi_civita(random_metric(rng, dim), dim)
     p = rng.uniform(-1.0, 1.0, size=(3, dim))
-    r = ge._curvature_tensor(conn, p, ge.H_DEFAULT)  # r[..., k, l, i, j] = R^k_lij
+    r = ge._curvature_tensor(conn, p)  # r[..., k, l, i, j] = R^k_lij
     assert np.array_equal(r, -r.swapaxes(-1, -2))
     # first Bianchi identity for a symmetric connection: R^k_lij + R^k_ijl + R^k_jli = 0
     cyclic = r + r.transpose(0, 1, 3, 4, 2) + r.transpose(0, 1, 4, 2, 3)
@@ -224,7 +224,7 @@ def test_curvature_of_a_constant_connection_is_its_quadratic_term(dim, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.normal(size=(dim,) * 3)
     conn = ge.constant_connection(gamma)
-    r = ge._curvature_tensor(conn, rng.uniform(-1.0, 1.0, size=dim), ge.H_DEFAULT)
+    r = ge._curvature_tensor(conn, rng.uniform(-1.0, 1.0, size=dim))
     want = (np.einsum("kim,mjl->klij", gamma, gamma)
             - np.einsum("kjm,mil->klij", gamma, gamma))
     assert np.max(np.abs(r - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
@@ -357,11 +357,12 @@ def test_levi_civita_singular_metric_raises():
         conn.gamma(np.zeros(2))
 
 
-def lapack_gamma(g, p, h=ge.H_DEFAULT):
+def lapack_gamma(g, p):
     """0.5 inv(g) c with c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
     by central differences: Gamma with g^-1 from np.linalg.inv."""
     dim = p.shape[-1]
-    stencil = p[..., None, :] + ge._stencil(dim, h)
+    h = ge.H_DEFAULT
+    stencil = p[..., None, :] + ge._stencil(dim)
     gs = np.broadcast_to(g(stencil), stencil.shape + (dim,))
     dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
     t = np.moveaxis(dg, -1, -3)
@@ -1378,11 +1379,11 @@ def test_two_dimensional_gamma_takes_no_lapack_inverse(monkeypatch):
     assert np.isfinite(ge.levi_civita(sphere.metric, 2).gamma(np.array([1.0, 0.3]))).all()
 
 
-def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):
+def reference_gauss_bonnet(patches, mesh_n):
     """Node-by-node midpoint rule with the single-point gaussian_curvature."""
     total = 0.0
     for patch in patches:
-        conn = ge.levi_civita(patch.metric, 2, h)
+        conn = ge.levi_civita(patch.metric, 2)
         du = (patch.u_hi - patch.u_lo) / mesh_n
         dv = (patch.v_hi - patch.v_lo) / mesh_n
         for i in range(mesh_n):
@@ -1390,7 +1391,7 @@ def reference_gauss_bonnet(patches, mesh_n, h=ge.H_DEFAULT):
                 p = np.array([patch.u_lo + (i + 0.5) * du, patch.v_lo + (j + 0.5) * dv])
                 gp = patch.metric(p)
                 det = gp[0, 0] * gp[1, 1] - gp[0, 1] ** 2
-                k = ge.gaussian_curvature(conn, patch.metric, p, h)
+                k = ge.gaussian_curvature(conn, patch.metric, p)
                 total += k * math.sqrt(det) * du * dv
     return total / (2.0 * math.pi)
 
@@ -1463,7 +1464,7 @@ def test_nijenhuis_of_standard_complex_structure_vanishes():
             assert np.allclose(out, 0.0, atol=1e-12)
 
 
-def test_nijenhuis_two_resolution_agreement():
+def test_nijenhuis_two_resolution_agreement(monkeypatch):
     def a_field(p):
         c, s = math.cos(p[0]), math.sin(p[0])
         return np.array([[c, -s], [s, c]])
@@ -1472,8 +1473,10 @@ def test_nijenhuis_two_resolution_agreement():
     y = lambda p: np.array([p[0], 1.0])
     p = np.array([0.37, 0.81])
     h = 1e-3
-    coarse = ge.nijenhuis(a_field, x, y, p, h=h)
-    fine = ge.nijenhuis(a_field, x, y, p, h=h / 2)
+    monkeypatch.setattr(ge, "H_DEFAULT", h)
+    coarse = ge.nijenhuis(a_field, x, y, p)
+    monkeypatch.setattr(ge, "H_DEFAULT", h / 2)
+    fine = ge.nijenhuis(a_field, x, y, p)
     assert np.max(np.abs(coarse - fine)) < 10.0 * h * h
 
 
