@@ -173,6 +173,15 @@ def _parse_floats(text: str, what: str) -> "numpy.ndarray":
     return values
 
 
+def _tolerance(value) -> float:
+    """A surface-relation tolerance: a finite float > 0.  nan or inf would
+    switch the relation check off."""
+    tol = float(value)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
+    return tol
+
+
 def _bounded(what: str, value: int, low: int, high: int) -> int:
     if not low <= value <= high:
         raise DomainError(f"{what} must be between {low} and {high}, got {value}")
@@ -183,7 +192,9 @@ def _bounded(what: str, value: int, low: int, high: int) -> int:
 
 def cmd_milnor(args) -> RunReport:
     data, digest = _read_json(args.file)
-    tolerance = _setting("tolerance", args.tolerance, float, milnor_mod.TAU_REL)
+    tolerance = _setting(
+        "tolerance", args.tolerance, _tolerance, milnor_mod.TAU_REL
+    )
     report = RunReport("milnor", digest)
     rep = milnor_mod.rep_from_dict(data, tolerance=tolerance)
     defect = rep.defect

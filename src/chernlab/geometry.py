@@ -857,7 +857,7 @@ def para_structure_check(m: int, z_samples: int = 16) -> dict:
     """Verify the para-hypercomplex identities on R^{2m}.
 
     Returns a report of maximal deviations for J^2 = id, I^2 = -id,
-    IJ + JI = 0, N_I = 0 at four seeded random points, and J_z^2 = id for
+    IJ + JI = 0, N_I = 0 at the origin (I is constant), and J_z^2 = id for
     z_samples unit z; "passed" is True when all stay within 1e-10.
     """
     if m < 1:
@@ -871,13 +871,9 @@ def para_structure_check(m: int, z_samples: int = 16) -> dict:
         "IJ + JI": float(np.max(np.abs(i_mat @ j_mat + j_mat @ i_mat))),
     }
 
-    rng = np.random.default_rng(0)
-    worst_n = 0.0
-    for _ in range(4):
-        p = rng.uniform(-1.0, 1.0, size=dim)
-        n = _nijenhuis_tensor(lambda q: i_mat, p)
-        worst_n = max(worst_n, float(np.max(np.abs(n))))
-    report["Nijenhuis of I"] = worst_n
+    # I is a constant field, so its Nijenhuis tensor is the same everywhere
+    n = _nijenhuis_tensor(lambda q: i_mat, np.zeros(dim))
+    report["Nijenhuis of I"] = float(np.max(np.abs(n)))
 
     worst_z = 0.0
     for k in range(z_samples):

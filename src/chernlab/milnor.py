@@ -25,6 +25,7 @@ All functions are pure; representations are immutable.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +41,6 @@ from .errors import (
     PreconditionError,
 )
 from .liftgroup import (
-    COVER_IDENTITY,
     CoveredElement,
     IDENTITY,
     Mat2,
@@ -49,10 +49,8 @@ from .liftgroup import (
     lift_commutator,
     lift_inv,
     lift_loop,
-    lift_mul,
     principal_lift,
     product_lift,
-    retract,
     SampledLoop,
     word_path,
 )
@@ -90,8 +88,9 @@ PIK_TAG = ConjClassTag(Fraction(-5, 2), Fraction(1))
 class SurfaceGroupRep:
     """Genus plus generator matrices satisfying the surface relation.
 
-    defect is relation_defect of the rep, computed once while the rep is
-    validated.
+    lifts holds the principal lifts (alpha_i, beta_i) of each pair
+    (A_i, B_i), taken once while the rep is validated (the GL+ check); A
+    and B are their frozen matrices.  defect is relation_defect of the rep.
     """
 
     genus: int
@@ -99,20 +98,18 @@ class SurfaceGroupRep:
     B: tuple
     tolerance: float = TAU_REL
     defect: float = field(init=False)
+    lifts: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.genus < 1:
             raise DomainError("genus must be a positive integer")
         if len(self.A) != self.genus or len(self.B) != self.genus:
             raise DomainError("need exactly genus matrices in A and in B")
-        frozen_a, frozen_b = [], []
-        for m in list(self.A) + list(self.B):
-            m = np.array(m, dtype=float)
-            retract(m)  # the GL+ check
-            m.flags.writeable = False
-            (frozen_a if len(frozen_a) < self.genus else frozen_b).append(m)
-        object.__setattr__(self, "A", tuple(frozen_a))
-        object.__setattr__(self, "B", tuple(frozen_b))
+        lifted = [principal_lift(m) for m in (*self.A, *self.B)]
+        lifts = tuple(zip(lifted[:self.genus], lifted[self.genus:]))
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "A", tuple(x.matrix for x, _ in lifts))
+        object.__setattr__(self, "B", tuple(y.matrix for _, y in lifts))
         defect = relation_defect(self)
         if not math.isfinite(defect):
             raise InstabilityError(
@@ -148,10 +145,7 @@ def milnor_number(rep: SurfaceGroupRep) -> int:
     Generators are taken at their principal lifts; any other lift gives the
     same answer because deck shifts are central and cancel in commutators.
     """
-    total = COVER_IDENTITY
-    for a, b in zip(rep.A, rep.B):
-        comm = lift_commutator(principal_lift(a), principal_lift(b))
-        total = lift_mul(total, comm)
+    total = product_lift([lift_commutator(x, y) for x, y in rep.lifts])
     winding = total.lift / _TWO_PI
     n = round(winding)
     if abs(winding - n) >= TAU_WINDING:
@@ -165,8 +159,7 @@ def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
     """The closed path of the relation word alpha_1 beta_1 alpha_1^-1
     beta_1^-1 ... over principal lifts: word_path of its 4g letters."""
     letters = []
-    for a, b in zip(rep.A, rep.B):
-        x, y = principal_lift(a), principal_lift(b)
+    for x, y in rep.lifts:
         letters += [x, y, lift_inv(x), lift_inv(y)]
     return word_path(letters)
 
@@ -431,9 +424,7 @@ def conjugate_representation(rep: SurfaceGroupRep, s: Mat2) -> SurfaceGroupRep:
     once at the end; chained float products would otherwise push
     large-entry representations past the relation tolerance.
     """
-    s = np.asarray(s, dtype=float)
-    retract(s)  # the GL+ check
-    s_exact = _fexact(s)
+    s_exact = _fexact(principal_lift(s).matrix)  # principal_lift checks GL+
 
     def conj(m: Mat2) -> Mat2:
         return _ffloat(_fconj(s_exact, _fexact(m)))
@@ -457,10 +448,18 @@ def rep_to_dict(rep: SurfaceGroupRep) -> dict:
 
 
 def rep_from_dict(data: dict, tolerance: float = TAU_REL) -> SurfaceGroupRep:
+    """The rep of a payload; a float or bool genus and bool entries are refused."""
     try:
-        genus = int(data["genus"])
+        genus = data["genus"]
+        if isinstance(genus, (bool, float)):
+            raise DomainError(f"genus is {json.dumps(genus)}, not an integer")
+        genus = int(genus)
         a = [np.array(row, dtype=float).reshape(2, 2) for row in data["A"]]
         b = [np.array(row, dtype=float).reshape(2, 2) for row in data["B"]]
+        for side in "AB":
+            for i, row in enumerate(data[side]):
+                if any(isinstance(v, bool) for v in np.array(row, dtype=object).flat):
+                    raise DomainError(f"{side}[{i}] has a boolean entry, not a number")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed representation payload: {exc}") from exc
     return SurfaceGroupRep(genus, tuple(a), tuple(b), tolerance=tolerance)

@@ -132,6 +132,69 @@ def test_milnor_tolerance_flag_relaxes_relation(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_milnor_tolerance_must_be_finite_and_positive(
+    rep_file, tmp_path, capsys, monkeypatch, source, value
+):
+    import chernlab.cli as cli_mod
+
+    cfg = tmp_path / "config.json"
+    monkeypatch.setattr(cli_mod, "CONFIG_PATH", cfg)
+    flags = []
+    if source == "flag":
+        flags, name, shown = [f"--tolerance={value}"], "--tolerance", repr(float(value))
+    elif source == "env":
+        monkeypatch.setenv("CHERNLAB_TOLERANCE", value)
+        name, shown = "CHERNLAB_TOLERANCE", repr(value)
+    else:
+        cfg.write_text(json.dumps({"tolerance": float(value)}))
+        name, shown = f"tolerance in {cfg}", repr(float(value))
+    code, _, err = run(capsys, "milnor", str(rep_file), *flags)
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == f"error: bad {name}: {shown}"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"genus": 1.5, "A": [[1, 0, 0, 1]], "B": [[1, 0, 0, 1]]},
+     "genus is 1.5, not an integer"),
+    ({"genus": 1.0, "A": [[1, 0, 0, 1]], "B": [[1, 0, 0, 1]]},
+     "genus is 1.0, not an integer"),
+    ({"genus": True, "A": [[1, 0, 0, 1]], "B": [[1, 0, 0, 1]]},
+     "genus is true, not an integer"),
+    ({"genus": 1, "A": [[1, 0, 0, 1]], "B": [[1, False, 0, 1]]},
+     "B[0] has a boolean entry, not a number"),
+    ({"genus": 2, "A": [[1, 0, 0, 1], [[1, 0], [True, 1]]], "B": [[1, 0, 0, 1]] * 2},
+     "A[1] has a boolean entry, not a number"),
+], ids=["float-genus", "integral-float-genus", "bool-genus", "bool-entry",
+        "bool-entry-nested"])
+def test_milnor_loader_refuses_what_it_would_misread(tmp_path, capsys, payload, message):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "milnor", str(path), "--oracle")
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == f"error: {message}"
+
+
+def test_milnor_oracle_lifts_each_generator_once(tmp_path, capsys, monkeypatch):
+    import chernlab.liftgroup as liftgroup_mod
+    import chernlab.milnor as milnor_mod
+
+    path = str(tmp_path / "rep.json")
+    assert run(capsys, "build", "4", "3", "--out", path)[0] == 0
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return liftgroup_mod.principal_lift(m)
+
+    monkeypatch.setattr(milnor_mod, "principal_lift", counted)
+    code, data, err = run_json(capsys, "milnor", path, "--oracle")
+    assert code == 0, err
+    assert data["results"]["path_winding"] == 3
+    assert len(calls) == 2 * 4
+
+
 def test_build_inadmissible_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "build", "2", "2", "--out", str(tmp_path / "x"))
     assert code == 5

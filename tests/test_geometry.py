@@ -1495,6 +1495,7 @@ def test_para_structure_check_range():
     for m in (1, 2, 3, 4):
         report = ge.para_structure_check(m, z_samples=16)
         assert report["passed"], report
+        assert report["Nijenhuis of I"] == 0.0  # I is constant
 
 
 def test_para_structure_check_rejects_bad_m():

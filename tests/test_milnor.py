@@ -75,6 +75,26 @@ def test_build_2_1_degree_one_by_both_methods():
     assert mi.winding_number(rep) == 1
 
 
+def test_both_methods_read_the_lifts_taken_when_the_rep_is_built(monkeypatch):
+    rep = mi.build_representation(3, 2)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return lg.principal_lift(m)
+
+    monkeypatch.setattr(mi, "principal_lift", counted)
+    assert mi.milnor_number(rep) == 2
+    assert lg.lift_loop(lg.SampledLoop.from_path(mi.commutator_loop_path(rep))) == 2
+    assert calls == []
+    # A and B are the lifts' own frozen matrices
+    assert all(x.matrix is a and y.matrix is b
+               for (x, y), a, b in zip(rep.lifts, rep.A, rep.B))
+    assert not any(m.flags.writeable for m in rep.A + rep.B)
+    mi.SurfaceGroupRep(rep.genus, rep.A, rep.B)
+    assert len(calls) == 2 * rep.genus
+
+
 def test_oracle_past_the_sample_cap_raises_quickly(monkeypatch):
     # build 26 25 needs 15 619 loop samples, within the real cap of 2**15
     monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 2**13)
@@ -400,6 +420,8 @@ def test_json_round_trip():
     back = mi.rep_from_dict(data)
     for m, n in zip(rep.A + rep.B, back.A + back.B):
         assert np.array_equal(m, n)
+    # the genus may also be an integer string
+    assert mi.rep_from_dict({**data, "genus": "3"}).genus == 3
 
 
 def test_json_malformed_payload():
