@@ -127,8 +127,10 @@ def _load_config() -> dict:
     return data
 
 
-def _setting(name: str, flag_value, cast, default):
-    """config < flag < CHERNLAB_<NAME> environment variable."""
+def _setting(name: str, flag_value, cast, default, bounds=None):
+    """config < flag < CHERNLAB_<NAME> environment variable.  A JSON
+    boolean is refused, not cast to a number; bounds (low, high) are
+    checked under the name of the value's source."""
     value = _load_config().get(name, default)
     source = f"{name} in {CONFIG_PATH}"
     if flag_value is not None:
@@ -137,9 +139,12 @@ def _setting(name: str, flag_value, cast, default):
     if env in os.environ:
         value, source = os.environ[env], env
     try:
-        return cast(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        value = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad {source}: {value!r}") from exc
+    return value if bounds is None else _bounded(source, value, *bounds)
 
 
 def _read_json(path: str) -> tuple[dict, dict]:
@@ -437,7 +442,7 @@ def cmd_geometry(args) -> RunReport:
         return report
 
     if args.geo_command == "gauss-bonnet":
-        mesh = _bounded("--mesh", _setting("mesh", args.mesh, int, 64), 8, MAX_MESH)
+        mesh = _setting("mesh", args.mesh, int, 64, bounds=(8, MAX_MESH))
         if not geo.patches:
             raise DomainError(f"geometry '{args.key}' has no closed-surface patches")
         chi_coarse = geo_mod.gauss_bonnet(geo.patches, mesh)

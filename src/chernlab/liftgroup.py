@@ -37,10 +37,16 @@ products of huge entries overflow.
 Paths are batched: word_path, the one path constructor, maps t of any
 shape (...) to matrices of shape (..., 2, 2), elementwise equal to
 evaluation at each scalar t; a scalar t gives one 2x2 matrix.  The loop
-of a word concatenates its letters' paths.  SampledLoop.from_path
-refines the winding oracle's loop one level at a time, evaluating the
-midpoints of all pending intervals in blocks of at most 256 values of t,
-and gives up past MAX_LOOP_SAMPLES samples or MAX_LOOP_DEPTH levels.
+of a word concatenates its letters' paths.  word_path decomposes all its
+letters in one stacked pass (the GL+ checks of retract, the angles, the
+SPD factors, one eigh) and folds each letter's factors into one 4x4
+coefficient block, so a batch of t costs one gather and one stacked
+product.  SampledLoop.from_path refines the winding oracle's loop one
+level at a time, evaluating the midpoints of all pending intervals in
+blocks of at most 256 values of t, and gives up past MAX_LOOP_SAMPLES
+samples or MAX_LOOP_DEPTH levels.  It keeps each sample's plane point as
+a complex number together with its norm, so a level takes the norms of
+its new midpoints only.
 
 All values are immutable and all operations are pure functions.
 """
@@ -131,13 +137,6 @@ def retract(m: Mat2) -> float:
     """Rotation angle of the polar factorisation, in (-pi, pi]."""
     a, b, c, d = _gl_plus_entries(m)
     return math.atan2(b - c, a + d)
-
-
-def polar_parts(m: Mat2) -> tuple[float, Mat2]:
-    """Angle and SPD factor of m = R(angle) @ P."""
-    angle = retract(m)
-    p = rotation(-angle) @ m
-    return angle, (p + p.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +251,9 @@ def _rotation_stack(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.hypot(v[:, 0], v[:, 1])
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| of complex plane points: np.hypot of the parts, as for a pair."""
+    return np.hypot(z.real, z.imag)
 
 
 def _wrapped_gaps(samples: np.ndarray) -> np.ndarray:
@@ -267,9 +267,9 @@ def _wrapped_gaps(samples: np.ndarray) -> np.ndarray:
 
 
 def _plane_points(path: Callable, t: np.ndarray) -> np.ndarray:
-    """The plane points P = (a + d, b - c) of path(t), shape (len(t), 2),
-    from batched calls of at most _PATH_BLOCK values of t each."""
-    out = np.empty((len(t), 2))
+    """The plane points P = (a + d) + i (b - c) of path(t), as complex
+    numbers, from batched calls of at most _PATH_BLOCK values of t each."""
+    out = np.empty(len(t), dtype=complex)
     for lo in range(0, len(t), _PATH_BLOCK):
         block = t[lo:lo + _PATH_BLOCK]
         m = np.asarray(path(block), dtype=float)
@@ -279,8 +279,8 @@ def _plane_points(path: Callable, t: np.ndarray) -> np.ndarray:
                 f"of shape {block.shape + (2, 2)}, got {m.shape}"
             )
         p = out[lo:lo + len(block)]
-        p[:, 0] = m[:, 0, 0] + m[:, 1, 1]
-        p[:, 1] = m[:, 0, 1] - m[:, 1, 0]
+        p.real = m[:, 0, 0] + m[:, 1, 1]
+        p.imag = m[:, 0, 1] - m[:, 1, 0]
         if not np.all(np.isfinite(p)):
             raise SubdivisionError("non-finite path value on the loop")
     return out
@@ -368,9 +368,12 @@ class SampledLoop:
 
         Each level evaluates the midpoints of all pending intervals, in
         calls of at most 256 values of t, tests every interval with that
-        rule and bisects all failing ones together.  The same rule on the
-        same dyadic intervals gives the sample set of a depth-first
-        bisection; samples are stored sorted by t and retracted to SO(2).
+        rule and bisects all failing ones together.  Plane points are kept
+        as complex numbers next to their norms |P| (np.hypot of the two
+        parts, as for the pair), so a level takes the norms of its new
+        midpoints only and carries 1-D arrays.  The same rule on the same
+        dyadic intervals gives the sample set of a depth-first bisection;
+        samples are stored sorted by t and retracted to SO(2).
         SubdivisionError: at the first non-finite path value, when an
         interval still fails at level MAX_LOOP_DEPTH, or when the loop would
         exceed MAX_LOOP_SAMPLES samples.
@@ -381,16 +384,19 @@ class SampledLoop:
         count = _within_sample_cap(2 * initial_samples + 1)
         ts = np.arange(initial_samples + 1) / initial_samples
         ps = _plane_points(path, ts)
-        t_parts, p_parts = [ts], [ps]
-        t0, t1, p0, p1 = ts[:-1], ts[1:], ps[:-1], ps[1:]
+        ns = _abs(ps)
+        t_parts, p_parts, n_parts = [ts], [ps], [ns]
+        t0, t1, p0, p1, n0, n1 = ts[:-1], ts[1:], ps[:-1], ps[1:], ns[:-1], ns[1:]
         depth = 0
         while True:
             tm = (t0 + t1) / 2.0
             pm = _plane_points(path, tm)
+            nm = _abs(pm)
             t_parts.append(tm)
             p_parts.append(pm)
-            polyline = _norm(pm - p0) + _norm(p1 - pm)
-            margin = np.minimum(np.minimum(_norm(p0), _norm(pm)), _norm(p1))
+            n_parts.append(nm)
+            polyline = _abs(pm - p0) + _abs(p1 - pm)
+            margin = np.minimum(np.minimum(n0, nm), n1)
             bad = ~(polyline <= 0.4 * margin)
             if not bad.any():
                 break
@@ -398,15 +404,15 @@ class SampledLoop:
                 raise SubdivisionError("loop refinement exceeded max depth")
             count = _within_sample_cap(count + 2 * np.count_nonzero(bad))
             depth += 1
-            tm, pm = tm[bad], pm[bad]
+            tm, pm, nm = tm[bad], pm[bad], nm[bad]
             t0, t1 = np.concatenate([t0[bad], tm]), np.concatenate([tm, t1[bad]])
             p0, p1 = np.concatenate([p0[bad], pm]), np.concatenate([pm, p1[bad]])
+            n0, n1 = np.concatenate([n0[bad], nm]), np.concatenate([nm, n1[bad]])
         order = np.argsort(np.concatenate(t_parts))
-        x, y = np.concatenate(p_parts)[order].T
-        n = np.hypot(x, y)
+        p, n = np.concatenate(p_parts)[order], np.concatenate(n_parts)[order]
         if np.any(n == 0.0) or not np.all(np.isfinite(n)):
             raise SubdivisionError("degenerate rotation part on the loop")
-        return cls._checked(_rotation_stack(x / n, y / n))
+        return cls._checked(_rotation_stack(p.real / n, p.imag / n))
 
 
 def lift_loop(loop: SampledLoop) -> int:
@@ -418,6 +424,20 @@ def lift_loop(loop: SampledLoop) -> int:
             f"winding residue {abs(winding - n):.3e} exceeds {TAU_WINDING}"
         )
     return n
+
+
+def _gl_plus_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plane points x = a + d, y = b - c of a stack (n, 2, 2) of
+    matrices that pass retract's GL+ checks, run on the whole stack; the
+    first matrix that fails raises retract's message."""
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    x, y = a + d, b - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (np.isfinite(m).all(axis=(1, 2)) & (a * d - b * c > 0.0)
+              & (x * x + y * y > 0.0))
+    if not ok.all():
+        _gl_plus_entries(m[np.argmin(ok)])  # raises retract's message
+    return x, y
 
 
 def word_path(
@@ -436,35 +456,54 @@ def word_path(
     included, and t = 1 gives the product exactly: if the word projects to
     the identity, the loop winds by the central lift of the product over
     2*pi.
+
+    The letters are decomposed together, as one stack: retract's GL+
+    checks, the atan2 angles, the SPD factors P = R(-angle) M and one eigh
+    P = sum_m w_m q_m q_m^T.  With R(theta) = cos(theta) I + sin(theta) J,
+    letter k at t is sum_{m, f} f(theta) w_m^stretch C[k, m, f], where
+    C[k, m, f] = prefix_k F_f q_m q_m^T for (f, F) in ((cos, I), (sin, J)),
+    so a batch of t costs one gather of C and one (N, 1, 4) @ (N, 4, 4)
+    product.
     """
     letters = [
         e for e in elements
         if e.lift != 0.0 or not np.array_equal(e.matrix, IDENTITY)
     ] or [COVER_IDENTITY]  # a word of only (I, 0) letters keeps one
     n = len(letters)
-    w, q = np.linalg.eigh([polar_parts(e.matrix)[1] for e in letters])
+    m = np.array([e.matrix for e in letters])
+    x, y = _gl_plus_stack(m)
+    angle = np.arctan2(y, x)
+    cos, sin = np.cos(angle), np.sin(angle)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    spd = np.empty_like(m)  # (P + P^T) / 2 for P = R(-angle) M
+    spd[:, 0, 0], spd[:, 1, 1] = cos * a - sin * c, sin * b + cos * d
+    spd[:, 0, 1] = spd[:, 1, 0] = ((cos * b - sin * d) + (sin * a + cos * c)) / 2.0
+    w, q = np.linalg.eigh(spd)
     if np.any(w <= 0.0):
         raise DomainError("polar factor is not positive definite")
     lift, logw = np.array([e.lift for e in letters]), np.log(w)
-    qt = q.swapaxes(1, 2)
-    prefix = np.array(list(
-        accumulate((e.matrix for e in letters), np.matmul, initial=IDENTITY)
-    ))
+    prefix = np.array(list(accumulate(m, np.matmul, initial=IDENTITY)))
+    # prefix_k I and prefix_k J, J = [[0, 1], [-1, 0]] (exact: a column swap)
+    base = np.stack([prefix[:n], prefix[:n, :, ::-1] * [-1.0, 1.0]], axis=1)
+    qt = q.swapaxes(1, 2)  # qt[k, m] is the eigenvector q_m
+    projector = qt[:, :, :, None] * qt[:, :, None, :]
+    coeffs = (base[:, None] @ projector[:, :, None]).reshape(n, 4, 4)
 
     def path(t) -> Mat2:
         t = np.asarray(t, dtype=float)
-        k = np.minimum(np.floor(t * n), n - 1).astype(np.intp)
-        s = t * n - k
-        theta = np.minimum(2.0 * s, 1.0) * lift[k]
-        stretch = np.maximum(2.0 * s - 1.0, 0.0)
-        out = (
-            prefix[k] @ _rotation_stack(np.cos(theta), np.sin(theta))
-            @ ((q[k] * np.exp(stretch[..., None] * logw[k])[..., None, :]) @ qt[k])
-        )
+        flat = t.ravel()
+        k = np.minimum(np.floor(flat * n), n - 1).astype(np.intp)
+        s2 = 2.0 * (flat * n - k)  # twice the local parameter s
+        theta = np.minimum(s2, 1.0) * lift[k]
+        stretch = np.exp(np.maximum(s2 - 1.0, 0.0)[:, None] * logw[k])
+        v = np.empty((len(flat), 1, 2, 2))  # v[:, 0, m, f] = f(theta) w_m^stretch
+        np.multiply(stretch, np.cos(theta)[:, None], out=v[:, 0, :, 0])
+        np.multiply(stretch, np.sin(theta)[:, None], out=v[:, 0, :, 1])
+        out = (v.reshape(-1, 1, 4) @ coeffs[k]).reshape(-1, 2, 2)
         # endpoints are returned exactly, so a word that multiplies to the
         # identity closes bit-exactly instead of up to eigh roundoff
-        out[t == 0.0] = IDENTITY
-        out[t == 1.0] = prefix[n]
-        return out
+        out[flat == 0.0] = IDENTITY
+        out[flat == 1.0] = prefix[n]
+        return out.reshape(t.shape + (2, 2))
 
     return path

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,7 @@ from .liftgroup import (
     lift_commutator,
     lift_inv,
     lift_loop,
+    lift_mul,
     principal_lift,
     product_lift,
     SampledLoop,
@@ -91,6 +93,8 @@ class SurfaceGroupRep:
     lifts holds the principal lifts (alpha_i, beta_i) of each pair
     (A_i, B_i), taken once while the rep is validated (the GL+ check); A
     and B are their frozen matrices.  defect is relation_defect of the rep.
+    inverse_lifts holds (alpha_i^-1, beta_i^-1), taken once, on first use:
+    after the defect check, each with lift_inv's check.
     """
 
     genus: int
@@ -123,6 +127,10 @@ class SurfaceGroupRep:
             )
         object.__setattr__(self, "defect", defect)
 
+    @cached_property
+    def inverse_lifts(self) -> tuple:
+        return tuple((lift_inv(x), lift_inv(y)) for x, y in self.lifts)
+
 
 def relation_defect(rep: SurfaceGroupRep) -> float:
     """Infinity-norm distance of prod [A_i, B_i] from the identity."""
@@ -139,13 +147,26 @@ def trivial_representation(genus: int) -> SurfaceGroupRep:
     return SurfaceGroupRep(genus, eye, eye)
 
 
+def _relation_word(rep: SurfaceGroupRep) -> list:
+    """The 4g letters alpha_1 beta_1 alpha_1^-1 beta_1^-1 ... of the
+    relation, over principal lifts."""
+    return [
+        e for (x, y), (x_inv, y_inv) in zip(rep.lifts, rep.inverse_lifts)
+        for e in (x, y, x_inv, y_inv)
+    ]
+
+
 def milnor_number(rep: SurfaceGroupRep) -> int:
     """delta = (lift of prod [alpha_i, beta_i]) / 2 pi, as an integer.
 
     Generators are taken at their principal lifts; any other lift gives the
     same answer because deck shifts are central and cancel in commutators.
+    Each commutator is the lift_mul chain of its four relation letters.
     """
-    total = product_lift([lift_commutator(x, y) for x, y in rep.lifts])
+    word = _relation_word(rep)
+    total = product_lift(
+        [reduce(lift_mul, word[i:i + 4]) for i in range(0, len(word), 4)]
+    )
     winding = total.lift / _TWO_PI
     n = round(winding)
     if abs(winding - n) >= TAU_WINDING:
@@ -158,10 +179,7 @@ def milnor_number(rep: SurfaceGroupRep) -> int:
 def commutator_loop_path(rep: SurfaceGroupRep) -> Callable[[np.ndarray], Mat2]:
     """The closed path of the relation word alpha_1 beta_1 alpha_1^-1
     beta_1^-1 ... over principal lifts: word_path of its 4g letters."""
-    letters = []
-    for x, y in rep.lifts:
-        letters += [x, y, lift_inv(x), lift_inv(y)]
-    return word_path(letters)
+    return word_path(_relation_word(rep))
 
 
 def winding_number(rep: SurfaceGroupRep) -> int:

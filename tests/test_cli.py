@@ -1077,6 +1077,50 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, monkeypatch, text, mess
     assert message in err and str(cfg) in err
 
 
+def run_with_home(home, config, argv, env=None):
+    """main(argv) in a fresh interpreter whose HOME is home, with config
+    (if any) as its ~/.config/chernlab/config.json: (exit code, stderr,
+    config path)."""
+    cfg = home / ".config" / "chernlab" / "config.json"
+    if config is not None:
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(json.dumps(config))
+    script = "import sys\nfrom chernlab.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("CHERNLAB_")}
+    child_env.update(HOME=str(home), **(env or {}))
+    child_env["PYTHONPATH"] = str(Path(chernlab.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-c", script, *argv], env=child_env,
+                           capture_output=True, text=True, timeout=120)
+    return child.returncode, child.stderr, cfg
+
+
+@pytest.mark.parametrize("name", ["tolerance", "mesh"])
+def test_a_boolean_setting_in_the_config_file_is_refused(tmp_path, capsys, name):
+    # float(True) and int(True) would run at tolerance 1.0 or mesh 1
+    rep = tmp_path / "rep.json"
+    assert run(capsys, "build", "2", "1", "--out", str(rep))[0] == 0
+    argv = (["milnor", str(rep)] if name == "tolerance"
+            else ["geometry", "gauss-bonnet", "flat-torus:2"])
+    code, err, cfg = run_with_home(tmp_path, {name: True}, argv)
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == f"error: bad {name} in {cfg}: True"
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_the_mesh_bound_names_the_source_of_the_value(tmp_path, source):
+    argv, env, config = ["geometry", "gauss-bonnet", "flat-torus:2"], None, None
+    if source == "flag":
+        argv += ["--mesh", "2"]
+    elif source == "env":
+        env = {"CHERNLAB_MESH": "2"}
+    else:
+        config = {"mesh": 2}
+    code, err, cfg = run_with_home(tmp_path, config, argv, env)
+    name = {"flag": "--mesh", "env": "CHERNLAB_MESH", "config": f"mesh in {cfg}"}[source]
+    _assert_one_line_error(code, err, 2)
+    assert err.strip() == f"error: {name} must be between 8 and 1024, got 2"
+
+
 def test_missing_config_file_is_allowed(tmp_path, capsys, monkeypatch):
     import chernlab.cli as cli_mod
 

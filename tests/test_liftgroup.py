@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chernlab.liftgroup as lg
+from reference_path import reference_polar_parts, reference_word_path
 import chernlab.milnor as mi
 from chernlab.errors import (
     ChernLabError,
@@ -77,7 +78,7 @@ def pointwise_word_path(elements):
     letters = []
     product = np.eye(2)
     for x in elements:
-        w, q = np.linalg.eigh(lg.polar_parts(x.matrix)[1])
+        w, q = np.linalg.eigh(reference_polar_parts(x.matrix)[1])
         letters.append((x.lift, q, np.log(w)))
         product = product @ x.matrix
 
@@ -163,6 +164,16 @@ HUGE = np.full((2, 2), 1e200)  # singular; its float det is inf - inf = nan
 NAN_RELATION = np.array([[1e160, 1e160], [0.0, 1e-160]])
 
 
+def unchecked(m):
+    """(m, 0) stored without the GL+ check, as only a bug could make it."""
+    return lg.CoveredElement._checked(np.array(m, dtype=float), 0.0)
+
+
+def with_bad_letter(m):
+    """word_path of a word whose second letter is m, unchecked."""
+    return lg.word_path([lg.principal_lift(A1), unchecked(m), lg.principal_lift(A0)])
+
+
 @pytest.mark.parametrize("call, m, error, message", [
     (lg.retract, np.eye(3), DomainError,
      r"^expected a 2x2 matrix, got shape \(3, 3\)$"),
@@ -181,12 +192,30 @@ NAN_RELATION = np.array([[1e160, 1e160], [0.0, 1e-160]])
      r"^determinant nan is not positive$"),
     (lg.retract, HUGE, DomainError, r"^determinant nan is not positive$"),
     (lg.inv2, HUGE, DomainError, r"determinant nan"),
+    (with_bad_letter, [[np.nan, 0.0], [0.0, 1.0]], DomainError,
+     r"^matrix has non-finite entries$"),
+    (with_bad_letter, [[1.0, np.inf], [0.0, 1.0]], DomainError,
+     r"^matrix has non-finite entries$"),
+    (with_bad_letter, [[1.0, 0.0], [0.0, -2.0]], DomainError,
+     r"^determinant -2\.0 is not positive$"),
+    (with_bad_letter, [[1.0, 1.0], [1.0, 1.0]], DomainError,
+     r"^determinant 0\.0 is not positive$"),
+    (with_bad_letter, HUGE, DomainError, r"^determinant nan is not positive$"),
     (lambda m: mi.SurfaceGroupRep(1, (m,), (m,)), NAN_RELATION,
      InstabilityError, r"non-finite relation product"),
 ])
 def test_gl_plus_refusals_are_pinned(call, m, error, message):
     with pytest.raises(error, match=message):
         call(np.asarray(m, dtype=float))
+
+
+def test_word_path_checks_its_letters_as_one_stack_and_names_the_first_bad_one():
+    word = [lg.principal_lift(A1), unchecked([[1.0, 0.0], [0.0, -2.0]]),
+            unchecked([[np.nan, 0.0], [0.0, 1.0]])]
+    with pytest.raises(DomainError, match=r"^determinant -2\.0 is not positive$"):
+        lg.word_path(word)
+    with pytest.raises(DomainError, match=r"^matrix has non-finite entries$"):
+        lg.word_path(word[::-1])
 
 
 def _random_gl_plus(rng, exponents):
@@ -793,10 +822,80 @@ def test_word_path_rejects_a_polar_factor_that_is_not_positive_definite(
     monkeypatch,
 ):
     # eigh of the polar factor of a nearly rank-one float matrix with
-    # entries near 1e15 can return a zero eigenvalue
-    monkeypatch.setattr(lg, "polar_parts", lambda m: (0.0, np.diag([1.0, 0.0])))
+    # entries near 1e15 can return a zero eigenvalue; here the one eigh of
+    # the stacked factors returns one for every letter
+    eigh = np.linalg.eigh
+
+    def zeroed(a):
+        w, q = eigh(a)
+        w[..., 0] = 0.0
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", zeroed)
     with pytest.raises(DomainError, match="not positive definite"):
-        lg.word_path([lg.principal_lift(A1)])
+        lg.word_path([lg.principal_lift(A0), lg.principal_lift(A1)])
+
+
+# -- the matrix-product reference -----------------------------------------------
+# tests/reference_path.py keeps the path as it was before the letters were
+# decomposed as one stack: per-letter polar parts and three stacked matmuls.
+
+EPS = np.finfo(float).eps
+MILNOR_TABLE = [(g, d) for g in range(2, 8) for d in range(1 - g, g)]
+
+
+def relation_word(rep):
+    """The 4g letters of prod [alpha_i, beta_i], inverses taken here."""
+    word = []
+    for x, y in rep.lifts:
+        word += [x, y, lg.lift_inv(x), lg.lift_inv(y)]
+    return word
+
+
+def assert_near_reference(word, ts):
+    """On letter k, with SPD factor P_k over the product prefix_k of the
+    letters before it, the stacked path is within
+
+        16 eps cond(P_k) |prefix_k| max(|P_k|, |P_k^-1|)
+
+    of the reference (max-entry norms).  eigh resolves the small eigenvalue
+    of P_k only to eps cond(P_k) relative error, and the two paths round
+    P_k differently; the rest of either path is a few products of factors
+    of those sizes."""
+    letters = [
+        x for x in word if x.lift != 0.0 or not np.array_equal(x.matrix, np.eye(2))
+    ] or [lg.COVER_IDENTITY]
+    bounds, prefix = [], np.eye(2)
+    for x in letters:
+        w = np.linalg.eigvalsh(reference_polar_parts(x.matrix)[1])
+        bounds.append(16 * EPS * w[1] / w[0] * np.abs(prefix).max() * max(w[1], 1 / w[0]))
+        prefix = prefix @ x.matrix
+    k = np.minimum(np.floor(ts * len(letters)), len(letters) - 1).astype(int)
+    gap = np.abs(lg.word_path(word)(ts) - reference_word_path(word)(ts))
+    assert np.all(gap.max(axis=(-2, -1)) <= np.array(bounds)[k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.lists(LETTERS, max_size=4), ts=T_VALUES)
+def test_stacked_word_path_agrees_with_the_matrix_product_reference(word, ts):
+    assert_near_reference(word, ts)
+
+
+def test_stacked_commutator_path_agrees_with_the_reference_on_milnor_table():
+    ts = np.linspace(0.0, 1.0, 4097)
+    for g, d in MILNOR_TABLE:
+        assert_near_reference(relation_word(mi.build_representation(g, d)), ts)
+
+
+@pytest.mark.parametrize(
+    "g, d", MILNOR_TABLE + [(18, 17), (18, -17), (21, 20), (34, 33)]
+)
+def test_winding_and_sample_count_match_the_reference(g, d):
+    rep = mi.build_representation(g, d)
+    assert mi.winding_number(rep) == mi.milnor_number(rep) == d
+    loop = lg.SampledLoop.from_path(mi.commutator_loop_path(rep))
+    reference = lg.SampledLoop.from_path(reference_word_path(relation_word(rep)))
+    assert len(loop) == len(reference)
 
 
 def test_inverse_keeps_the_singular_check():

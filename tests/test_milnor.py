@@ -95,6 +95,32 @@ def test_both_methods_read_the_lifts_taken_when_the_rep_is_built(monkeypatch):
     assert len(calls) == 2 * rep.genus
 
 
+def test_both_methods_share_inverse_lifts_taken_once_after_the_defect_check(
+    monkeypatch,
+):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return lg.lift_inv(x)
+
+    monkeypatch.setattr(mi, "lift_inv", counted)
+    built = mi.build_representation(3, 2)
+    rep = mi.SurfaceGroupRep(built.genus, built.A, built.B)
+    assert calls == []  # none while the rep is made and its defect checked
+    assert mi.milnor_number(rep) == 2
+    assert len(calls) == 2 * rep.genus
+    assert lg.lift_loop(lg.SampledLoop.from_path(mi.commutator_loop_path(rep))) == 2
+    assert mi.winding_number(rep) == 2
+    assert len(calls) == 2 * rep.genus
+    inverses = [e for pair in rep.inverse_lifts for e in pair]
+    lifts = [e for pair in rep.lifts for e in pair]
+    assert calls == lifts
+    for x, x_inv in zip(lifts, inverses):
+        assert x_inv.lift == -x.lift
+        assert np.array_equal(x_inv.matrix, lg.inv2(x.matrix))
+
+
 def test_oracle_past_the_sample_cap_raises_quickly(monkeypatch):
     # build 26 25 needs 15 619 loop samples, within the real cap of 2**15
     monkeypatch.setattr(lg, "MAX_LOOP_SAMPLES", 2**13)
