@@ -29,6 +29,10 @@ its code, and main returns it; argparse exits 2 itself on a usage error:
     6  escape during the exponential map
     7  internal invariant violated (a bug)
 
+A report that cannot be written to stdout (a closed pipe, a full device)
+exits 2 with one error line.  The installed command, console_main, ends by
+the signal on SIGINT, without a traceback.
+
 Settings precedence: config file (~/.config/chernlab/config.json), then
 flags, then CHERNLAB_* environment variables.
 """
@@ -612,17 +616,47 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     report.timing = {"seconds": round(time.perf_counter() - start, 6)}
-    report.emit(args.json)
     failed = [
         f"{item['check']} ({item['detail']})" if item["detail"] else item["check"]
         for item in report.verification
         if not item["passed"]
     ]
-    if failed:
-        print(f"error: failed checks: {'; '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return 0
+    try:
+        report.emit(args.json)
+        sys.stdout.flush()
+        if failed:
+            print(f"error: failed checks: {'; '.join(failed)}", file=sys.stderr)
+    except OSError as exc:
+        return _unwritable(exc)
+    return EXIT_CHECK_FAILED if failed else 0
+
+
+def _unwritable(exc: OSError) -> int:
+    """Exit 2 for a report that cannot be written (a closed pipe, a full
+    device), with one error line.  stdout is pointed at os.devnull first:
+    the interpreter flushes it again at exit, which would raise again."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # an in-memory stdout has no descriptor
+        pass
+    try:
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return 2
+
+
+def console_main() -> int:
+    """The installed chernlab command: main with the default SIGINT
+    disposition, so that an interrupt ends the process by the signal
+    without a traceback."""
+    import signal  # here, not at the top: importing it costs every cold start 1 ms
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    return main()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -16,12 +16,17 @@ float; otherwise, and in every other dimension, from LAPACK
 relative, not bit for bit.  One 2-D metric is checked and inverted on its
 four entries as Python floats, with the same IEEE operations as the
 batched expression that a stack keeps, so a point alone and the same
-point inside a stack get the same Gamma bit for bit.  Gauss-Bonnet
-evaluates its node grid in blocks of BLOCK_NODES nodes.  Parallel
-transport evaluates Gamma once per distinct RK4 node, in blocks of
-segments of at most TRANSPORT_BLOCK_ENTRIES Gamma entries (nodes * dim^3),
-and folds each block's substep propagators into one matrix; both bounds
-cap the size of the temporaries.
+point inside a stack get the same Gamma bit for bit.  Gamma and the
+curvature tensor run on flat rows: a stack's stencil points are np.repeat
+of its points plus one in-place add of the offsets (a single point keeps
+the broadcast p + offsets), the field values are one contiguous row per
+point, the central differences are row slices, and the index permutations
+are precomputed gathers, with the floats of transposed views bit for bit.
+Gauss-Bonnet evaluates its node grid in blocks of BLOCK_NODES nodes.
+Parallel transport evaluates Gamma once per distinct RK4 node, in blocks
+of segments of at most TRANSPORT_BLOCK_ENTRIES Gamma entries (nodes *
+dim^3), and folds each block's substep propagators into one matrix; both
+bounds cap the size of the temporaries.
 
 Torsion, curvature and the Nijenhuis tensor are built from their tensor
 formulas and contracted with the values of the vector fields at p.
@@ -32,16 +37,18 @@ Levi-Civita, curvature, Gauss-Bonnet and the Nijenhuis tensor, is a
 central difference with the one step H_DEFAULT; FD_TOL is the accuracy
 of identity checks built on them at that step.
 
-A geodesic carries one stacked state (u, w) of shape (2, dim) and is
+A geodesic carries one flat state (u, w) of shape (2 dim,) and is
 integrated by the Dormand-Prince 5(4) pair with error control at relative
 tolerance GEODESIC_RTOL.  Its step budget, by default STEPS_PER_UNIT per
 unit of time, rounded up, sets the step floor time / steps: no step but
 the final one is shorter, so a run takes at most that many accepted
-steps.  Every attempted step is tested for escape.  Parallel transport
-takes fixed RK4 substeps on a linear equation, so each substep is one
-propagator matrix, and a pairwise product tree multiplies them in path
-order.  A round trip takes both directions from the same node matrices:
-the reversed path has the same nodes and the opposite velocity.
+steps.  Every attempted step is tested for escape before its seventh
+(first same as last) stage, which only a trial that can still be
+accepted computes.  Parallel transport takes fixed RK4 substeps on a
+linear equation, so each substep is one propagator matrix, and a
+pairwise product tree multiplies them in path order.  A round trip
+takes both directions from the same node matrices: the reversed path has
+the same nodes and the opposite velocity.
 
 Escape semantics: a geodesic step that leaves the box, exceeds the norm
 bound, blows up, or crosses the deleted point is halved and retried; at
@@ -53,6 +60,7 @@ finite probe.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -170,6 +178,45 @@ def _stencil(dim: int) -> np.ndarray:
     return np.concatenate([np.zeros((1, dim)), step, -step])
 
 
+def _stencil_points(p: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The stencil points of each point of p, shape p.shape[:-1] +
+    offsets.shape.  One point is the broadcast p + offsets.  A stack is
+    np.repeat of its points plus one in-place add of the offsets, the same
+    floats: numpy runs that add over whole rows, not the broadcast's inner
+    loop of dim entries per stencil point."""
+    if p.ndim == 1:
+        return p + offsets
+    pts = np.repeat(p.reshape(-1, 1, p.shape[-1]), len(offsets), axis=1)
+    pts += offsets
+    return pts.reshape(p.shape[:-1] + offsets.shape)
+
+
+@functools.cache
+def _koszul_gathers(dim: int) -> tuple:
+    """Gathers on flat rows for Gamma in dimension dim: for c[k i j], the
+    positions of d_i g_jk and of d_j g_ik in the row of d_i g_jk (index
+    i j k)."""
+    k, i, j = np.indices((dim,) * 3).reshape(3, -1)
+    return _frozen((i * dim + j) * dim + k, (j * dim + i) * dim + k)
+
+
+@functools.cache
+def _riemann_gathers(dim: int) -> tuple:
+    """Gathers on flat rows for the curvature tensor in dimension dim: for
+    s[k l i j], the position of d_i Gamma^k_jl in the row (i k j l), of
+    Gamma^k_im Gamma^m_jl in the row (k i j l), and of s[k l j i] in s."""
+    k, l, i, j = np.indices((dim,) * 4).reshape(4, -1)
+    return _frozen(((i * dim + k) * dim + j) * dim + l, ((k * dim + i) * dim + j) * dim + l,
+                   ((k * dim + l) * dim + j) * dim + i)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays made read-only: a cached gather is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _field(f: Callable, p: np.ndarray, shape: tuple) -> np.ndarray:
     """The field f at the points p, shape p.shape[:-1] + shape; a constant
     return is broadcast to the batch."""
@@ -266,21 +313,24 @@ def _curvature_tensor(conn: ChartConnection, p: np.ndarray) -> np.ndarray:
 
     at points p of shape (..., dim), from one Gamma call on the stencil of
     each point and its 2 dim neighbours at the one step H_DEFAULT; FD_TOL
-    is the accuracy of identities built on r at that step."""
+    is the accuracy of identities built on r at that step.
+
+    The stencil's Gamma values are one flat row per point, the central
+    differences are row slices, and the index sums take their operands by
+    the gathers of _riemann_gathers, so a point and a stack add the same floats."""
     dim = conn.dim
-    lead = p.shape[:-1]
-    n = len(lead)
-    gs = _field(conn.gamma, p[..., None, :] + _stencil(dim), (dim, dim, dim))
-    gp = gs[..., 0, :, :, :]
-    # dg[..., i, k, j, l] = d_i Gamma^k_jl
-    dg = (gs[..., 1:dim + 1, :, :, :] - gs[..., dim + 1:, :, :, :]) / (2.0 * H_DEFAULT)
-    # q[..., k, i, j, l] = Gamma^k_im Gamma^m_jl: one (k i, m) by (m, j l) matmul
-    q = gp.reshape(lead + (dim * dim, dim)) @ gp.reshape(lead + (dim, dim * dim))
-    q = q.reshape(lead + (dim,) * 4)
-    # s[..., k, l, i, j] = d_i Gamma^k_jl + Gamma^k_im Gamma^m_jl
-    s = (dg.transpose(*range(n), n + 1, n + 3, n, n + 2)
-         + q.transpose(*range(n), n, n + 3, n + 1, n + 2))
-    return s - s.swapaxes(-1, -2)
+    cube = dim ** 3
+    dg_at, q_at, swapped = _riemann_gathers(dim)
+    gs = _field(conn.gamma, _stencil_points(p, _stencil(dim)), (dim, dim, dim))
+    rows = gs.reshape(-1, (2 * dim + 1) * cube)
+    gp = rows[:, :cube]
+    # dg[:, i k j l] = d_i Gamma^k_jl
+    dg = (rows[:, cube:(dim + 1) * cube] - rows[:, (dim + 1) * cube:]) / (2.0 * H_DEFAULT)
+    # q[:, k i j l] = Gamma^k_im Gamma^m_jl: one (k i, m) by (m, j l) matmul
+    q = gp.reshape(-1, dim * dim, dim) @ gp.reshape(-1, dim, dim * dim)
+    # s[:, k l i j] = d_i Gamma^k_jl + Gamma^k_im Gamma^m_jl
+    s = dg.take(dg_at, axis=1) + q.reshape(-1, dim * cube).take(q_at, axis=1)
+    return (s - s.take(swapped, axis=1)).reshape(p.shape[:-1] + (dim,) * 4)
 
 
 def curvature(
@@ -297,49 +347,51 @@ def curvature(
     return np.einsum("klij,i,j,l->k", r, x(p), y(p), z(p))
 
 
-# adj(g) / 2 = g[::-1, ::-1]^T * _HALF_ADJ_SIGN for a 2 x 2 matrix g
-_HALF_ADJ_SIGN = np.array([[0.5, -0.5], [-0.5, 0.5]])
+# adj(g) / 2 = g[(3, 1, 2, 0)] * _HALF_ADJ_SIGN for the row of a 2 x 2 matrix g
+_HALF_ADJ_SIGN = np.array([0.5, -0.5, -0.5, 0.5])
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 def _half_inverse(gp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """g^-1 / 2 for each metric of the stack gp, shape (..., dim, dim), at
-    the points p, shape (..., dim).
+    """g^-1 / 2, shape (N, dim, dim), for each metric row of gp, shape
+    (N, dim * dim), at the points p, shape (..., dim) with N points.
 
     For dim 2, when every det g = g00 g11 - g01 g10 of the stack is a
     finite normal float, it is the closed form adj(g) (0.5 / det g), one
-    batched expression over the stack.  For any other dim, or a det that
+    batched expression over the rows.  For any other dim, or a det that
     is zero, subnormal, overflowing or NaN, it is 0.5 inv(g) by LAPACK,
     and a singular metric raises DomainError.  The det is computed without
     overflow warnings, as _one_half_inverse computes it on Python floats.
     """
-    dim = gp.shape[-1]
+    dim = p.shape[-1]
     if dim == 2:
+        a, b, c, d = gp.T
         with np.errstate(over="ignore", invalid="ignore"):
-            det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] * gp[..., 1, 0]
+            det = a * d - b * c
         size = np.abs(det)
         if ((size >= _TINY) & (size <= _HUGE)).all():
             # +-0.5 / det is exactly +-(0.5 / det): the same floats as
-            # g^T[::-1, ::-1] * sign * (0.5 / det), in two passes, not three
-            scale = _HALF_ADJ_SIGN / det[..., None, None]
-            return gp[..., ::-1, ::-1].swapaxes(-1, -2) * scale
+            # adj(g) * (0.5 / det), in two passes, not three
+            scale = _HALF_ADJ_SIGN / det[:, None]
+            return (gp.take((3, 1, 2, 0), axis=1) * scale).reshape(-1, 2, 2)
+    gp = gp.reshape(-1, dim, dim)
     try:
         return 0.5 * np.linalg.inv(gp)
     except np.linalg.LinAlgError as exc:
-        flat = gp.reshape(-1, dim, dim)
-        bad = np.flatnonzero(np.linalg.det(flat) == 0.0)
+        bad = np.flatnonzero(np.linalg.det(gp) == 0.0)
         first = p.reshape(-1, dim)[bad[0] if bad.size else 0]
         raise DomainError(f"metric is singular at {first.tolist()}") from exc
 
 
 def _one_half_inverse(gp: np.ndarray) -> np.ndarray | None:
-    """g^-1 / 2 for one 2 x 2 metric gp read as four Python floats, when g
-    is exactly symmetric and det g is a finite normal float; else None.
+    """g^-1 / 2 for the row gp, shape (1, 4), of one 2 x 2 metric read as
+    four Python floats, when g is exactly symmetric and det g is a finite
+    normal float; else None.
 
     It is _half_inverse's closed form with the same IEEE operations, so the
     same floats as the metric inside a stack: the test a == a, b == c,
     d == d is (g == g^T).all() for one matrix, and a NaN fails it."""
-    (a, b), (c, d) = gp.tolist()
+    ((a, b, c, d),) = gp.tolist()
     if not (a == a and b == c and d == d):
         return None
     det = a * d - b * c
@@ -359,6 +411,12 @@ def levi_civita(g: MetricField, chart: Chart | int) -> ChartConnection:
     H_DEFAULT, read once per connection; FD_TOL is the accuracy of
     identities built on Gamma at that step.
 
+    The stencil's metric values are one flat row per point (_stencil_points
+    builds a stack's points by np.repeat and one add).  The central
+    differences are row slices, and c[k, i, j] = d_i g_jk + d_j g_ik -
+    d_k g_ij takes its operands by the gathers of _koszul_gathers, so Gamma
+    = g^-1/2 c is one matmul per point over contiguous rows.
+
     g^-1 / 2 comes from _half_inverse: for dim 2 the closed form
     adj(g) (0.5 / det g), a forward-stable Cramer's rule, whenever every
     det of the stack is a finite normal float, and otherwise LAPACK's
@@ -377,35 +435,37 @@ def levi_civita(g: MetricField, chart: Chart | int) -> ChartConnection:
     if isinstance(chart, int):
         chart = free_chart(chart)
     dim = chart.dim
-    h = H_DEFAULT
     offsets = _stencil(dim)
+    square = dim * dim
+    first, second = _koszul_gathers(dim)
 
     def gamma(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (dim,):
             raise DomainError(f"points must have {dim} coordinates")
-        gs = _field(g, p[..., None, :] + offsets, (dim, dim))
-        gp = gs[..., 0, :, :]
-        half_inv = _one_half_inverse(gp) if gp.shape == (2, 2) else None
+        gs = _field(g, _stencil_points(p, offsets), (dim, dim))
+        rows = gs.reshape(-1, (2 * dim + 1) * square)
+        gp = rows[:, :square]
+        half_inv = _one_half_inverse(gp) if p.shape == (2,) else None
         if half_inv is None:
-            gt = gp.swapaxes(-1, -2)
-            if not (gp == gt).all():
+            gm = gp.reshape(-1, dim, dim)
+            gt = gm.swapaxes(-1, -2)
+            if not (gm == gt).all():
                 # max|g - g^T| <= 1e-12 max|g| per point; equal entries,
                 # infinite ones too, add no skew, and a NaN or infinite
                 # skew fails
-                skew = np.subtract(gp, gt, out=np.zeros_like(gp), where=gp != gt)
+                skew = np.subtract(gm, gt, out=np.zeros_like(gm), where=gm != gt)
                 skew = np.abs(skew).max(axis=(-2, -1))
-                size = np.abs(gp).max(axis=(-2, -1))
+                size = np.abs(gm).max(axis=(-2, -1))
                 if not ((skew <= 1e-12 * size) & (skew < np.inf)).all():
                     raise DomainError("metric must be a symmetric matrix field")
             half_inv = _half_inverse(gp, p)
-        # dg[..., i, j, k] = d_i g_jk
-        dg = (gs[..., 1:dim + 1, :, :] - gs[..., dim + 1:, :, :]) / (2.0 * h)
-        # c[..., k, i, j] = d_i g_jk + d_j g_ik - d_k g_ij
-        t = dg.transpose(*range(dg.ndim - 3), -1, -3, -2)
-        c = t + t.swapaxes(-1, -2) - dg
-        flat_c = c.reshape(c.shape[:-2] + (dim * dim,))
-        return (half_inv @ flat_c).reshape(c.shape)
+        # dg[:, i j k] = d_i g_jk
+        ahead, behind = rows[:, square:(dim + 1) * square], rows[:, (dim + 1) * square:]
+        dg = (ahead - behind) / (2.0 * H_DEFAULT)
+        # c[:, k i j] = d_i g_jk + d_j g_ik - d_k g_ij
+        c = dg.take(first, axis=1) + dg.take(second, axis=1) - dg
+        return (half_inv @ c.reshape(-1, dim, square)).reshape(p.shape[:-1] + (dim,) * 3)
 
     return ChartConnection(dim=chart.dim, gamma=gamma, chart=chart)
 
@@ -444,10 +504,11 @@ class Trajectory:
 
 
 def _geodesic_rhs(conn: ChartConnection, y: np.ndarray, out: np.ndarray) -> None:
-    """out = (u', w') = (w, -Gamma(u) w w) at the stacked state y = (u, w)."""
-    w = y[1]
-    out[1] = -((conn.gamma(y[0]) @ w) @ w)
-    out[0] = w
+    """out = (u', w') = (w, -Gamma(u) w w) at the flat state y = (u, w)."""
+    dim = conn.dim
+    w = y[dim:]
+    out[dim:] = -((conn.gamma(y[:dim]) @ w) @ w)
+    out[:dim] = w
 
 
 _STEP_ERRORS = (FloatingPointError, DomainError, ValueError)
@@ -523,15 +584,22 @@ def _dopri5_geodesic(
     final one, which the rounding of t could otherwise delay.  A step at
     the floor, or the steps-th, that fails the error test is accepted and
     counted as floored.  A step that escapes (its segment leaves the
-    chart, its end is not finite, or Gamma raises) is halved and tried
-    again; one that escapes at the floor ends the trajectory.
+    chart, its end or its error is not finite, or Gamma raises) is halved
+    and tried again; one that escapes at the floor ends the trajectory.
+
+    The state is one flat row (u, w), and so is each stage.  The new state
+    is tested (finite, then Chart.segment_escapes) after the sixth stage:
+    the seventh, the derivative at the new state that the next step reuses
+    (first same as last), and the error estimate are computed only for a
+    trial that can still be accepted, so a trial lost to the escape test
+    costs five Gamma calls, not six.
     """
     chart = conn.chart
+    dim = conn.dim
     atol, h_min = rtol / 100.0, time / steps
-    y = np.array((u, w))  # the first step starts from the unwrapped p
-    times, states = [0.0], [np.array((chart.wrap(u), w))]
+    y = np.concatenate((u, w))  # the first step starts from the unwrapped p
+    times, states = [0.0], [np.concatenate((chart.wrap(u), w))]
     k = np.empty((7,) + y.shape)  # the stages; k[0] is the derivative at y
-    flat_k = k.reshape(7, -1)
     t, h = 0.0, time  # the first step tries the whole interval
     rejected = floored = 0
     grow, escaped = True, False
@@ -546,12 +614,16 @@ def _dopri5_geodesic(
             h = time - t
         floor = floor or h <= h_min
         try:
-            for i, a in enumerate(_DOPRI_A, start=1):
-                y_new = y + h * (a @ flat_k[:i]).reshape(y.shape)
-                _geodesic_rhs(conn, y_new, k[i])
-            err = h * (_DOPRI_E @ flat_k).reshape(y.shape)
-            bad = (not (np.isfinite(y_new).all() and np.isfinite(err).all())
-                   or chart.segment_escapes(y[0], y_new[0]))
+            for i, a in enumerate(_DOPRI_A[:-1], start=1):
+                _geodesic_rhs(conn, y + h * (a @ k[:i]), k[i])
+            y_new = y + h * (_DOPRI_A[-1] @ k[:6])
+            # a new state that escapes loses the trial: it needs no last stage
+            bad = (not np.isfinite(y_new).all()
+                   or chart.segment_escapes(y[:dim], y_new[:dim]))
+            if not bad:
+                _geodesic_rhs(conn, y_new, k[6])
+                err = h * (_DOPRI_E @ k)
+                bad = not np.isfinite(err).all()
         except _STEP_ERRORS:
             bad = True
         if bad:
@@ -570,13 +642,13 @@ def _dopri5_geodesic(
         floored += e > 1.0
         t = time if last else t + h
         y, k[0] = y_new, k[-1]
-        y[0] = chart.wrap(y[0])
+        y[:dim] = chart.wrap(y[:dim])
         times.append(t)
         states.append(y)
         h = max(h * (factor if grow else min(factor, 1.0)), h_min)
         grow = True
-    return Trajectory(tuple(times), tuple(s[0] for s in states),
-                      tuple(s[1] for s in states), escaped, rejected, floored)
+    return Trajectory(tuple(times), tuple(s[:dim] for s in states),
+                      tuple(s[dim:] for s in states), escaped, rejected, floored)
 
 
 def exponential_map(

@@ -47,7 +47,6 @@ from .liftgroup import (
     Mat2,
     TAU_WINDING,
     inv2,
-    lift_commutator,
     lift_inv,
     lift_loop,
     lift_mul,
@@ -94,7 +93,8 @@ class SurfaceGroupRep:
     (A_i, B_i), taken once while the rep is validated (the GL+ check); A
     and B are their frozen matrices.  defect is relation_defect of the rep.
     inverse_lifts holds (alpha_i^-1, beta_i^-1), taken once, on first use:
-    after the defect check, each with lift_inv's check.
+    after the defect check, each with lift_inv's check.  _of_lifts makes
+    a rep of lifts, and inverse lifts, that a caller has already taken.
     """
 
     genus: int
@@ -110,7 +110,25 @@ class SurfaceGroupRep:
         if len(self.A) != self.genus or len(self.B) != self.genus:
             raise DomainError("need exactly genus matrices in A and in B")
         lifted = [principal_lift(m) for m in (*self.A, *self.B)]
-        lifts = tuple(zip(lifted[:self.genus], lifted[self.genus:]))
+        self._hold(tuple(zip(lifted[:self.genus], lifted[self.genus:])))
+
+    @classmethod
+    def _of_lifts(cls, lifts: tuple,
+                  inverse_lifts: tuple | None = None) -> "SurfaceGroupRep":
+        """The rep, at the default tolerance, of the principal lifts of its
+        generator pairs and, if taken, their inverse pairs: the relation is
+        checked, and no lift is taken again."""
+        rep = object.__new__(cls)
+        object.__setattr__(rep, "genus", len(lifts))
+        object.__setattr__(rep, "tolerance", TAU_REL)
+        rep._hold(lifts)
+        if inverse_lifts is not None:
+            rep.__dict__["inverse_lifts"] = inverse_lifts  # the cached_property's slot
+        return rep
+
+    def _hold(self, lifts: tuple) -> None:
+        """Keep the lift pairs, their matrices as A and B, and the defect
+        of the relation, which must be finite and within the tolerance."""
         object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "A", tuple(x.matrix for x, _ in lifts))
         object.__setattr__(self, "B", tuple(y.matrix for _, y in lifts))
@@ -409,20 +427,20 @@ def build_representation(genus: int, degree: int) -> SurfaceGroupRep:
     gammas = _chain_exact(degree - 1) + [_finv(_A0_EXACT)]
 
     pairs = [_commutator_exact(_fneg(g)) for g in gammas]
-    covered = [
+    lifts = [
         (_cover_exact(b1, plain_class=True), _cover_exact(b2))
         for b1, b2 in pairs
     ]
-    total = product_lift([lift_commutator(a, b) for a, b in covered])
+    inverses = [(lift_inv(a), lift_inv(b)) for a, b in lifts]
+    total = product_lift([reduce(lift_mul, (*pair, *inverse))
+                          for pair, inverse in zip(lifts, inverses)])
     if abs(total.lift - _TWO_PI * degree) > 1e-6:
         raise InternalConsistencyError("assembled core has the wrong degree")
 
-    a_side = [a.matrix for a, _ in covered]
-    b_side = [b.matrix for _, b in covered]
-    padding = genus - len(pairs)
-    a_side += [np.eye(2)] * padding
-    b_side += [np.eye(2)] * padding
-    return SurfaceGroupRep(genus, tuple(a_side), tuple(b_side))
+    padding = [(principal_lift(np.eye(2)), principal_lift(np.eye(2)))
+               for _ in range(genus - len(pairs))]
+    inverses += [(lift_inv(a), lift_inv(b)) for a, b in padding]
+    return SurfaceGroupRep._of_lifts(tuple(lifts + padding), tuple(inverses))
 
 
 def flip_orientation(rep: SurfaceGroupRep) -> SurfaceGroupRep:
@@ -430,8 +448,17 @@ def flip_orientation(rep: SurfaceGroupRep) -> SurfaceGroupRep:
 
     [B, A] = [A, B]^-1, so the reversed-and-swapped word inverts the
     relation product: the relation is preserved and delta is negated.
+    The lifts, and the inverse lifts if rep has taken them, are rep's.
     """
-    return SurfaceGroupRep(rep.genus, tuple(rep.B[::-1]), tuple(rep.A[::-1]))
+    taken = rep.__dict__.get("inverse_lifts")
+    return SurfaceGroupRep._of_lifts(
+        _reversed_swapped(rep.lifts),
+        None if taken is None else _reversed_swapped(taken),
+    )
+
+
+def _reversed_swapped(pairs: tuple) -> tuple:
+    return tuple((y, x) for x, y in reversed(pairs))
 
 
 def conjugate_representation(rep: SurfaceGroupRep, s: Mat2) -> SurfaceGroupRep:

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -193,6 +195,28 @@ def test_milnor_oracle_lifts_each_generator_once(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     assert data["results"]["path_winding"] == 3
     assert len(calls) == 2 * 4
+
+
+@pytest.mark.parametrize("degree", ["4", "-4"])
+def test_build_lifts_and_inverts_each_generator_once(tmp_path, capsys, monkeypatch, degree):
+    # genus 7 has 14 generators: the degree-5 core's 10 are lifted and
+    # inverted for the degree check, and the rep and milnor_number reuse
+    # them; a negative degree reuses the positive build's lifts, swapped
+    import chernlab.liftgroup as liftgroup_mod
+    import chernlab.milnor as milnor_mod
+
+    calls = {"principal_lift": 0, "lift_inv": 0}
+    for name in calls:
+        def counted(x, name=name, real=getattr(liftgroup_mod, name)):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(milnor_mod, name, counted)
+        monkeypatch.setattr(liftgroup_mod, name, counted)
+    code, data, err = run_json(capsys, "build", "7", degree, "--out", str(tmp_path / "r.json"))
+    assert code == 0, err
+    assert data["results"]["milnor_number"] == int(degree)
+    assert calls == {"principal_lift": 14, "lift_inv": 14}
 
 
 def test_build_inadmissible_exits_5(tmp_path, capsys):
@@ -1449,3 +1473,92 @@ def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
     code, out, err = parse_route_outcome(capsys, monkeypatch, None)
     assert (code, out) == ("SystemExit(2)", "")
     assert err.splitlines()[-1].startswith("chernlab euler: error: ")
+
+
+# -- the output end of the exit-code contract ----------------------------------------
+
+def cli_child(argv, **kwargs):
+    """The installed command's entry, console_main, on argv in a fresh
+    interpreter, as a Popen with stderr piped."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHERNLAB_")}
+    env["PYTHONPATH"] = str(Path(chernlab.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "chernlab.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def output_end(child, stdout_closed_after=None):
+    """(exit code, stderr lines) of the child, its stdout pipe read up to
+    stdout_closed_after bytes (None: not at all) and then closed."""
+    if stdout_closed_after:
+        child.stdout.read(stdout_closed_after)
+    if child.stdout is not None:
+        child.stdout.close()
+    err = child.stderr.read()
+    return child.wait(timeout=120), err.splitlines()
+
+
+@pytest.fixture()
+def output_end_inputs(tmp_path, rep_file, complex_file):
+    return {"REP": str(rep_file), "COMPLEX": str(complex_file),
+            "OUT": str(tmp_path / "out.json")}
+
+
+OUTPUT_END_OPS = [
+    ["milnor", "REP", "--json"],
+    ["build", "3", "2", "--out", "OUT"],
+    ["spectral", "COMPLEX"],
+    ["geometry", "gauss-bonnet", "sphere:1", "--mesh", "16"],
+    ["euler", "smillie 10", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_END_OPS, ids=[a[0] for a in OUTPUT_END_OPS])
+def test_a_closed_stdout_pipe_exits_2_with_one_error_line(output_end_inputs, argv):
+    # the reader is gone before the report is written: every write is EPIPE
+    argv = [output_end_inputs.get(a, a) for a in argv]
+    code, err = output_end(cli_child(argv, stdout=subprocess.PIPE))
+    assert (code, err) == (2, ["error: cannot write stdout: Broken pipe"])
+
+
+def test_a_pipe_closed_after_one_byte_exits_2_with_one_error_line():
+    # about 290 KB of rows: more than a pipe holds, so writes follow the close
+    argv = ["geometry", "geodesic", "sphere:1", "--point", "1,0", "--velocity", "1,1",
+            "--time", "50", "--rows", "0", "--json"]
+    code, err = output_end(cli_child(argv, stdout=subprocess.PIPE), stdout_closed_after=1)
+    assert (code, err) == (2, ["error: cannot write stdout: Broken pipe"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["euler", "smillie 10"], ["euler", "smillie 10", "--json"]])
+def test_a_full_stdout_device_exits_2_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        code, err = output_end(cli_child(argv, stdout=full))
+    assert (code, err) == (2, ["error: cannot write stdout: No space left on device"])
+
+
+def numpy_mapped(pid):
+    """Whether the process pid has mapped numpy, from /proc/<pid>/maps."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return any("numpy" in line for line in maps)
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/maps"),
+                    reason="reads the memory map from /proc")
+def test_sigint_ends_the_command_by_the_signal_without_a_traceback():
+    child = cli_child(["geometry", "gauss-bonnet", "sphere:1", "--mesh", "1024"],
+                      stdout=subprocess.DEVNULL)
+    try:
+        # only the geometry command imports numpy, after console_main has
+        # restored the default SIGINT; the 1024-mesh quadrature then runs
+        # for seconds
+        deadline = time.monotonic() + 60
+        while not numpy_mapped(child.pid):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGINT)
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == -signal.SIGINT
+        assert "Traceback" not in err and "KeyboardInterrupt" not in err
+    finally:
+        child.kill()
+        child.wait()

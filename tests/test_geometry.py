@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import chernlab.geometry as ge
 from chernlab.errors import DomainError, EscapeError, QuadratureError
+from reference_geometry import reference_curvature_tensor, reference_gamma
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -567,6 +568,88 @@ def test_overflowing_det_warns_neither_for_one_metric_nor_a_stack():
     assert same_bits(single, stack[0])
 
 
+POINT_SHAPES = [(), (3,), (4, 5), (256, 5)]
+
+
+def skewed_metric(g, dim):
+    """g with g_01 raised by 1e-13 max|g|, within the symmetry tolerance."""
+    if dim == 1:
+        return g
+
+    def skewed(q):
+        out = np.array(g(q))
+        out[..., 0, 1] += 1e-13 * np.abs(out).max(axis=(-2, -1))
+        return out
+
+    return skewed
+
+
+def stencil_metrics(dim):
+    """(name, metric field) cases for the flat-row kernels: exactly
+    symmetric, skewed within tolerance, and scaled so that det g is
+    subnormal or overflows (the LAPACK fallback in 2-D)."""
+    g = random_metric(np.random.default_rng(40 + dim), dim)
+    return [("symmetric", g), ("skewed", skewed_metric(g, dim)),
+            ("det-subnormal", lambda q: 1e-160 * g(q)),
+            ("det-huge", lambda q: 1e160 * g(q))]
+
+
+def stencil_points(shape, dim, seed=0):
+    return np.random.default_rng(seed).uniform(0.3, 2.8, size=shape + (dim,))
+
+
+@pytest.mark.parametrize("shape", POINT_SHAPES)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_flat_row_gamma_and_curvature_are_the_reference_bit_for_bit(dim, shape):
+    p = stencil_points(shape, dim)
+    for name, g in stencil_metrics(dim):
+        conn = ge.levi_civita(g, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = conn.gamma(p), reference_gamma(g, p)
+        assert got.shape == shape + (dim,) * 3, name
+        assert same_bits(got, want), name
+    conn = random_connection(np.random.default_rng(dim), dim)
+    got = ge._curvature_tensor(conn, p)
+    assert got.shape == shape + (dim,) * 4
+    assert same_bits(got, reference_curvature_tensor(conn, p))
+    conn = ge.levi_civita(stencil_metrics(dim)[0][1], dim)
+    assert same_bits(ge._curvature_tensor(conn, p), reference_curvature_tensor(conn, p))
+
+
+@pytest.mark.parametrize("shape", POINT_SHAPES)
+@pytest.mark.parametrize("radius", [1e-50, 1e50])
+def test_flat_row_sphere_gamma_at_the_radius_bounds_is_the_reference(radius, shape):
+    g = ge.sphere_metric(radius)
+    p = stencil_points(shape, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = ge.levi_civita(g, 2).gamma(p), reference_gamma(g, p)
+    assert same_bits(got, want)
+
+
+def reference_message(g, p):
+    try:
+        reference_gamma(g, p)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("shape", POINT_SHAPES)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_flat_row_gamma_refuses_as_the_reference(dim, shape):
+    # singular everywhere, NaN everywhere, and singular at the points with
+    # x_0 <= 1.5 only, where the message names the first such point
+    p = stencil_points(shape, dim)
+    top = np.zeros((dim, dim))
+    top[0, 0] = 1.0  # singular for dim > 1
+    for value in [np.zeros((dim, dim)), np.full((dim, dim), np.nan)] + [top] * (dim > 1):
+        g = lambda q, value=value: value
+        _, message = gamma_or_message(ge.levi_civita(g, dim), p)
+        assert message is not None and message == reference_message(g, p)
+    g = lambda q: np.maximum(q[..., :1, None] - 1.5, 0.0) * np.eye(dim)
+    _, message = gamma_or_message(ge.levi_civita(g, dim), p)
+    assert message == reference_message(g, p)
+
+
 # -- geodesics --------------------------------------------------------------------
 
 def test_flat_geodesic_is_straight_line():
@@ -667,11 +750,14 @@ DP_FOURTH = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 DP_ERROR = tuple(b - c for b, c in zip(DP_FIFTH, DP_FOURTH))
 
 
-def reference_geodesic(conn, p, v, time, steps=None):
+def reference_geodesic(conn, p, v, time, steps=None, tally=None):
     """The adaptive loop written out step by step: separate u and w, every
     stage from the tableau (the derivative at the start of a step is
     recomputed, not carried over), the error from the two weight rows, and
-    the escape test on one segment at a time."""
+    the escape test on one segment at a time.  It counts rejected steps as
+    the library does; tally, if given, counts the trials by outcome:
+    "accepted", "error" (rejected by the error test) and "lost" (to the
+    escape test, halved or ending the run)."""
     def rhs(u, w):
         return w, -np.einsum("akj,k,j->a", conn.gamma(u), w, w)
 
@@ -684,6 +770,7 @@ def reference_geodesic(conn, p, v, time, steps=None):
     w = np.asarray(v, dtype=float)
     times, points, velocities = [0.0], [conn.chart.wrap(u)], [w]
     t, h, grow, escaped = 0.0, time, True, False
+    tally = {"accepted": 0, "error": 0, "lost": 0} if tally is None else tally
     while t < time:
         floor = len(times) == steps
         last = floor or h >= time - t
@@ -703,6 +790,7 @@ def reference_geodesic(conn, p, v, time, steps=None):
         except (FloatingPointError, DomainError, ValueError):
             bad = True
         if bad:
+            tally["lost"] += 1
             if floor:
                 escaped = True
                 break
@@ -714,7 +802,9 @@ def reference_geodesic(conn, p, v, time, steps=None):
         factor = min(5.0, max(0.2, 0.9 * max(e, 1e-10) ** -0.2))
         if e > 1.0 and not floor:
             h, grow = max(h * factor, h_min), False
+            tally["error"] += 1
             continue
+        tally["accepted"] += 1
         t = time if last else t + h
         u, w = conn.chart.wrap(u_new), w_new
         times.append(t)
@@ -722,7 +812,8 @@ def reference_geodesic(conn, p, v, time, steps=None):
         velocities.append(w)
         h = max(h * (factor if grow else min(factor, 1.0)), h_min)
         grow = True
-    return ge.Trajectory(tuple(times), tuple(points), tuple(velocities), escaped)
+    rejected = tally["error"] + tally["lost"] - escaped  # the last lost trial ends the run
+    return ge.Trajectory(tuple(times), tuple(points), tuple(velocities), escaped, rejected)
 
 
 def reference_pair(conn, p, v, time, steps):
@@ -737,7 +828,7 @@ def assert_matches_reference(conn, p, v, time, steps=None, tol=1e-12):
     """Where the error estimate is rounding noise (Gamma = 0 along the
     path), both loops take the same steps and agree to tol at every one."""
     got, want = reference_pair(conn, p, v, time, steps)
-    assert got.times == want.times
+    assert got.times == want.times and got.rejected == want.rejected
     for a, b in [(got.points, want.points), (got.velocities, want.velocities)]:
         assert np.max(np.abs(np.array(a) - np.array(b))) <= tol
     return got
@@ -786,6 +877,24 @@ def test_geodesic_aimed_at_the_puncture_matches_per_step_loop(k, steps):
         got = assert_matches_reference(conn, p, -p, time, steps)
         assert got.escape_flag and 1.0 - h_min - 1e-5 < got.end_time < 1.0
         assert len(got.times) - 1 <= steps
+
+
+def test_a_trial_lost_to_the_escape_test_takes_no_last_stage():
+    # closing in on the puncture, every trial whose new state crosses it is
+    # lost before the seventh (first same as last) stage, which only a
+    # trial that can still be accepted needs: 5 Gamma calls, not 6
+    counts = {"calls": 0, "points": 0}
+    hopf = ge.parse_geometry("hopf:2").connection
+    p = np.array([0.8, 0.6])
+    got = ge.geodesic(counting_connection(hopf, counts), p, -p, 1.5)
+    tally = {"accepted": 0, "error": 0, "lost": 0}
+    with np.errstate(all="ignore"):
+        reference_geodesic(hopf, p, -p, 1.5, tally=tally)
+    assert got.escape_flag and tally["lost"] > 0
+    assert tally["accepted"] == len(got.times) - 1
+    assert counts["calls"] == (1 + 6 * (tally["accepted"] + tally["error"])
+                               + 5 * tally["lost"])
+    assert_matches_reference(hopf, p, -p, 1.5)
 
 
 @pytest.mark.parametrize("steps", [1, 9, B - 1, B + 1, 2 * B + 37])

@@ -104,8 +104,10 @@ def test_both_methods_share_inverse_lifts_taken_once_after_the_defect_check(
         calls.append(x)
         return lg.lift_inv(x)
 
-    monkeypatch.setattr(mi, "lift_inv", counted)
+    # build inverts its core's lifts for the degree check; a rep made from
+    # its matrices takes its own
     built = mi.build_representation(3, 2)
+    monkeypatch.setattr(mi, "lift_inv", counted)
     rep = mi.SurfaceGroupRep(built.genus, built.A, built.B)
     assert calls == []  # none while the rep is made and its defect checked
     assert mi.milnor_number(rep) == 2
