@@ -245,25 +245,6 @@ def flat_connection(dim: int, chart: Chart | None = None) -> ChartConnection:
     return ChartConnection(dim, lambda p: zeros, chart or free_chart(dim))
 
 
-def constant_connection(
-    gamma: np.ndarray, chart: Chart | None = None
-) -> ChartConnection:
-    gamma = np.asarray(gamma, dtype=float)
-    dim = gamma.shape[0]
-    return ChartConnection(dim, lambda p: gamma, chart or free_chart(dim))
-
-
-def coordinate_field(i: int, dim: int) -> VectorField:
-    e = np.zeros(dim)
-    e[i] = 1.0
-    return lambda p: e
-
-
-def constant_field(v: Sequence[float]) -> VectorField:
-    arr = np.asarray(v, dtype=float)
-    return lambda p: arr
-
-
 def _require_inside(conn: ChartConnection, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1:] != (conn.dim,):
@@ -497,10 +478,6 @@ class Trajectory:
     @property
     def end_point(self) -> np.ndarray:
         return np.asarray(self.points[-1])
-
-    @property
-    def end_velocity(self) -> np.ndarray:
-        return np.asarray(self.velocities[-1])
 
 
 def _geodesic_rhs(conn: ChartConnection, y: np.ndarray, out: np.ndarray) -> None:
@@ -811,12 +788,15 @@ def pfaffian(a: np.ndarray) -> float:
 
 
 def gaussian_curvature(
-    conn: ChartConnection, g: MetricField, p: np.ndarray
+    conn: ChartConnection, g: MetricField, p: np.ndarray,
+    gp: np.ndarray | None = None,
 ) -> np.ndarray:
     """K = g(R(e1, e2) e2, e1) / (g11 g22 - g12^2) in the coordinate frame,
-    at points of shape (..., 2)."""
+    at points of shape (..., 2).  gp, if given, is g at p, shape (..., 2, 2),
+    which g is then not called for again."""
     p = np.asarray(p, dtype=float)
-    gp = _field(g, p, (2, 2))
+    if gp is None:
+        gp = _field(g, p, (2, 2))
     denom = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] ** 2
     if np.any(denom <= 0.0):
         raise DomainError("metric is degenerate at the quadrature point")
@@ -839,11 +819,13 @@ def _node_weights(
     conn: ChartConnection, metric: MetricField, nodes: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """K sqrt(det g) at the nodes where the metric is nondegenerate and
-    finite, and the number of the other nodes, which are skipped."""
+    finite, and the number of the other nodes, which are skipped.  The
+    metric is evaluated once at the nodes, and once by Gamma on the
+    curvature's stencil."""
     gp = _field(metric, nodes, (2, 2))
     det = gp[..., 0, 0] * gp[..., 1, 1] - gp[..., 0, 1] ** 2
     good = (det > 0.0) & np.isfinite(det)
-    k = gaussian_curvature(conn, metric, nodes[good])
+    k = gaussian_curvature(conn, metric, nodes[good], gp[good])
     return k * np.sqrt(det[good]), len(nodes) - int(np.count_nonzero(good))
 
 

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, schemas, determinism of results blocks."""
 
+import dataclasses
+import importlib
 import json
 import math
 import os
@@ -1159,7 +1161,8 @@ def test_transport_latitude(capsys):
         "--latitude", "1.0", "--vector", "1,0", "--samples", "400",
     )
     assert code == 0
-    assert data["verification"][0]["passed"]
+    assert float(data["results"]["round_trip_residual"]) <= 1e-5 * 1.0  # max|v|, v = 1,0
+    assert data["verification"] == []
 
 
 def test_transport_path_file(tmp_path, capsys):
@@ -1180,7 +1183,8 @@ def test_transport_refines_substeps_until_the_round_trip_closes(tmp_path, capsys
     code, data, _ = run_json(capsys, *argv)
     assert code == 0
     assert data["results"]["substeps"] == 2
-    assert data["verification"][0]["passed"]
+    assert float(data["results"]["round_trip_residual"]) <= 1e-5 * 1.0  # max|v|, v = 1,0
+    assert data["verification"] == []
     code, data, _ = run_json(capsys, "geometry", "transport", "sphere:1",
                              "--latitude", "1.0", "--samples", "400")
     assert code == 0 and data["results"]["substeps"] == 1
@@ -1387,6 +1391,68 @@ def test_euler_grammar_error_has_caret(capsys):
     caret_line = lines[-1]
     assert caret_line.strip() == "^"
     assert caret_line.index("^") - lines[-2].index("Sigma") == 11
+
+
+# -- every verification check can fail -----------------------------------------------
+
+def _coarse_run_one_unit_off(geodesic):
+    """geodesic, with the end point of the coarser run, the one call that
+    passes a tolerance, moved by one unit."""
+    def faulty(conn, p, v, time, steps=None, *tol):
+        traj = geodesic(conn, p, v, time, steps, *tol)
+        if not tol:
+            return traj
+        return dataclasses.replace(traj, points=traj.points[:-1] + (traj.points[-1] + 1.0,))
+    return faulty
+
+
+# each check the CLI emits: the command that emits it, and one fault (module,
+# function, wrapper) in the value the check compares
+CHECK_FAULTS = {
+    # both methods agree on |delta| = g
+    "milnor inequality": (["milnor", "REP", "--oracle"], [
+        ("milnor", "milnor_number", lambda f: lambda rep: rep.genus),
+        ("milnor", "winding_number", lambda f: lambda rep: rep.genus),
+    ]),
+    "dual-method agreement": (["milnor", "REP", "--oracle"], [
+        ("milnor", "winding_number", lambda f: lambda rep: f(rep) + 1),
+    ]),
+    "degree realised": (["build", "2", "1", "--out", "OUT"], [
+        ("milnor", "milnor_number", lambda f: lambda rep: f(rep) + 1),
+    ]),
+    "convergence E_inf = gr H": (["spectral", "COMPLEX"], [
+        ("spectral", "graded_cohomology", lambda f: lambda c, p, q: f(c, p, q) + 1),
+    ]),
+    "coarser integration agrees": (
+        ["geometry", "geodesic", "sphere:1", "--point", "1,0", "--velocity", "1,1",
+         "--time", "0.3"],
+        [("geometry", "geodesic", _coarse_run_one_unit_off)],
+    ),
+    # the refined pass, at mesh 32, is a quarter off
+    "mesh refinement converges": (["geometry", "gauss-bonnet", "sphere:1", "--mesh", "16"], [
+        ("geometry", "gauss_bonnet",
+         lambda f: lambda patches, n: f(patches, n) + (0.25 if n == 32 else 0.0)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FAULTS))
+def test_each_check_fails_alone_on_its_fault(name, rep_file, complex_file, tmp_path,
+                                             capsys, monkeypatch):
+    files = {"REP": str(rep_file), "COMPLEX": str(complex_file),
+             "OUT": str(tmp_path / "out.json")}
+    command, faults = CHECK_FAULTS[name]
+    argv = [files.get(a, a) for a in command]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and f"  [PASS] {name}" in out
+    for module, attr, fault in faults:
+        module = importlib.import_module(f"chernlab.{module}")
+        monkeypatch.setattr(module, attr, fault(getattr(module, attr)))
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    (fail,) = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fail.startswith(f"  [FAIL] {name}")
+    assert err == f"error: failed checks: {fail.removeprefix('  [FAIL] ')}\n"
 
 
 # -- argument parsing ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import chernlab.geometry as ge
 from chernlab.errors import DomainError, EscapeError, QuadratureError
+from chart_fields import constant_connection, constant_field, coordinate_field, end_velocity
 from reference_geometry import reference_curvature_tensor, reference_gamma
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -29,7 +30,7 @@ def wrap_pi(a):
 
 def test_flat_directional_derivative():
     conn = ge.flat_connection(2)
-    x = ge.coordinate_field(0, 2)
+    x = coordinate_field(0, 2)
     y = lambda p: np.array([0.0, p[0]])
     out = ge.covariant_derivative(conn, x, y, np.array([0.3, -0.7]))
     assert np.allclose(out, [0.0, 1.0], atol=1e-9)
@@ -38,7 +39,7 @@ def test_flat_directional_derivative():
 def test_flat_constant_field_has_zero_derivative():
     conn = ge.flat_connection(3)
     out = ge.covariant_derivative(
-        conn, ge.constant_field([1.0, 2.0, 3.0]), ge.constant_field([5.0, 0.0, -1.0]),
+        conn, constant_field([1.0, 2.0, 3.0]), constant_field([5.0, 0.0, -1.0]),
         np.zeros(3),
     )
     assert np.allclose(out, 0.0, atol=1e-10)
@@ -48,11 +49,11 @@ def test_constant_gamma_term():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = 2.0   # Gamma^0_{10} = 2
     gamma[1, 0, 1] = -3.0  # Gamma^1_{01} = -3
-    conn = ge.constant_connection(gamma)
+    conn = constant_connection(gamma)
     a = np.array([1.0, 4.0])
     b = np.array([2.0, 5.0])
     out = ge.covariant_derivative(
-        conn, ge.constant_field(a), ge.constant_field(b), np.zeros(2)
+        conn, constant_field(a), constant_field(b), np.zeros(2)
     )
     expected = np.einsum("kij,j,i->k", gamma, b, a)
     assert np.allclose(out, expected, atol=1e-9)
@@ -64,7 +65,7 @@ def test_flat_connection_is_torsion_free_and_flat():
     conn = ge.flat_connection(2)
     x = lambda p: np.array([p[1], 1.0])
     y = lambda p: np.array([0.5, p[0] * p[1]])
-    z = ge.constant_field([1.0, -1.0])
+    z = constant_field([1.0, -1.0])
     p = np.array([0.4, 0.9])
     assert np.allclose(ge.torsion(conn, x, y, p), 0.0, atol=ge.FD_TOL)
     assert np.allclose(ge.curvature(conn, x, y, z, p), 0.0, atol=ge.FD_TOL)
@@ -75,8 +76,8 @@ def test_torsion_of_asymmetric_constant_connection():
     gamma[0, 0, 1] = 1.5
     gamma[0, 1, 0] = -0.5
     gamma[1, 0, 1] = 2.0
-    conn = ge.constant_connection(gamma)
-    e0, e1 = ge.coordinate_field(0, 2), ge.coordinate_field(1, 2)
+    conn = constant_connection(gamma)
+    e0, e1 = coordinate_field(0, 2), coordinate_field(1, 2)
     out = ge.torsion(conn, e0, e1, np.zeros(2))
     expected = gamma[:, 0, 1] - gamma[:, 1, 0]
     assert np.allclose(out, expected, atol=1e-8)
@@ -115,7 +116,7 @@ def reference_curvature(conn, x, y, z, p):
     """R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
     nabla_y_z = lambda q: ge.covariant_derivative(conn, y, z, q)
     nabla_x_z = lambda q: ge.covariant_derivative(conn, x, z, q)
-    bracket_at_p = ge.constant_field(lie_bracket(x, y, p))
+    bracket_at_p = constant_field(lie_bracket(x, y, p))
     return (
         ge.covariant_derivative(conn, x, nabla_y_z, p)
         - ge.covariant_derivative(conn, y, nabla_x_z, p)
@@ -168,7 +169,7 @@ def test_curvature_matches_the_nested_difference_definition():
     g = ge.sphere_metric(1.3)
     conn = ge.levi_civita(g, 2)
     rng = np.random.default_rng(3)
-    e0, e1 = ge.coordinate_field(0, 2), ge.coordinate_field(1, 2)
+    e0, e1 = coordinate_field(0, 2), coordinate_field(1, 2)
     for _ in range(5):
         p = np.array([rng.uniform(0.5, 2.5), rng.uniform(0.0, 6.0)])
         for x, y, z in [(e0, e1, e1), (e1, e0, e0), (e0, e1, e0)]:
@@ -224,7 +225,7 @@ def test_levi_civita_curvature_symmetries(dim, seed):
 def test_curvature_of_a_constant_connection_is_its_quadratic_term(dim, seed):
     rng = np.random.default_rng(seed)
     gamma = rng.normal(size=(dim,) * 3)
-    conn = ge.constant_connection(gamma)
+    conn = constant_connection(gamma)
     r = ge._curvature_tensor(conn, rng.uniform(-1.0, 1.0, size=dim))
     want = (np.einsum("kim,mjl->klij", gamma, gamma)
             - np.einsum("kjm,mil->klij", gamma, gamma))
@@ -237,7 +238,7 @@ def test_tensoriality_in_function_multiples():
     f = lambda p: math.sin(p[0]) + 2.0 * math.cos(p[1])
     x = lambda p: np.array([0.7, p[1] * 0.1 + 0.4])
     y = lambda p: np.array([p[0] * 0.2, 1.0])
-    z = ge.constant_field([0.3, -0.8])
+    z = constant_field([0.3, -0.8])
     fx = lambda p: f(p) * x(p)
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -657,7 +658,7 @@ def test_flat_geodesic_is_straight_line():
     traj = ge.geodesic(conn, [1.0, 2.0, 3.0], [0.5, -1.0, 0.0], 4.0, steps=64)
     assert not traj.escape_flag
     assert np.allclose(traj.end_point, [3.0, -2.0, 3.0], atol=1e-12)
-    assert np.allclose(traj.end_velocity, [0.5, -1.0, 0.0], atol=1e-14)
+    assert np.allclose(end_velocity(traj), [0.5, -1.0, 0.0], atol=1e-14)
 
 
 def test_hopf_geodesic_aimed_at_origin_escapes():
@@ -842,7 +843,7 @@ def assert_ends_near_reference(conn, p, v, time, steps, tol):
     assert abs(got.end_time - want.end_time) <= time / steps
     if not got.escape_flag:
         for a, b in [(got.end_point, want.end_point),
-                     (got.end_velocity, want.end_velocity)]:
+                     (end_velocity(got), end_velocity(want))]:
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= tol
     return got
 
@@ -944,7 +945,7 @@ def test_a_raising_gamma_ends_the_trajectory_before_its_step():
 def test_blow_up_without_a_norm_bound_is_caught_by_the_finite_check():
     # u'' = (u')^2 from u' = 1 blows up at t = 1; in one dimension the
     # state overflows to inf, which only the chart's finite check refuses
-    conn = ge.constant_connection([[[-1.0]]], ge.Chart(1, norm_bound=math.inf))
+    conn = constant_connection([[[-1.0]]], ge.Chart(1, norm_bound=math.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = ge.geodesic(conn, [0.0], [1.0], 3.0, steps=3 * B)
@@ -956,7 +957,7 @@ def test_blow_up_without_a_norm_bound_is_caught_by_the_finite_check():
 def test_non_finite_points_are_outside_an_unbounded_chart():
     chart = ge.Chart(1, norm_bound=math.inf)
     conn = ge.flat_connection(1, chart)
-    one = ge.constant_field([1.0])
+    one = constant_field([1.0])
     assert not chart.contains(np.array([[math.inf], [-math.inf], [math.nan]])).any()
     assert chart.contains(np.array([1e300]))
     with warnings.catch_warnings():
@@ -1036,7 +1037,7 @@ def test_adaptive_flat_geodesic_is_the_wrapped_straight_line(key):
         if geo.chart.periods is not None:
             diff -= np.round(diff)  # a point near 0 may land near 1
         assert np.max(np.abs(diff)) <= 1e-12
-        assert np.array_equal(traj.end_velocity, v)
+        assert np.array_equal(end_velocity(traj), v)
         assert traj.rejected == traj.floored == 0
 
 
@@ -1067,7 +1068,7 @@ def test_adaptive_geodesic_at_the_puncture_stops_just_before_it(p):
 def test_adaptive_blow_up_ends_escaped_with_increasing_times():
     # u'' = -(u')^2 from u' = -1 blows up at t = 1; the step floor keeps
     # t + h > t, and Trajectory checks that the times strictly increase
-    conn = ge.constant_connection(np.ones((1, 1, 1)))
+    conn = constant_connection(np.ones((1, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = ge.geodesic(conn, [0.0], [-1.0], 3.0)
@@ -1078,7 +1079,7 @@ def test_adaptive_blow_up_ends_escaped_with_increasing_times():
 
 def test_adaptive_steps_never_exceed_the_fixed_step_count():
     # u = log(1 + t) solves u'' = -(u')^2 from u' = 1
-    conn = ge.constant_connection(np.ones((1, 1, 1)))
+    conn = constant_connection(np.ones((1, 1, 1)))
     traj = ge.geodesic(conn, [0.0], [1.0], 3.0)
     assert not traj.escape_flag and traj.end_time == 3.0
     assert len(traj.times) - 1 <= 3 * ge.STEPS_PER_UNIT
@@ -1269,7 +1270,7 @@ def test_transport_keeps_path_order_across_block_edges(substeps):
 @pytest.mark.parametrize("substeps", [1, 2, 3])
 def test_transport_with_non_commuting_constant_gamma(substeps):
     gamma = np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3, 3))
-    conn = ge.constant_connection(gamma)
+    conn = constant_connection(gamma)
     slices = [gamma[:, i, :] for i in range(3)]
     assert np.abs(slices[0] @ slices[1] - slices[1] @ slices[0]).max() > 0.1
     v = np.array([0.2, -0.7, 0.5])
@@ -1292,7 +1293,7 @@ def test_transport_with_non_commuting_constant_gamma(substeps):
 
 
 def non_commuting_connection():
-    return ge.constant_connection(np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3, 3)))
+    return constant_connection(np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3, 3)))
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 3])
@@ -1541,6 +1542,22 @@ def test_gauss_bonnet_skips_only_the_bad_nodes_of_a_block(monkeypatch):
     )
 
 
+def test_gauss_bonnet_calls_the_metric_once_at_the_nodes_of_a_block():
+    metric = ge.sphere_metric(1.0)
+    calls = []
+
+    def counted(p):
+        calls.append(p.shape)
+        return metric(p)
+
+    # mesh 16: 256 nodes, one block; the metric at the nodes, then inside
+    # Gamma on the stencils of the curvature's stencil
+    patch = ge.SurfacePatch(0.0, math.pi, 0.0, 2.0 * math.pi, counted)
+    chi = ge.gauss_bonnet([patch], 16)
+    assert calls == [(256, 2), (256, 5, 5, 2)]
+    assert chi == ge.gauss_bonnet(ge.parse_geometry("sphere:1").patches, 16)
+
+
 def test_gauss_bonnet_rejects_small_mesh():
     geo = ge.parse_geometry("sphere:1")
     with pytest.raises(DomainError):
@@ -1566,8 +1583,8 @@ def test_nijenhuis_of_standard_complex_structure_vanishes():
         for j in range(i + 1, 2 * m):
             out = ge.nijenhuis(
                 a_field,
-                ge.coordinate_field(i, 2 * m),
-                ge.coordinate_field(j, 2 * m),
+                coordinate_field(i, 2 * m),
+                coordinate_field(j, 2 * m),
                 p,
             )
             assert np.allclose(out, 0.0, atol=1e-12)
